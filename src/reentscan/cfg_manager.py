@@ -100,27 +100,31 @@ class Explorer:
         # an undecided branch is still explored; its condition rides along
         return verdict.status is not SolverStatus.UNSAT
 
-    def _resolve_target(self, block: BasicBlock, target: Term,
-                        jumpdests: set[int]) -> int | None:
-        if target.is_const:
-            value = target.value
-        else:
-            verdict = self.solver.check_sat(block.path_condition.terms)
-            if not verdict.is_sat:
-                return None
-            value = tm.evaluate(target, verdict.model or {})
-            block.path_condition = block.path_condition.extended(
-                tm.eq(target, tm.const(value)), ConstraintOrigin.CONCRETIZE)
-        return value if value in jumpdests else None
+    def concretize(self, block: BasicBlock, term: Term) -> int | None:
+        """Pin a word to one model value, recorded on the path; None when the
+        path condition has no model."""
+        if term.is_const:
+            return term.value
+        verdict = self.solver.check_sat(block.path_condition.terms)
+        if not verdict.is_sat:
+            return None
+        value = tm.evaluate(term, verdict.model or {})
+        block.path_condition = block.path_condition.extended(
+            tm.eq(term, tm.const(value)), ConstraintOrigin.CONCRETIZE)
+        return value
+
+    def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
+        """Move ``block`` to the jump target, or seal it if there is none."""
+        value = self.concretize(block, target)
+        if value not in jumpdests:
+            self.seal(block, EndState.INVALID, "bad jump target")
+            return False
+        block.machine.pc = value
+        return True
 
     def jump(self, block: BasicBlock, target: Term,
              jumpdests: set[int]) -> BasicBlock | None:
-        value = self._resolve_target(block, target, jumpdests)
-        if value is None:
-            self.seal(block, EndState.INVALID, "bad jump target")
-            return None
-        block.machine.pc = value
-        return block
+        return block if self._goto(block, target, jumpdests) else None
 
     def branch_on_jumpi(self, block: BasicBlock, target: Term, cond: Term,
                         jumpdests: set[int], fall_pc: int) -> BasicBlock | None:
@@ -146,11 +150,7 @@ class Explorer:
             jump.path_condition = jump.path_condition.extended(cond)
             self.ecfg.add_edge(block.id, fall.id, EdgeKind.FALLTHROUGH)
             self.ecfg.add_edge(block.id, jump.id, EdgeKind.JUMP)
-            resolved = self._resolve_target(jump, target, jumpdests)
-            if resolved is None:
-                self.seal(jump, EndState.INVALID, "bad jump target")
-            else:
-                jump.machine.pc = resolved
+            if self._goto(jump, target, jumpdests):
                 self.push(jump)
             return fall
         if jump_ok:
@@ -177,7 +177,7 @@ def export_dot(ecfg: ECFG, title: str = "ecfg") -> str:
     lines = [f"digraph {title} {{", "  node [shape=box fontname=monospace];"]
     for bid in sorted(ecfg.nodes):
         info = ecfg.nodes[bid]
-        label = info.label or f"{info.contract}@{info.start_pc}\\n{info.end_state.value}"
+        label = f"{info.contract}@{info.start_pc}\\n{info.end_state.value}"
         attrs = [f'label="{label}"']
         if bid in entered:
             attrs.append('style=filled fillcolor=salmon')

@@ -29,13 +29,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deployed contract address(es) to fetch")
     parser.add_argument("--rpc-url", default=None,
                         help="JSON-RPC node url (default: REENTSCAN_RPC_URL)")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--depth", type=int, default=8,
+    defaults = AnalyzerConfig()
+    parser.add_argument("--depth", type=int, default=defaults.call_depth_bound,
                         help="call depth bound")
-    parser.add_argument("--loop-bound", type=int, default=3)
-    parser.add_argument("--path-cap", type=int, default=10_000)
-    parser.add_argument("--solver-timeout", type=float, default=60.0,
-                        metavar="SECS")
+    parser.add_argument("--loop-bound", type=int, default=defaults.loop_bound)
+    parser.add_argument("--path-cap", type=int, default=defaults.path_cap)
+    parser.add_argument("--solver-timeout", type=float,
+                        default=defaults.solver_timeout, metavar="SECS")
     parser.add_argument("--cfg-out", default=None, metavar="DIR",
                         help="write per-pair DOT graphs into this directory")
     parser.add_argument("--report", default=None, metavar="PATH",
@@ -51,7 +51,6 @@ def _config_from(args: argparse.Namespace) -> AnalyzerConfig:
         loop_bound=args.loop_bound,
         path_cap=args.path_cap,
         solver_timeout=args.solver_timeout,
-        workers=args.workers,
     )
 
 

@@ -27,7 +27,6 @@ class SolverStatus(enum.Enum):
 class SolverVerdict:
     status: SolverStatus
     model: dict[str, int] | None
-    elapsed: float
 
     @property
     def is_sat(self) -> bool:
@@ -53,7 +52,7 @@ def _flatten(constraints: Iterable[Term]) -> list[Term]:
 
 
 class Solver:
-    """One instance per worker; holds only configuration, no shared state."""
+    """Holds only configuration; each query builds and solves fresh CNF."""
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
@@ -63,10 +62,9 @@ class Solver:
         start = time.monotonic()
         flat = _flatten(constraints)
         if any(c == FALSE for c in flat):
-            return SolverVerdict(SolverStatus.UNSAT, None, time.monotonic() - start)
+            return SolverVerdict(SolverStatus.UNSAT, None)
         if not flat:
-            model: dict[str, int] | None = {} if want_model else None
-            return SolverVerdict(SolverStatus.SAT, model, time.monotonic() - start)
+            return SolverVerdict(SolverStatus.SAT, {} if want_model else None)
 
         sat = SatSolver()
         blaster = BitBlaster(sat)
@@ -74,14 +72,13 @@ class Solver:
             for c in flat:
                 blaster.assert_true(c)
         except UnsupportedTermError:
-            return SolverVerdict(SolverStatus.UNKNOWN, None, time.monotonic() - start)
+            return SolverVerdict(SolverStatus.UNKNOWN, None)
 
         result = sat.solve(deadline=start + self.timeout)
-        elapsed = time.monotonic() - start
         if result is None:
-            return SolverVerdict(SolverStatus.UNKNOWN, None, self.timeout)
+            return SolverVerdict(SolverStatus.UNKNOWN, None)
         if not result:
-            return SolverVerdict(SolverStatus.UNSAT, None, elapsed)
+            return SolverVerdict(SolverStatus.UNSAT, None)
         model = None
         if want_model:
             model = {}
@@ -89,7 +86,7 @@ class Solver:
                 for v in c.variables():
                     model[v.name] = blaster.var_value(v.name, v.width)
             self._verify_model(flat, model)
-        return SolverVerdict(SolverStatus.SAT, model, elapsed)
+        return SolverVerdict(SolverStatus.SAT, model)
 
     @staticmethod
     def _verify_model(constraints: Sequence[Term], model: Mapping[str, int]) -> None:

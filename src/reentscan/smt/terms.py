@@ -256,14 +256,6 @@ TRUE = Term("const", BOOL, value=1)
 FALSE = Term("const", BOOL, value=0)
 
 
-def true() -> Term:
-    return TRUE
-
-
-def false() -> Term:
-    return FALSE
-
-
 def _bool_const(v: bool) -> Term:
     return TRUE if v else FALSE
 

@@ -5,7 +5,7 @@ Every value flowing through the emulated machine is a 256-bit
 constant folding doubles as a concrete interpreter. Fresh symbols are named
 deterministically from their role (never from global counters), which keeps
 independently-collected path conditions over one scenario pair in a shared
-symbol environment and makes parallel runs reproducible.
+symbol environment and makes runs reproducible.
 """
 
 from __future__ import annotations
@@ -18,26 +18,10 @@ from .keccak import keccak256
 from .smt import terms as tm
 from .smt.terms import Term
 
-WORD_MASK = (1 << 256) - 1
-
-# SymWord is simply a term; symbolic words are "var" terms whose name doubles
-# as the human-readable tag.
-SymWord = Term
-
-
-def concrete(value: int) -> SymWord:
-    return tm.const(value)
-
-
-def symbol(name: str) -> SymWord:
-    return tm.var(name)
-
-
 # -- path conditions ----------------------------------------------------------
 
 class ConstraintOrigin(enum.Enum):
     BRANCH = "branch"
-    DISPATCH = "dispatch"
     CONCRETIZE = "concretize"
     BALANCE = "balance"
 
@@ -69,10 +53,6 @@ class PathCondition:
     def key(self) -> frozenset[Term]:
         """Order-insensitive identity, used for structural dedup."""
         return frozenset(self.terms)
-
-    def mentions(self, name_prefix: str) -> bool:
-        return any(v.name.startswith(name_prefix)
-                   for c in self.constraints for v in c.term.variables())
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -180,7 +160,6 @@ class Account:
     debits: list[Term] = field(default_factory=list)
     concrete_storage: dict[int, int] | None = None
     concrete_balance: int | None = None
-    is_dummy: bool = False
 
     def clone(self) -> "Account":
         return Account(
@@ -193,7 +172,6 @@ class Account:
             debits=list(self.debits),
             concrete_storage=self.concrete_storage,
             concrete_balance=self.concrete_balance,
-            is_dummy=self.is_dummy,
         )
 
     # storage ----------------------------------------------------------------
@@ -231,10 +209,14 @@ class Account:
             return tm.const(self.concrete_balance)
         return tm.var(f"balance_{self.label}")
 
-    def balance_expr(self) -> Term:
+    def _inflow(self) -> Term:
         total = self.initial_balance()
         for c in self.credits:
             total = tm.bv_add(total, c)
+        return total
+
+    def balance_expr(self) -> Term:
+        total = self._inflow()
         for d in self.debits:
             total = tm.bv_sub(total, d)
         return total
@@ -245,13 +227,10 @@ class Account:
 
     def solvency_constraint(self) -> Term:
         """No-underflow condition: initial balance plus inflow covers outflow."""
-        inflow = self.initial_balance()
-        for c in self.credits:
-            inflow = tm.bv_add(inflow, c)
         outflow = tm.const(0)
         for d in self.debits:
             outflow = tm.bv_add(outflow, d)
-        return tm.uge(inflow, outflow)
+        return tm.uge(self._inflow(), outflow)
 
 
 class LocalWorldState:
@@ -309,13 +288,13 @@ class LocalWorldState:
             self.sha3_memo[data] = cached
         return cached
 
-    def solvency_constraints(self) -> list[Term]:
-        return [acct.solvency_constraint()
-                for acct in self.accounts.values() if acct.touched]
-
-
-def read_storage(world: LocalWorldState, account: str, slot: Term) -> Term:
-    return world.accounts[account].read_storage(slot)
+    def with_solvency(self, pc: PathCondition) -> PathCondition:
+        """``pc`` with the solvency condition of every touched account appended."""
+        for acct in self.accounts.values():
+            if acct.touched:
+                pc = pc.extended(acct.solvency_constraint(),
+                                 ConstraintOrigin.BALANCE)
+        return pc
 
 
 # -- machine state and call stack ---------------------------------------------
@@ -350,9 +329,6 @@ class MachineState:
 
     # memory -----------------------------------------------------------------
 
-    def mstore_byte(self, offset: int, value: Term) -> None:
-        self.memory[offset] = value
-
     def mstore_word(self, offset: int, value: Term) -> None:
         for i in range(32):
             self.memory[offset + i] = tm.bv_and(
@@ -380,7 +356,6 @@ class CallKind(enum.Enum):
 class CallStackEntry:
     kind: CallKind
     saved_machine: MachineState
-    return_pc: int
     out_offset: int = 0
     out_size: int = 0
     created_label: str | None = None
@@ -390,7 +365,6 @@ class CallStackEntry:
         return CallStackEntry(
             kind=self.kind,
             saved_machine=self.saved_machine.clone(),
-            return_pc=self.return_pc,
             out_offset=self.out_offset,
             out_size=self.out_size,
             created_label=self.created_label,
@@ -427,7 +401,6 @@ class BasicBlock:
     call_stack: list[CallStackEntry] = field(default_factory=list)
     flags: set[str] = field(default_factory=set)
     end_state: EndState = EndState.OPEN
-    instructions: list = field(default_factory=list)
     visit_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     ext_call_target: Term | None = None
     reentered: bool = False
@@ -444,7 +417,6 @@ class BasicBlock:
             call_stack=[e.clone() for e in self.call_stack],
             flags=set(self.flags),
             end_state=EndState.OPEN,
-            instructions=[],
             visit_counts=dict(self.visit_counts),
             ext_call_target=self.ext_call_target,
             reentered=self.reentered,
@@ -468,7 +440,6 @@ class NodeInfo:
     start_pc: int
     end_state: EndState = EndState.OPEN
     flags: frozenset[str] = frozenset()
-    label: str = ""
 
 
 class ECFG:
@@ -486,12 +457,3 @@ class ECFG:
 
     def edges_of_kind(self, kind: EdgeKind) -> list[tuple[int, int, EdgeKind]]:
         return [e for e in self.edges if e[2] == kind]
-
-    def structure_key(self) -> tuple:
-        """Isomorphism-stable summary: node ids replaced by creation order."""
-        order = {bid: i for i, bid in enumerate(sorted(self.nodes))}
-        nodes = tuple(sorted((order[b], n.contract, n.start_pc, n.end_state.value)
-                             for b, n in self.nodes.items()))
-        edges = tuple(sorted((order[s], order[d], k.value)
-                             for s, d, k in self.edges))
-        return nodes, edges

@@ -41,7 +41,6 @@ from .symdomain import (
     CallKind,
     CallStackEntry,
     COMPLETED,
-    ConstraintOrigin,
     ECFG,
     EdgeKind,
     EndState,
@@ -53,6 +52,7 @@ from .symdomain import (
 )
 
 WORD = (1 << 256) - 1
+VICTIM = "c0"  # account label of the contract under analysis
 
 
 @dataclass
@@ -74,7 +74,6 @@ class ScenarioConfig:
     reentry_selector: FunctionId | None = None
     reentry_budget: int = 1
     end_constraints: bool = True  # add solvency terms at top-level halts
-    victim_account: str = "c0"
 
 
 @dataclass
@@ -115,21 +114,20 @@ class SymVM:
                   scenario: ScenarioConfig | None = None) -> RunResult:
         """Explore one transaction against the victim contract."""
         scenario = scenario or ScenarioConfig()
-        label = scenario.victim_account
         if world is None:
             world = LocalWorldState()
-        if label not in world.accounts:
+        if VICTIM not in world.accounts:
             if code is None:
                 raise ValueError("fresh world needs the victim bytecode")
-            world.add_account(label, tm.var(f"address_{label}"), code=code)
-        victim = world.accounts[label]
+            world.add_account(VICTIM, tm.var(f"address_{VICTIM}"), code=code)
+        victim = world.accounts[VICTIM]
         caller = caller if caller is not None else tm.var("caller")
         callvalue = callvalue if callvalue is not None else tm.var("f_callvalue")
         sender = world.external_account(caller)
         self._transfer(sender, victim, callvalue)
         machine = MachineState(
             code=victim.code,
-            account=label,
+            account=VICTIM,
             caller=caller,
             callvalue=callvalue,
             calldata=calldata,
@@ -176,30 +174,25 @@ class SymVM:
         if dst is not None:
             dst.credits.append(value)
 
-    def _concretize(self, block: BasicBlock, ex: Explorer,
-                    term: Term, what: str) -> int | None:
-        """Pin a symbolic word to one model value, recorded on the path."""
-        if term.is_const:
-            return term.value
-        verdict = self.solver.check_sat(block.path_condition.terms)
-        if not verdict.is_sat:
-            ex.seal(block, EndState.INVALID, f"cannot concretize {what}")
-            return None
-        value = tm.evaluate(term, verdict.model or {})
-        block.path_condition = block.path_condition.extended(
-            tm.eq(term, tm.const(value)), ConstraintOrigin.CONCRETIZE)
-        return value
+    @staticmethod
+    def _concretize(block: BasicBlock, ex: Explorer, terms: list[Term],
+                    what: str) -> list[int] | None:
+        """Pin each word in turn to a model value, recorded on the path; the
+        first that cannot be pinned seals the path and stops the rest."""
+        values = []
+        for term in terms:
+            value = ex.concretize(block, term)
+            if value is None:
+                ex.seal(block, EndState.INVALID, f"cannot concretize {what}")
+                return None
+            values.append(value)
+        return values
 
     @staticmethod
     def _memo_word(name: str, *parts: Term) -> Term:
         """Deterministic opaque result for ops outside the solver fragment."""
         tag = "_".join(p.digest() for p in parts)
         return tm.var(f"{name}_{tag}")
-
-    def _solvency(self, block: BasicBlock) -> None:
-        for c in block.world.solvency_constraints():
-            block.path_condition = block.path_condition.extended(
-                c, ConstraintOrigin.BALANCE)
 
     # -- halting --------------------------------------------------------------
 
@@ -211,7 +204,8 @@ class SymVM:
             return None
         if not block.call_stack:
             if scenario.end_constraints:
-                self._solvency(block)
+                block.path_condition = block.world.with_solvency(
+                    block.path_condition)
             ex.seal(block, end)
             return None
 
@@ -230,30 +224,18 @@ class SymVM:
             cont.machine.stack.append(acct.address)
             return cont
 
-        if entry.kind is CallKind.CALL:
-            cont = ex.transition(block, EdgeKind.CALL_RETURN,
-                                 contract=entry.saved_machine.account)
-            cont.machine = entry.saved_machine.clone()
-            self._write_return(cont.machine, entry, data)
-            cont.machine.stack.append(tm.const(1))
-            return cont
-
-        # dummy re-entry: hop back through the attacker node, then resume f
-        attacker = ex.ecfg.nodes[entry.dummy_node].contract
-        hop = ex.transition(block, EdgeKind.CALL_RETURN, contract=attacker)
-        cont = ex.transition(hop, EdgeKind.CALL_RETURN,
+        if entry.kind is CallKind.DUMMY_REENTRY:
+            # hop back through the attacker node before resuming f
+            attacker = ex.ecfg.nodes[entry.dummy_node].contract
+            block = ex.transition(block, EdgeKind.CALL_RETURN, contract=attacker)
+        cont = ex.transition(block, EdgeKind.CALL_RETURN,
                              contract=entry.saved_machine.account)
-        cont.machine = entry.saved_machine.clone()
-        self._write_return(cont.machine, entry, data)
-        cont.machine.stack.append(tm.const(1))
-        return cont
-
-    @staticmethod
-    def _write_return(machine: MachineState, entry: CallStackEntry,
-                      data: tuple[Term, ...]) -> None:
+        machine = cont.machine = entry.saved_machine.clone()
         machine.returndata = list(data)
         for i in range(min(entry.out_size, len(data))):
             machine.memory[entry.out_offset + i] = data[i]
+        machine.stack.append(tm.const(1))
+        return cont
 
     def _require_concrete_bytes(self, block: BasicBlock, ex: Explorer,
                                 data: tuple[Term, ...],
@@ -282,13 +264,10 @@ class SymVM:
         target = world.external_account(to)
         self._transfer(caller_acct, target, value)
 
-        sizes = []
-        for t, what in ((in_off, "call in offset"), (in_size, "call in size"),
-                        (out_off, "call out offset"), (out_size, "call out size")):
-            v = self._concretize(block, ex, t, what)
-            if v is None:
-                return None
-            sizes.append(v)
+        sizes = self._concretize(block, ex, [in_off, in_size, out_off, out_size],
+                                 "call memory range")
+        if sizes is None:
+            return None
         in_off_v, in_size_v, out_off_v, out_size_v = sizes
 
         if target.code is not None:
@@ -304,7 +283,7 @@ class SymVM:
             saved = m.clone()
             saved.pc = next_pc
             entry = CallStackEntry(
-                kind=CallKind.CALL, saved_machine=saved, return_pc=next_pc,
+                kind=CallKind.CALL, saved_machine=saved,
                 out_offset=out_off_v, out_size=out_size_v)
             nxt = ex.transition(block, EdgeKind.CALL_ENTER, contract=target.label)
             nxt.call_stack.append(entry)
@@ -333,7 +312,7 @@ class SymVM:
             return None
         block.reentry_budget -= 1
         block.reentered = True
-        victim = block.world.accounts[scenario.victim_account]
+        victim = block.world.accounts[VICTIM]
         g_value = tm.var("g_callvalue")
         self._transfer(attacker, victim, g_value)
 
@@ -343,7 +322,7 @@ class SymVM:
         entry_block = ex.transition(dummy, EdgeKind.CALL_ENTER,
                                     contract=victim.label)
         entry_block.call_stack.append(CallStackEntry(
-            kind=CallKind.DUMMY_REENTRY, saved_machine=saved, return_pc=next_pc,
+            kind=CallKind.DUMMY_REENTRY, saved_machine=saved,
             out_offset=out_off, out_size=out_size, dummy_node=dummy.id))
         entry_block.machine = MachineState(
             code=victim.code, account=victim.label,
@@ -357,13 +336,10 @@ class SymVM:
         value = m.stack.pop()
         offset = m.stack.pop()
         length = m.stack.pop()
-        off_v = self._concretize(block, ex, offset, "create offset")
-        if off_v is None:
+        span = self._concretize(block, ex, [offset, length], "create range")
+        if span is None:
             return None
-        len_v = self._concretize(block, ex, length, "create length")
-        if len_v is None:
-            return None
-        init = self._require_concrete_bytes(block, ex, m.mbytes(off_v, len_v),
+        init = self._require_concrete_bytes(block, ex, m.mbytes(*span),
                                             "init code")
         if init is None:
             return None
@@ -381,7 +357,7 @@ class SymVM:
         saved = m.clone()
         saved.pc = next_pc
         entry = CallStackEntry(kind=CallKind.CREATE, saved_machine=saved,
-                               return_pc=next_pc, created_label=label)
+                               created_label=label)
         nxt = ex.transition(block, EdgeKind.CREATE_ENTER, contract=label)
         nxt.call_stack.append(entry)
         nxt.machine = MachineState(
@@ -490,13 +466,11 @@ class SymVM:
         elif name == "ISZERO":
             stack.append(tm.bool_to_word(tm.eq(stack.pop(), tm.const(0))))
         elif name == "SHA3":
-            off = self._concretize(block, ex, stack.pop(), "sha3 offset")
-            if off is None:
+            span = self._concretize(block, ex, [stack.pop(), stack.pop()],
+                                    "sha3 range")
+            if span is None:
                 return None
-            size = self._concretize(block, ex, stack.pop(), "sha3 size")
-            if size is None:
-                return None
-            stack.append(world.sha3(m.mbytes(off, size)))
+            stack.append(world.sha3(m.mbytes(*span)))
         elif name == "ADDRESS":
             stack.append(world.accounts[m.account].address)
         elif name == "BALANCE":
@@ -508,16 +482,16 @@ class SymVM:
         elif name == "ORIGIN":
             stack.append(tm.var("origin"))
         elif name == "CALLDATALOAD":
-            off = self._concretize(block, ex, stack.pop(), "calldata offset")
+            off = self._concretize(block, ex, [stack.pop()], "calldata offset")
             if off is None:
                 return None
-            stack.append(m.calldata.load_word(off))
+            stack.append(m.calldata.load_word(*off))
         elif name == "CALLDATASIZE":
             stack.append(m.calldata.size())
         elif name == "CALLDATACOPY":
-            args = [self._concretize(block, ex, stack.pop(), "calldatacopy arg")
-                    for _ in range(3)]
-            if any(v is None for v in args):
+            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
+                                    "calldatacopy arg")
+            if args is None:
                 return None
             dst, src, size = args
             for i in range(size):
@@ -525,9 +499,9 @@ class SymVM:
         elif name == "CODESIZE":
             stack.append(tm.const(len(m.code.data)))
         elif name == "CODECOPY":
-            args = [self._concretize(block, ex, stack.pop(), "codecopy arg")
-                    for _ in range(3)]
-            if any(v is None for v in args):
+            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
+                                    "codecopy arg")
+            if args is None:
                 return None
             dst, src, size = args
             data = m.code.data
@@ -546,9 +520,9 @@ class SymVM:
         elif name == "RETURNDATASIZE":
             stack.append(tm.const(len(m.returndata)))
         elif name == "RETURNDATACOPY":
-            args = [self._concretize(block, ex, stack.pop(), "returndatacopy arg")
-                    for _ in range(3)]
-            if any(v is None for v in args):
+            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
+                                    "returndatacopy arg")
+            if args is None:
                 return None
             dst, src, size = args
             for i in range(size):
@@ -566,20 +540,20 @@ class SymVM:
             top = max(m.memory, default=-1) + 1
             stack.append(tm.const((top + 31) // 32 * 32))
         elif name == "MLOAD":
-            off = self._concretize(block, ex, stack.pop(), "mload offset")
+            off = self._concretize(block, ex, [stack.pop()], "mload offset")
             if off is None:
                 return None
-            stack.append(m.mload_word(off))
+            stack.append(m.mload_word(*off))
         elif name == "MSTORE":
-            off = self._concretize(block, ex, stack.pop(), "mstore offset")
+            off = self._concretize(block, ex, [stack.pop()], "mstore offset")
             if off is None:
                 return None
-            m.mstore_word(off, stack.pop())
+            m.mstore_word(*off, stack.pop())
         elif name == "MSTORE8":
-            off = self._concretize(block, ex, stack.pop(), "mstore8 offset")
+            off = self._concretize(block, ex, [stack.pop()], "mstore8 offset")
             if off is None:
                 return None
-            m.memory[off] = tm.bv_and(stack.pop(), tm.const(0xFF))
+            m.memory[off[0]] = tm.bv_and(stack.pop(), tm.const(0xFF))
         elif name == "SLOAD":
             stack.append(world.accounts[m.account].read_storage(stack.pop()))
         elif name == "SSTORE":
@@ -605,14 +579,12 @@ class SymVM:
         elif name == "STOP":
             return self._halt(block, ex, scenario, EndState.STOP)
         elif name in ("RETURN", "REVERT"):
-            off = self._concretize(block, ex, stack.pop(), "return offset")
-            if off is None:
-                return None
-            size = self._concretize(block, ex, stack.pop(), "return size")
-            if size is None:
+            span = self._concretize(block, ex, [stack.pop(), stack.pop()],
+                                    "return range")
+            if span is None:
                 return None
             end = EndState.RETURN if name == "RETURN" else EndState.REVERT
-            return self._halt(block, ex, scenario, end, m.mbytes(off, size))
+            return self._halt(block, ex, scenario, end, m.mbytes(*span))
         elif name == "CALL":
             return self._do_call(block, ex, scenario, next_pc)
         elif name == "CREATE":

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cfg_manager import PathExplosion
-from .evm_core import Bytecode, FunctionId
+from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
-from .symdomain import BasicBlock, ConstraintOrigin, ECFG, PathCondition
+from .symdomain import BasicBlock, ECFG, PathCondition
 from .symvm import (
     AbiCalldata,
     FunctionEntry,
@@ -46,21 +45,8 @@ class Status(enum.Enum):
 
 
 @dataclass
-class AnalyzerConfig:
-    call_depth_bound: int = 8
-    loop_bound: int = 3
-    path_cap: int = 10_000
-    solver_timeout: float = 60.0
+class AnalyzerConfig(VmConfig):
     reentry_budget: int = 1
-    workers: int = 4
-
-    def vm_config(self) -> VmConfig:
-        return VmConfig(
-            call_depth_bound=self.call_depth_bound,
-            loop_bound=self.loop_bound,
-            path_cap=self.path_cap,
-            solver_timeout=self.solver_timeout,
-        )
 
 
 @dataclass
@@ -152,14 +138,6 @@ def _aggregate(statuses) -> Status:
 
 # -- scenario collection ------------------------------------------------------
 
-def _finalized(block: BasicBlock) -> PathCondition:
-    """A block's condition with end-state solvency terms appended."""
-    pc = block.path_condition
-    for c in block.world.solvency_constraints():
-        pc = pc.extended(c, ConstraintOrigin.BALANCE)
-    return pc
-
-
 def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
                   out: ScenarioSet, into: list[PathCondition]) -> None:
     """Continue a finished f path with g as its own transaction."""
@@ -188,7 +166,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
                       config: AnalyzerConfig,
                       solver: Solver | None = None) -> ScenarioSet:
     solver = solver or Solver(config.solver_timeout)
-    vm = SymVM(solver, config.vm_config())
+    vm = SymVM(solver, config)
     out = ScenarioSet(f=f, g=g)
 
     # I: strictly sequential f then g
@@ -210,7 +188,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     _merge_created(out, ree)
     for end in ree.completed:
         if end.reentered:
-            out.C.append(_finalized(end))
+            out.C.append(end.world.with_solvency(end.path_condition))
         else:
             # no external call was reached; the schedules coincide
             _sequential_g(vm, end, g, out, out.C)
@@ -317,8 +295,8 @@ def enumerate_pairs(functions: list[FunctionEntry]) -> list[tuple[FunctionEntry,
 def analyze(targets: list[tuple[str, Bytecode, str]],
             config: AnalyzerConfig | None = None) -> AnalysisReport:
     """Analyze each (label, code, source) target, following contracts the
-    code deploys at run time. Pair verification fans out over a thread pool;
-    results are aggregated in enumeration order, so reports are deterministic.
+    code deploys at run time. Pairs are verified one after another in
+    enumeration order.
     """
     config = config or AnalyzerConfig()
     start = time.monotonic()
@@ -344,26 +322,18 @@ def analyze(targets: list[tuple[str, Bytecode, str]],
 def _analyze_one(label: str, code: Bytecode, source: str,
                  config: AnalyzerConfig) -> ContractReport:
     try:
-        functions = extract_function_ids(
-            code, Solver(config.solver_timeout), config.vm_config())
+        functions = extract_function_ids(code, config=config)
         pairs = enumerate_pairs(functions)
     except Exception as exc:  # noqa: BLE001 - one bad contract must not stop the run
         return ContractReport(label, source, Status.INCONCLUSIVE, error=str(exc))
 
-    def work(pair: tuple[FunctionEntry, FunctionEntry]) -> PairResult:
+    results: list[PairResult] = []
+    for f, g in pairs:
         try:
-            return verify_pair(code, pair[0], pair[1], config)
+            results.append(verify_pair(code, f, g, config))
         except Exception as exc:  # noqa: BLE001
-            return PairResult(f=pair[0], g=pair[1],
-                              status=Status.INCONCLUSIVE, note=str(exc))
-
-    if not pairs:
-        results: list[PairResult] = []
-    elif config.workers <= 1 or len(pairs) == 1:
-        results = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(work, pairs))
+            results.append(PairResult(f=f, g=g, status=Status.INCONCLUSIVE,
+                                      note=str(exc)))
     return ContractReport(
         label=label, source=source,
         status=_aggregate(r.status for r in results),

@@ -15,6 +15,9 @@ def test_no_targets_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["--frobnicate"]) == EXIT_USAGE
+    # analysis is serial; there is no worker count to set
+    assert main(["--workers", "2", "--bytecode",
+                 str(FIXTURES / "fund.hex")]) == EXIT_USAGE
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import pytest
 from asm import assemble
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import terms as tm
@@ -110,6 +111,26 @@ def test_symbolic_init_code_seals_with_diagnostic():
     assert res.completed == []
     assert any(b.end_state is EndState.INVALID and "init" in (b.note or "")
                for b in res.sealed)
+
+
+
+# -- concretization -----------------------------------------------------------
+
+@pytest.mark.parametrize("op", ["CALLDATACOPY", "CODECOPY", "RETURNDATACOPY"])
+def test_unconcretizable_copy_operands_seal_once(op):
+    # the symbolic*symbolic branch leaves the solver Unknown on the path, so
+    # the first symbolic copy operand cannot be pinned; the path must be
+    # sealed once, not again at the second operand
+    res = SymVM().run_entry(Bytecode(assemble(f"""
+        PUSH1 4 CALLDATALOAD PUSH1 36 CALLDATALOAD MUL
+        PUSHL next JUMPI next: JUMPDEST
+        PUSH1 100 CALLDATALOAD PUSH1 68 CALLDATALOAD PUSH1 36 CALLDATALOAD
+        {op} STOP
+    """)), AbiCalldata(None, "f"), scenario=ScenarioConfig(end_constraints=False))
+    assert res.completed == []
+    assert len(res.sealed) == 2  # one per side of the branch
+    assert all(b.end_state is EndState.INVALID
+               and "cannot concretize" in (b.note or "") for b in res.sealed)
 
 
 # -- bounds -------------------------------------------------------------------
