@@ -2,6 +2,13 @@
 
 Literals are nonzero ints: +v / -v for variable v (1-based). ``solve`` returns
 True/False for sat/unsat and None when the time or conflict budget runs out.
+
+Decisions come from a lazy binary max-heap of variables ordered by VSIDS
+activity, ties going to the lower index (MiniSat's order heap; Eén and
+Sörensson, "An Extensible SAT-solver", SAT 2003). Every unassigned variable
+is in the heap; assigned ones may linger until popped, and backtracking puts
+the variables it unassigns back. The top unassigned variable is the one a
+scan over all variables for the highest activity, first index first, picks.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ class SatSolver:
         self.trail_lim: list[int] = []
         self.activity: list[float] = [0.0]
         self.phase: list[int] = [0]  # saved polarity
+        self.heap: list[int] = []  # decision order, see the module docstring
+        self.heap_pos: list[int] = [-1]  # var -> index in heap, -1 if absent
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.qhead = 0
         self.ok = True
+        self.restarts = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -35,6 +45,8 @@ class SatSolver:
         self.reason.append(0)
         self.activity.append(0.0)
         self.phase.append(-1)
+        self.heap_pos.append(-1)
+        self._heap_insert(self.num_vars)
         return self.num_vars
 
     def add_clause(self, lits: list[int]) -> None:
@@ -134,12 +146,65 @@ class SatSolver:
             self.watches[lit] = kept
         return 0
 
+    # -- decision heap --------------------------------------------------------
+
+    def _heap_insert(self, var: int) -> None:
+        self.heap_pos[var] = len(self.heap)
+        self.heap.append(var)
+        self._sift_up(len(self.heap) - 1)
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        var = heap[i]
+        a = act[var]
+        while i > 0:
+            p = (i - 1) >> 1
+            parent = heap[p]
+            pa = act[parent]
+            if pa > a or (pa == a and parent < var):
+                break
+            heap[i] = parent
+            pos[parent] = i
+            i = p
+        heap[i] = var
+        pos[var] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        n = len(heap)
+        var = heap[i]
+        a = act[var]
+        while True:
+            c = 2 * i + 1
+            if c >= n:
+                break
+            child = heap[c]
+            ca = act[child]
+            if c + 1 < n:
+                right = heap[c + 1]
+                ra = act[right]
+                if ra > ca or (ra == ca and right < child):
+                    c, child, ca = c + 1, right, ra
+            if a > ca or (a == ca and var < child):
+                break
+            heap[i] = child
+            pos[child] = i
+            i = c
+        heap[i] = var
+        pos[var] = i
+
     def _bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
             for i in range(1, self.num_vars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
+            # rescaling may round distinct activities to equal ones, whose
+            # order then falls to the index: rebuild rather than sift
+            for i in range(len(self.heap) // 2 - 1, -1, -1):
+                self._sift_down(i)
+        elif self.heap_pos[var] >= 0:
+            self._sift_up(self.heap_pos[var])
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         learnt = [0]
@@ -189,20 +254,28 @@ class SatSolver:
         if len(self.trail_lim) <= level:
             return
         limit = self.trail_lim[level]
+        assign, pos = self.assign, self.heap_pos
         for lit in reversed(self.trail[limit:]):
-            self.assign[abs(lit)] = 0
+            var = abs(lit)
+            assign[var] = 0
+            if pos[var] < 0:
+                self._heap_insert(var)
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
-                best, best_act = var, self.activity[var]
-        if best == 0:
-            return 0
-        return best if self.phase[best] >= 0 else -best
+        heap, pos, assign = self.heap, self.heap_pos, self.assign
+        while heap:
+            var = heap[0]
+            pos[var] = -1
+            last = heap.pop()
+            if heap:
+                heap[0] = last
+                self._sift_down(0)
+            if assign[var] == 0:
+                return var if self.phase[var] >= 0 else -var
+        return 0
 
     def solve(self, deadline: float | None = None,
               max_conflicts: int | None = None) -> bool | None:
@@ -242,12 +315,14 @@ class SatSolver:
                 if since_restart >= restart_limit:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
+                    self.restarts += 1
                     self._backtrack(0)
             else:
                 lit = self._decide()
                 if lit == 0:
                     return True
                 if deadline is not None and time.monotonic() > deadline:
+                    self._heap_insert(abs(lit))  # popped but never assigned
                     self._backtrack(0)
                     return None
                 self.trail_lim.append(len(self.trail))

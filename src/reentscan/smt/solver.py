@@ -52,10 +52,20 @@ def _flatten(constraints: Iterable[Term]) -> list[Term]:
 
 
 class Solver:
-    """Holds only configuration; each query builds and solves fresh CNF."""
+    """Decides queries under a per-query time limit and remembers the answers.
+
+    A query missing from the memo is bit-blasted to fresh CNF and solved.
+    Decided answers are memoized by the ordered tuple of flattened
+    constraints: the same constraints in another order may solve to another
+    model, so a set would not do as the key. Unknown is never memoized, a SAT
+    answer stored without a model is solved again when a model is wanted,
+    and every model handed out is a fresh copy. One instance serves one
+    contract, so the memo lives as long as that contract's analysis.
+    """
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
+        self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
 
     def check_sat(self, constraints: Iterable[Term],
                   want_model: bool = True) -> SolverVerdict:
@@ -66,6 +76,18 @@ class Solver:
         if not flat:
             return SolverVerdict(SolverStatus.SAT, {} if want_model else None)
 
+        key = tuple(flat)
+        known = self._memo.get(key)
+        if known is None or (want_model and known.is_sat and known.model is None):
+            known = self._solve(flat, want_model, start)
+            if known.status is SolverStatus.UNKNOWN:
+                return known
+            self._memo[key] = known
+        model = dict(known.model) if want_model and known.model is not None else None
+        return SolverVerdict(known.status, model)
+
+    def _solve(self, flat: list[Term], want_model: bool,
+               start: float) -> SolverVerdict:
         sat = SatSolver()
         blaster = BitBlaster(sat)
         try:

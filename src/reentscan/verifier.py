@@ -224,9 +224,16 @@ def _feasible_only(conditions: list[PathCondition],
 
 
 def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
-                config: AnalyzerConfig | None = None) -> PairResult:
+                config: AnalyzerConfig | None = None,
+                solver: Solver | None = None) -> PairResult:
+    """Decide one (f, g) pair.
+
+    ``solver`` is the contract's shared solver (see :func:`_analyze_one`), so
+    queries already answered for discovery or an earlier pair come from its
+    memo; without one the pair gets a fresh solver and memo of its own.
+    """
     config = config or AnalyzerConfig()
-    solver = Solver(config.solver_timeout)
+    solver = solver or Solver(config.solver_timeout)
     start = time.monotonic()
 
     def done(status: Status, scenarios: ScenarioSet | None = None,
@@ -321,8 +328,14 @@ def analyze(targets: list[tuple[str, Bytecode, str]],
 
 def _analyze_one(label: str, code: Bytecode, source: str,
                  config: AnalyzerConfig) -> ContractReport:
+    """Discover the functions of one contract and verify all its pairs.
+
+    One solver, and so one query memo, serves the discovery and every pair:
+    the pairs of a contract share their f-side paths and repeat many queries.
+    """
+    solver = Solver(config.solver_timeout)
     try:
-        functions = extract_function_ids(code, config=config)
+        functions = extract_function_ids(code, solver, config)
         pairs = enumerate_pairs(functions)
     except Exception as exc:  # noqa: BLE001 - one bad contract must not stop the run
         return ContractReport(label, source, Status.INCONCLUSIVE, error=str(exc))
@@ -330,7 +343,7 @@ def _analyze_one(label: str, code: Bytecode, source: str,
     results: list[PairResult] = []
     for f, g in pairs:
         try:
-            results.append(verify_pair(code, f, g, config))
+            results.append(verify_pair(code, f, g, config, solver))
         except Exception as exc:  # noqa: BLE001
             results.append(PairResult(f=f, g=g, status=Status.INCONCLUSIVE,
                                       note=str(exc)))

@@ -139,6 +139,71 @@ def test_random_cnf_against_bruteforce():
         assert sat.solve() is brute
 
 
+class ScanCheckedSat(SatSolver):
+    """Checks every heap decision against a linear scan over all variables."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decisions = 0
+
+    def _decide(self) -> int:
+        best, best_act = 0, -1.0
+        for v in range(1, self.num_vars + 1):
+            if self.assign[v] == 0 and self.activity[v] > best_act:
+                best, best_act = v, self.activity[v]
+        lit = super()._decide()
+        assert abs(lit) == best  # highest activity, lowest index among ties
+        self.decisions += 1
+        return lit
+
+
+def _load(solver, n, clauses):
+    for _ in range(n):
+        solver.new_var()
+    for cl in clauses:
+        solver.add_clause(list(cl))
+    return solver
+
+
+def _pigeonhole(pigeons, holes):
+    v = [[p * holes + h + 1 for h in range(holes)] for p in range(pigeons)]
+    clauses = list(v)
+    for h in range(holes):
+        for i in range(pigeons):
+            for j in range(i + 1, pigeons):
+                clauses.append([-v[i][h], -v[j][h]])
+    return pigeons * holes, clauses
+
+
+def _random_3sat(rng, n):
+    return n, [[rng.choice([-1, 1]) * x for x in rng.sample(range(1, n + 1), 3)]
+               for _ in range(round(4.26 * n))]
+
+
+def _brute(n, clauses):
+    return any(all(any((a >> (abs(l) - 1)) & 1 == (l > 0) for l in cl)
+                   for cl in clauses)
+               for a in range(1 << n))
+
+
+def test_heap_decisions_match_linear_scan():
+    rng = random.Random(3)
+    instances = [_pigeonhole(6, 5)] + [_random_3sat(rng, 120) for _ in range(4)]
+    for n, clauses in instances:
+        checked = _load(ScanCheckedSat(), n, clauses)
+        result = checked.solve()
+        assert checked.decisions > 0
+        assert checked.restarts > 0
+        assert result is _load(SatSolver(), n, clauses).solve()
+        if result:
+            assert all(any(checked.model_value(abs(l)) == (l > 0) for l in cl)
+                       for cl in clauses)
+    assert _load(SatSolver(), *instances[0]).solve() is False  # 6 pigeons, 5 holes
+    for _ in range(40):
+        n, clauses = _random_3sat(rng, rng.randint(3, 12))
+        assert _load(ScanCheckedSat(), n, clauses).solve() is _brute(n, clauses)
+
+
 # -- width-8 enumeration oracle ----------------------------------------------
 
 def _random_term(rng, depth, width=8):
@@ -189,6 +254,65 @@ def test_equivalence_against_enumeration():
                     if all(evaluate(c, {"x": x, "y": y}) == 1 for c in cs)}
 
         assert solver.check_equivalence(left, right) == (models(left) == models(right))
+
+
+# -- query memo ---------------------------------------------------------------
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+    solve = SatSolver.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SatSolver, "solve", counted)
+    return calls
+
+
+def test_repeated_query_is_solved_once(solve_calls):
+    solver = Solver()
+    x = var("x")
+    query = [ult(const(5), x), ult(x, const(9))]
+    first = solver.check_sat(query)
+    second = solver.check_sat(list(query))
+    assert len(solve_calls) == 1
+    assert first.is_sat and second.is_sat
+    assert first.model == second.model and first.model is not second.model
+    second.model["x"] = 0
+    assert solver.check_sat(query).model == first.model
+    assert len(solve_calls) == 1
+
+
+def test_memo_key_keeps_constraint_order(solve_calls):
+    solver = Solver()
+    a, b = ult(const(5), var("x")), ult(var("y"), const(9))
+    solver.check_sat([a, b])
+    solver.check_sat([b, a])
+    assert len(solve_calls) == 2
+
+
+def test_unknown_is_not_memoized():
+    solver = Solver(timeout=0)
+    query = [ult(const(5), var("x"))]
+    assert solver.check_sat(query).status is SolverStatus.UNKNOWN
+    solver.timeout = 30.0
+    assert solver.check_sat(query).status is SolverStatus.SAT
+
+
+def test_sat_without_model_is_solved_again_for_a_model(solve_calls):
+    solver = Solver()
+    query = [ult(const(5), var("x")), ult(var("x"), var("y"))]
+    bare = solver.check_sat(query, want_model=False)
+    assert bare.is_sat and bare.model is None
+    full = solver.check_sat(query)
+    assert full.is_sat
+    assert all(evaluate(c, full.model) == 1 for c in query)
+    assert len(solve_calls) == 2
+    assert solver.check_sat(query, want_model=False).model is None
+    assert solver.check_sat(query).model == full.model
+    assert len(solve_calls) == 2
 
 
 # -- 256-bit behavior ---------------------------------------------------------

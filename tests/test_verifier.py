@@ -13,6 +13,7 @@ from reentscan.symvm import FunctionEntry, extract_function_ids
 from reentscan.verifier import (
     AnalyzerConfig,
     Status,
+    analyze,
     enumerate_pairs,
     verify_pair,
 )
@@ -108,6 +109,21 @@ def test_enumerate_pairs_without_callers_is_empty():
 
 
 # -- whole-target analysis ----------------------------------------------------
+
+def test_shared_solver_memo_matches_fresh_solvers():
+    # analyze answers repeats from one memo per contract; each pair alone must
+    # come out the same with a solver of its own
+    code = load_fixture("known_cross_function.hex")
+    config = AnalyzerConfig()
+    (contract,) = analyze([("known_cross_function", code, "fixture")],
+                          config).contracts
+    assert len(contract.pairs) == 2
+    for shared in contract.pairs:
+        fresh = verify_pair(code, shared.f, shared.g, config)
+        assert fresh.status is shared.status
+        assert fresh.witness == shared.witness
+        assert (fresh.paths_I, fresh.paths_C) == (shared.paths_I, shared.paths_C)
+
 
 def test_reports_do_not_depend_on_hash_seed():
     # str hashes, and with them set and dict orders, differ between processes
