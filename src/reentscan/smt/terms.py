@@ -1,13 +1,18 @@
 """Immutable fixed-width bitvector and boolean terms with constant folding.
 
-Terms are structural values: two terms built the same way compare equal and
-hash identically, which the rest of the analyzer relies on for memoization
-(storage reads, hash summaries) and for cheap equality of path conditions.
+Terms are hash-consed: every term is interned in a weak table keyed by its
+operator, width, value, name and (already interned) arguments, so two terms
+built the same way are the same object. Equality is identity, hashing reads a
+stored structural hash, and each node memoizes a Merkle digest of its
+structure. The rest of the analyzer relies on this for memoization (storage
+reads, hash summaries, solver answers) and for cheap equality of path
+conditions, also on DAG-shaped terms whose tree unfolding is exponential.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Iterable, Mapping
 
 BOOL = 0  # sentinel width for boolean terms
@@ -17,32 +22,51 @@ def mask(width: int) -> int:
     return (1 << width) - 1
 
 
-class Term:
-    __slots__ = ("op", "width", "args", "value", "name", "_hash", "_digest")
+# (op, width, value, name, args) -> the one live term with that structure
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __init__(self, op: str, width: int, args: tuple["Term", ...] = (),
-                 value: int | None = None, name: str | None = None):
-        self.op = op
-        self.width = width
-        self.args = args
-        self.value = value
-        self.name = name
-        self._hash = hash((op, width, value, name, tuple(a._hash for a in args)))
-        self._digest: str | None = None
+
+class Term:
+    """One interned term node; build terms with the constructors below.
+
+    ``_hash`` derives from the child hashes, so it is structural (but follows
+    ``str`` hashing, which differs between processes). ``digest`` is a sha256
+    Merkle hash of the node header and the child digests, the same in every
+    process; it names memo symbols that end up in reports.
+    """
+
+    __slots__ = ("op", "width", "args", "value", "name", "_hash", "_digest",
+                 "__weakref__")
+
+    def __new__(cls, op: str, width: int, args: tuple["Term", ...] = (),
+                value: int | None = None, name: str | None = None) -> "Term":
+        key = (op, width, value, name, args)
+        t = _INTERNED.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.op = op
+            t.width = width
+            t.args = args
+            t.value = value
+            t.name = name
+            t._hash = hash((op, width, value, name,
+                            tuple(a._hash for a in args)))
+            t._digest = None
+            _INTERNED[key] = t
+        return t
+
+    def __reduce__(self):
+        # rebuilt through the table (and its hash recomputed) on unpickling
+        return Term, (self.op, self.width, self.args, self.value, self.name)
+
+    def __deepcopy__(self, memo: dict) -> "Term":
+        return self  # immutable; also keeps deep terms off the copy recursion
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return (self.op == other.op and self.width == other.width
-                and self.value == other.value and self.name == other.name
-                and self.args == other.args)
+        return self is other
 
     @property
     def is_const(self) -> bool:
@@ -53,16 +77,28 @@ class Term:
         return self.width == BOOL
 
     def digest(self, length: int = 10) -> str:
-        """Stable short hex digest of the term structure (for memo symbol names)."""
+        """Stable short hex digest of the term structure (for memo symbol names).
+
+        Each node's sha256 covers its header ``op:width:value:name;`` and the
+        32-byte digests of its arguments, computed once per node, bottom-up
+        without recursion.
+        """
         if self._digest is None:
-            h = hashlib.sha256()
             stack: list[Term] = [self]
             while stack:
-                t = stack.pop()
-                h.update(f"{t.op}:{t.width}:{t.value}:{t.name};".encode())
-                stack.extend(t.args)
-            self._digest = h.hexdigest()
-        return self._digest[:length]
+                t = stack[-1]
+                pending = [a for a in t.args if a._digest is None]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                if t._digest is None:
+                    h = hashlib.sha256(
+                        f"{t.op}:{t.width}:{t.value}:{t.name};".encode())
+                    for a in t.args:
+                        h.update(a._digest)
+                    t._digest = h.digest()
+        return self._digest.hex()[:length]
 
     def variables(self) -> set["Term"]:
         out: set[Term] = set()

@@ -275,7 +275,7 @@ class LocalWorldState:
 
     def sha3(self, data: tuple[Term, ...]) -> Term:
         """Keccak over memory bytes: real hash when concrete, else a memoized
-        fresh symbol keyed by the structural hash of the input expression."""
+        fresh symbol named by the digest of the input expression."""
         if all(b.is_const for b in data):
             raw = bytes(b.value & 0xFF for b in data)
             return tm.const(int.from_bytes(keccak256(raw), "big"))

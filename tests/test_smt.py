@@ -4,7 +4,13 @@ The main oracle is exhaustive enumeration at width 8: random constraint sets
 over two variables are decided both by brute force and by the solver.
 """
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +43,7 @@ from reentscan.smt import (
     urem,
     var,
 )
+from reentscan.smt import terms
 from reentscan.smt.sat import SatSolver
 from reentscan.smt.terms import TRUE, FALSE, truthy
 
@@ -78,9 +85,93 @@ def test_division_by_zero_convention():
 def test_structural_identity():
     a = bv_add(var("x"), const(1))
     b = bv_add(var("x"), const(1))
-    assert a == b and hash(a) == hash(b)
+    assert a is b and hash(a) == hash(b)
     assert a.digest() == b.digest()
     assert a != bv_add(var("y"), const(1))
+
+
+# -- hash-consing and digests -------------------------------------------------
+
+def _doubling_chain(name: str, links: int):
+    x = var(name)
+    for _ in range(links):
+        x = bv_add(x, x)
+    return x
+
+
+def test_dag_terms_are_shared():
+    a = _doubling_chain("x", 200)
+    b = _doubling_chain("x", 200)
+    assert a is b and a == b
+    assert a is not _doubling_chain("x", 199)
+
+
+def test_digest_hashes_each_distinct_node_once(monkeypatch):
+    calls = []
+    sha256 = terms.hashlib.sha256
+
+    def counting(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(terms.hashlib, "sha256", counting)
+    # a fresh name: interned nodes of earlier tests may carry digests already
+    chain = _doubling_chain("digest_once", 200)
+    chain.digest()
+    assert len(calls) == 201  # the var and 200 add nodes
+    chain.digest()
+    assert len(calls) == 201
+    # a 1000-deep chain of distinct nodes needs no recursion
+    deep = var("digest_deep")
+    for i in range(1000):
+        deep = bv_xor(deep, var(f"digest_deep_{i % 7}"))
+    deep.digest()
+    assert len(calls) == 201 + 1 + 7 + 1000
+
+
+def test_digest_tells_apart_order_and_width():
+    x, y = var("x"), var("y")
+    assert bv_add(x, y).digest() != bv_add(y, x).digest()
+    assert var("x", 8).digest() != var("x").digest()
+    assert bv_add(var("x", 8), const(1, 8)).digest() \
+        != bv_add(x, const(1)).digest()
+
+
+def test_digest_definition_is_pinned():
+    # symbol names built from digests end up in report.json
+    assert var("x").digest(64) == (
+        "6e78265c7a0391ff5f26663459c1ee3e0d712be1683f457a494b0947a992f8b0")
+    assert bv_add(var("x"), const(1)).digest(64) == (
+        "7707da6ee8b4910c0d40ea4d3c067d75c96d92d11da438bdf704146401f7e757")
+    assert bv_add(var("x"), const(1)).digest() == "7707da6ee8"
+
+
+def test_digests_do_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = """
+from reentscan.smt.terms import band, bv_add, const, eq, ult, var
+x = var("x")
+for _ in range(30):
+    x = bv_add(x, x)
+c = band([eq(x, const(7)), ult(var("y"), x)])
+print(x.digest(64), c.digest(64))
+"""
+    outs = [subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}).stdout
+        for seed in ("1", "2")]
+    assert outs[0] == outs[1] and len(outs[0].split()) == 2
+
+
+def test_copies_and_pickles_are_the_same_term():
+    t = bv_add(var("x"), const(1))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    chain = _doubling_chain("x", 200)
+    assert copy.deepcopy(chain) is chain
+    assert pickle.loads(pickle.dumps(chain)) is chain
 
 
 def test_boolean_simplifications():

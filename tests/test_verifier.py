@@ -68,6 +68,29 @@ def test_path_explosion_is_inconclusive():
     assert result.note and "path" in result.note.lower()
 
 
+def test_dag_shaped_balance_slot_is_analyzed():
+    # fund with balances[CALLER doubled 64 times]: the slot term is a DAG
+    # of 65 nodes whose tree unfolding has 2^64 leaves
+    sel = selector_of("withdraw()")
+    slot = "CALLER " + "DUP1 ADD " * 64
+    code = Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        DUP1 PUSH4 {sel.hex()} EQ PUSHL withdraw JUMPI STOP
+        withdraw: JUMPDEST POP
+        {slot} SLOAD
+        DUP1 ISZERO PUSHL done JUMPI
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
+        POP
+        PUSH1 0 {slot} SSTORE
+        STOP
+        done: JUMPDEST POP STOP
+    """))
+    report = analyze([("dag64", code, "test")])
+    assert report.status is Status.VULNERABLE
+    (contract,) = report.contracts
+    assert [p.status for p in contract.pairs] == [Status.VULNERABLE]
+
+
 # -- witnesses ----------------------------------------------------------------
 
 def test_vulnerable_witness_satisfies_a_candidate_condition():
