@@ -277,8 +277,7 @@ class SatSolver:
                 return var if self.phase[var] >= 0 else -var
         return 0
 
-    def solve(self, deadline: float | None = None,
-              max_conflicts: int | None = None) -> bool | None:
+    def solve(self, deadline: float | None = None) -> bool | None:
         if not self.ok:
             return False
         if self._propagate():
@@ -305,9 +304,6 @@ class SatSolver:
                     ci = self._attach(learnt)
                     self._enqueue(learnt[0], ci + 1)
                 self.var_inc /= self.var_decay
-                if max_conflicts is not None and conflicts >= max_conflicts:
-                    self._backtrack(0)
-                    return None
                 if conflicts % 256 == 0 and deadline is not None \
                         and time.monotonic() > deadline:
                     self._backtrack(0)

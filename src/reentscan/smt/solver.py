@@ -1,8 +1,8 @@
 """Satisfiability and path-condition equivalence checks over 256-bit words.
 
-The backend is swappable behind :class:`Solver`; this build lowers terms to
-CNF and decides them with the in-tree CDCL engine. Unknown results (budget
-exhausted or an unsupported operation) are always surfaced, never coerced.
+:class:`Solver` lowers terms to CNF (``bitblast``) and decides them with
+the in-tree CDCL engine (``sat``). Unknown results (budget exhausted or an
+unsupported operation) are always surfaced, never coerced.
 """
 
 from __future__ import annotations

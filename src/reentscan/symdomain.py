@@ -404,7 +404,6 @@ class BasicBlock:
     visit_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     ext_call_target: Term | None = None
     reentered: bool = False
-    reentry_budget: int = 0
     note: str | None = None
 
     def copy_as(self, new_id: int) -> "BasicBlock":
@@ -420,7 +419,6 @@ class BasicBlock:
             visit_counts=dict(self.visit_counts),
             ext_call_target=self.ext_call_target,
             reentered=self.reentered,
-            reentry_budget=self.reentry_budget,
         )
 
 

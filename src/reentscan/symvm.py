@@ -1,11 +1,13 @@
 """Symbolic EVM interpreter over local world states.
 
 One :class:`SymVM` explores every feasible path of a transaction, forking at
-conditional jumps and crossing contract boundaries at CREATE and CALL. In the
-re-entrant scenario an external call to unknown code is answered by an
-attacker dummy that immediately calls back into the victim with a chosen
-selector before reporting success; the dummy is behavioral, it has no
-bytecode of its own.
+conditional jumps and crossing contract boundaries at CREATE and CALL. Given
+re-entry calldata, the first external call to unknown code on a path is
+answered by an attacker dummy that immediately calls back into the victim
+with that calldata before reporting success; later calls, and every call
+without re-entry calldata, just succeed. The dummy is behavioral, it has no
+bytecode of its own. The VM adds no solvency terms; the verifier appends
+them to final conditions.
 
 Symbol names are fixed by role (``caller``, ``f_callvalue``, ``g_arg0``,
 storage reads keyed by account and slot digest) so that path conditions from
@@ -15,7 +17,6 @@ environment.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .cfg_manager import Explorer
@@ -56,24 +57,11 @@ VICTIM = "c0"  # account label of the contract under analysis
 
 
 @dataclass
-class VmConfig:
+class AnalyzerConfig:
     call_depth_bound: int = 8
     loop_bound: int = 3
     path_cap: int = 10_000
     solver_timeout: float = 60.0
-
-
-class Mode(enum.Enum):
-    SEQUENTIAL = "sequential"
-    REENTRANT = "reentrant"
-
-
-@dataclass
-class ScenarioConfig:
-    mode: Mode = Mode.SEQUENTIAL
-    reentry_selector: FunctionId | None = None
-    reentry_budget: int = 1
-    end_constraints: bool = True  # add solvency terms at top-level halts
 
 
 @dataclass
@@ -81,7 +69,7 @@ class RunResult:
     completed: list[BasicBlock]   # top-level Stop/Return blocks
     sealed: list[BasicBlock]      # every halted block, Revert and Invalid included
     ecfg: ECFG
-    created: list[Bytecode]       # runtime code returned by CREATE along any path
+    created: list[Bytecode]       # non-empty runtime code returned by each CREATE
 
 
 @dataclass(frozen=True)
@@ -99,8 +87,8 @@ def _signed(v: int) -> int:
 
 class SymVM:
     def __init__(self, solver: Solver | None = None,
-                 config: VmConfig | None = None):
-        self.config = config or VmConfig()
+                 config: AnalyzerConfig | None = None):
+        self.config = config or AnalyzerConfig()
         self.solver = solver or Solver(self.config.solver_timeout)
         self._code_cache: dict[bytes, tuple[dict[int, Instruction], set[int]]] = {}
 
@@ -111,9 +99,12 @@ class SymVM:
                   caller: Term | None = None,
                   callvalue: Term | None = None,
                   path_condition: PathCondition | None = None,
-                  scenario: ScenarioConfig | None = None) -> RunResult:
-        """Explore one transaction against the victim contract."""
-        scenario = scenario or ScenarioConfig()
+                  reentry: Calldata | None = None) -> RunResult:
+        """Explore one transaction against the victim contract.
+
+        With ``reentry``, the attacker dummy re-enters the victim with that
+        calldata at the first external call to unknown code, once per path.
+        """
         if world is None:
             world = LocalWorldState()
         if VICTIM not in world.accounts:
@@ -137,12 +128,10 @@ class SymVM:
             machine=machine,
             world=world,
             path_condition=path_condition or PathCondition(),
-            reentry_budget=(scenario.reentry_budget
-                            if scenario.mode is Mode.REENTRANT else 0),
         )
-        return self.explore(root, scenario)
+        return self.explore(root, reentry)
 
-    def explore(self, root: BasicBlock, scenario: ScenarioConfig) -> RunResult:
+    def explore(self, root: BasicBlock, reentry: Calldata | None) -> RunResult:
         ex = Explorer(self.solver, self.config.path_cap)
         self._created: list[Bytecode] = []
         ex.push(ex.adopt(root))
@@ -150,7 +139,7 @@ class SymVM:
             block = ex.dfs_stack.pop()
             cur: BasicBlock | None = block
             while cur is not None and cur.end_state is EndState.OPEN:
-                cur = self._step(cur, ex, scenario)
+                cur = self._step(cur, ex, reentry)
         completed = [b for b in ex.sealed
                      if b.end_state in COMPLETED and not b.call_stack]
         return RunResult(completed, ex.sealed, ex.ecfg, self._created)
@@ -196,16 +185,13 @@ class SymVM:
 
     # -- halting --------------------------------------------------------------
 
-    def _halt(self, block: BasicBlock, ex: Explorer, scenario: ScenarioConfig,
-              end: EndState, data: tuple[Term, ...] = ()) -> BasicBlock | None:
+    def _halt(self, block: BasicBlock, ex: Explorer, end: EndState,
+              data: tuple[Term, ...] = ()) -> BasicBlock | None:
         if end is EndState.REVERT:
             # a revert anywhere abandons the whole path
             ex.seal(block, EndState.REVERT)
             return None
         if not block.call_stack:
-            if scenario.end_constraints:
-                block.path_condition = block.world.with_solvency(
-                    block.path_condition)
             ex.seal(block, end)
             return None
 
@@ -216,7 +202,7 @@ class SymVM:
                 return None
             acct = block.world.accounts[entry.created_label]
             acct.code = Bytecode(runtime, BytecodeOrigin.CREATE_RETURNED)
-            if runtime and all(runtime != c.data for c in self._created):
+            if runtime:
                 self._created.append(acct.code)
             cont = ex.transition(block, EdgeKind.CREATE_RETURN,
                                  contract=entry.saved_machine.account)
@@ -248,7 +234,7 @@ class SymVM:
     # -- call and create ------------------------------------------------------
 
     def _do_call(self, block: BasicBlock, ex: Explorer,
-                 scenario: ScenarioConfig, next_pc: int) -> BasicBlock | None:
+                 reentry: Calldata | None, next_pc: int) -> BasicBlock | None:
         m = block.machine
         _gas = m.stack.pop()
         to = m.stack.pop()
@@ -296,21 +282,20 @@ class SymVM:
         # unknown code behind the target address
         if block.ext_call_target is None:
             block.ext_call_target = to
-        if scenario.mode is Mode.REENTRANT and block.reentry_budget > 0:
-            return self._reenter(block, ex, scenario, target,
+        if reentry is not None and not block.reentered:
+            return self._reenter(block, ex, reentry, target,
                                  next_pc, out_off_v, out_size_v)
         m.stack.append(tm.const(1))
         m.returndata = []
         m.pc = next_pc
         return block
 
-    def _reenter(self, block: BasicBlock, ex: Explorer, scenario: ScenarioConfig,
+    def _reenter(self, block: BasicBlock, ex: Explorer, reentry: Calldata,
                  attacker: Account, next_pc: int,
                  out_off: int, out_size: int) -> BasicBlock | None:
         if len(block.call_stack) + 2 >= self.config.call_depth_bound:
             ex.seal(block, EndState.DEPTH_BOUND)
             return None
-        block.reentry_budget -= 1
         block.reentered = True
         victim = block.world.accounts[VICTIM]
         g_value = tm.var("g_callvalue")
@@ -327,7 +312,7 @@ class SymVM:
         entry_block.machine = MachineState(
             code=victim.code, account=victim.label,
             caller=attacker.address, callvalue=g_value,
-            calldata=AbiCalldata(scenario.reentry_selector, "g"))
+            calldata=reentry)
         return entry_block
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
@@ -369,13 +354,13 @@ class SymVM:
     # -- single instruction ---------------------------------------------------
 
     def _step(self, block: BasicBlock, ex: Explorer,
-              scenario: ScenarioConfig) -> BasicBlock | None:
+              reentry: Calldata | None) -> BasicBlock | None:
         m = block.machine
         table, jumpdests = self._decoded(m.code)
         ins = table.get(m.pc)
         if ins is None:
             # fell off the end of the code: implicit stop
-            return self._halt(block, ex, scenario, EndState.STOP)
+            return self._halt(block, ex, EndState.STOP)
         name = ins.name
         entry = OPCODES.get(ins.opcode)
         if entry is None or name == "INVALID":
@@ -577,16 +562,16 @@ class SymVM:
             for _ in range(entry[1]):
                 stack.pop()
         elif name == "STOP":
-            return self._halt(block, ex, scenario, EndState.STOP)
+            return self._halt(block, ex, EndState.STOP)
         elif name in ("RETURN", "REVERT"):
             span = self._concretize(block, ex, [stack.pop(), stack.pop()],
                                     "return range")
             if span is None:
                 return None
             end = EndState.RETURN if name == "RETURN" else EndState.REVERT
-            return self._halt(block, ex, scenario, end, m.mbytes(*span))
+            return self._halt(block, ex, end, m.mbytes(*span))
         elif name == "CALL":
-            return self._do_call(block, ex, scenario, next_pc)
+            return self._do_call(block, ex, reentry, next_pc)
         elif name == "CREATE":
             return self._do_create(block, ex, next_pc)
         else:
@@ -624,13 +609,18 @@ _BINOPS = {
 
 # -- function discovery -------------------------------------------------------
 
+class UndecidedDispatch(Exception):
+    """The solver could not decide which selectors reach a dispatch arm."""
+
+
 def extract_function_ids(code: Bytecode, solver: Solver | None = None,
-                         config: VmConfig | None = None) -> list[FunctionEntry]:
+                         config: AnalyzerConfig | None = None) -> list[FunctionEntry]:
     """Recover dispatchable selectors by solving each completed path for the
-    symbolic function id; ambiguous paths collapse into a fallback entry."""
+    symbolic function id; paths open to several ids collapse into a fallback
+    entry. Raises :class:`UndecidedDispatch` when either query is Unknown,
+    since a skipped or collapsed arm would hide its pairs."""
     vm = SymVM(solver, config)
-    scenario = ScenarioConfig(end_constraints=False)
-    result = vm.run_entry(code, AbiCalldata(None, "f"), scenario=scenario)
+    result = vm.run_entry(code, AbiCalldata(None, "f"))
 
     fid_low = tm.bv_and(tm.var("function_id"), tm.const(0xFFFFFFFF))
     by_selector: dict[int, bool] = {}
@@ -639,11 +629,19 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
         terms = block.path_condition.terms
         verdict = vm.solver.check_sat(terms)
         has_call = CALLABLE in block.flags
-        if verdict.status is not SolverStatus.SAT:
-            continue  # unreachable (or undecidable) dispatch arm
+        if verdict.status is SolverStatus.UNKNOWN:
+            raise UndecidedDispatch(
+                f"undecided dispatch: cannot tell whether path {block.id} "
+                "is reachable")
+        if verdict.status is SolverStatus.UNSAT:
+            continue  # unreachable dispatch arm
         value = (verdict.model or {}).get("function_id", 0) & 0xFFFFFFFF
         unique = vm.solver.check_sat(
             terms + [tm.bnot(tm.eq(fid_low, tm.const(value)))], want_model=False)
+        if unique.status is SolverStatus.UNKNOWN:
+            raise UndecidedDispatch(
+                f"undecided dispatch: cannot tell whether only selector "
+                f"{value:#010x} reaches path {block.id}")
         if unique.status is SolverStatus.UNSAT:
             by_selector[value] = by_selector.get(value, False) or has_call
         else:

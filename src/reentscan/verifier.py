@@ -5,14 +5,16 @@ symbol environment:
 
 * I: f runs to completion, then g runs as a fresh transaction from the
   account f paid out to (sequential baseline).
-* C: g is injected through the attacker dummy while f is still executing
-  (re-entrant candidate). Paths where no re-entry happened get the
-  sequential g appended so both sets describe f-then-g executions.
+* C: g is injected through the attacker dummy while f is still executing,
+  at f's first external call to unknown code, once per path (re-entrant
+  candidate). Paths where no re-entry happened get the sequential g
+  appended so both sets describe f-then-g executions.
 
 The pair is vulnerable when some feasible re-entrant condition is equivalent
 to no sequential condition: the attack reaches a final state the sequential
-schedule cannot. Account solvency terms are part of every final condition,
-which is what exposes double-pay effects to the equivalence check.
+schedule cannot. Account solvency terms, appended here and never by the VM,
+are part of every final condition, which is what exposes double-pay effects
+to the equivalence check.
 """
 
 from __future__ import annotations
@@ -28,12 +30,9 @@ from .smt import terms as tm
 from .symdomain import BasicBlock, ECFG, PathCondition
 from .symvm import (
     AbiCalldata,
+    AnalyzerConfig,
     FunctionEntry,
-    Mode,
-    RunResult,
-    ScenarioConfig,
     SymVM,
-    VmConfig,
     extract_function_ids,
 )
 
@@ -42,11 +41,6 @@ class Status(enum.Enum):
     VULNERABLE = "vulnerable"
     BENIGN = "benign"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class AnalyzerConfig(VmConfig):
-    reentry_budget: int = 1
 
 
 @dataclass
@@ -148,18 +142,9 @@ def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
         world=end.world.clone(),
         caller=caller,
         callvalue=tm.var("g_callvalue"),
-        path_condition=end.path_condition,
-        scenario=ScenarioConfig(end_constraints=True))
-    into.extend(b.path_condition for b in res.completed)
-    _merge_created(out, res)
-
-
-def _merge_created(out: ScenarioSet, res: RunResult) -> None:
-    known = {c.data for c in out.created}
-    for code in res.created:
-        if code.data not in known:
-            known.add(code.data)
-            out.created.append(code)
+        path_condition=end.path_condition)
+    into.extend(b.world.with_solvency(b.path_condition) for b in res.completed)
+    out.created.extend(res.created)
 
 
 def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
@@ -170,22 +155,17 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     out = ScenarioSet(f=f, g=g)
 
     # I: strictly sequential f then g
-    seq = vm.run_entry(code, AbiCalldata(f.selector, "f"),
-                       scenario=ScenarioConfig(end_constraints=False))
+    seq = vm.run_entry(code, AbiCalldata(f.selector, "f"))
     out.ecfg_I = seq.ecfg
-    _merge_created(out, seq)
+    out.created.extend(seq.created)
     for end in seq.completed:
         _sequential_g(vm, end, g, out, out.I)
 
     # C: g injected mid-f through the attacker dummy
     ree = vm.run_entry(code, AbiCalldata(f.selector, "f"),
-                       scenario=ScenarioConfig(
-                           mode=Mode.REENTRANT,
-                           reentry_selector=g.selector,
-                           reentry_budget=config.reentry_budget,
-                           end_constraints=False))
+                       reentry=AbiCalldata(g.selector, "g"))
     out.ecfg_C = ree.ecfg
-    _merge_created(out, ree)
+    out.created.extend(ree.created)
     for end in ree.completed:
         if end.reentered:
             out.C.append(end.world.with_solvency(end.path_condition))

@@ -28,7 +28,7 @@ from reentscan.symdomain import (
     EdgeKind,
     EndState,
 )
-from reentscan.symvm import AbiCalldata, ScenarioConfig, SymVM
+from reentscan.symvm import AbiCalldata, SymVM
 from reentscan.verifier import AnalyzerConfig, Status, analyze
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -185,8 +185,7 @@ def test_criterion7_call_success_is_concrete():
         PUSHL ok JUMPI
         PUSH1 9 PUSH1 0 SSTORE STOP
         ok: JUMPDEST STOP
-    """)), ConcreteCalldata(b""),
-        scenario=ScenarioConfig(end_constraints=False))
+    """)), ConcreteCalldata(b""))
     (block,) = res.completed
     assert len(block.path_condition) == 0
     assert block.world.accounts["c0"].storage == {}  # success branch taken
@@ -209,8 +208,7 @@ def test_criterion7_revert_blocks_have_no_descendants(runs):
 def test_criterion7_balance_terms_only_at_end(runs):
     # mid-path exploration must carry no balance constraints at all
     res = SymVM().run_entry(load_fixture("fund"),
-                            AbiCalldata(selector_of("withdraw()"), "f"),
-                            scenario=ScenarioConfig(end_constraints=False))
+                            AbiCalldata(selector_of("withdraw()"), "f"))
     for block in res.completed + res.sealed:
         assert not any(c.origin is ConstraintOrigin.BALANCE
                        for c in block.path_condition.constraints)

@@ -13,13 +13,12 @@ from reentscan.evm_core import Bytecode
 from reentscan.smt import Solver
 from reentscan.smt import terms as tm
 from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
-from reentscan.symvm import ScenarioConfig, SymVM, AbiCalldata
+from reentscan.symvm import AbiCalldata, AnalyzerConfig, SymVM
 
 
 def _run(source: str, calldata=b"", **vm_kwargs):
     vm = SymVM(**vm_kwargs)
-    return vm.run_entry(Bytecode(assemble(source)), ConcreteCalldata(calldata),
-                        scenario=ScenarioConfig(end_constraints=False))
+    return vm.run_entry(Bytecode(assemble(source)), ConcreteCalldata(calldata))
 
 
 def test_concrete_true_jumpi_single_path():
@@ -89,15 +88,13 @@ def test_double_seal_raises():
 
 
 def test_path_cap_raises_path_explosion():
-    from reentscan.symvm import VmConfig
     # 4 independent symbolic branches: 16 paths, cap at 5
     source = "\n".join(
         f"PUSH1 {4 + i} CALLDATALOAD PUSHL l{i} JUMPI l{i}: JUMPDEST"
         for i in range(4)) + "\nSTOP"
-    vm = SymVM(config=VmConfig(path_cap=5))
+    vm = SymVM(config=AnalyzerConfig(path_cap=5))
     with pytest.raises(PathExplosion):
-        vm.run_entry(Bytecode(assemble(source)), AbiCalldata(None, "f"),
-                     scenario=ScenarioConfig(end_constraints=False))
+        vm.run_entry(Bytecode(assemble(source)), AbiCalldata(None, "f"))
 
 
 def test_export_dot_structure():
@@ -117,18 +114,15 @@ def test_export_dot_colors_call_boundaries():
         PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
         POP STOP
     """)
-    # sequential mode: unknown callee is summarized, no boundary nodes
+    # no re-entry calldata: unknown callee is summarized, no boundary nodes
     assert "salmon" not in export_dot(res.ecfg)
 
-    from reentscan.symvm import Mode
     vm = SymVM()
     ree = vm.run_entry(
         Bytecode(assemble("""
             PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
             POP STOP
         """)),
-        ConcreteCalldata(b""),
-        scenario=ScenarioConfig(mode=Mode.REENTRANT, reentry_selector=None,
-                                end_constraints=False))
+        ConcreteCalldata(b""), reentry=AbiCalldata(None, "g"))
     dot = export_dot(ree.ecfg)
     assert "salmon" in dot and "palegreen" in dot

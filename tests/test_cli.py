@@ -52,3 +52,11 @@ def test_fund_run_reports_vulnerable(tmp_path, capsys):
     dots = list(cfg_dir.glob("*.dot"))
     assert len(dots) == 1
     assert dots[0].read_text().startswith("digraph")
+
+
+def test_undecided_dispatch_exits_inconclusive(tmp_path, capsys):
+    # with no time to solve, fund's functions cannot be named: not benign
+    assert main(["--bytecode", str(FIXTURES / "fund.hex"),
+                 "--solver-timeout", "0",
+                 "--report", str(tmp_path / "out.json")]) == 2
+    assert "inconclusive" in capsys.readouterr().out

@@ -14,7 +14,7 @@ from evm_oracle import OracleWorld, run_transaction
 from reentscan.evm_core import Bytecode
 from reentscan.smt import terms as tm
 from reentscan.symdomain import ConcreteCalldata, LocalWorldState
-from reentscan.symvm import ScenarioConfig, SymVM, VmConfig
+from reentscan.symvm import AnalyzerConfig, SymVM
 
 MASK = (1 << 256) - 1
 C0_ADDR = 0xC0DE
@@ -29,11 +29,10 @@ def _run_vm(code: bytes, calldata: bytes, value: int, storage: dict[int, int],
                       concrete_storage=dict(storage), concrete_balance=balance)
     world.add_account("attacker", tm.const(CALLER_ADDR),
                       concrete_balance=CALLER_FUNDS)
-    vm = SymVM(config=VmConfig(loop_bound=64))
+    vm = SymVM(config=AnalyzerConfig(loop_bound=64))
     res = vm.run_entry(Bytecode(code), ConcreteCalldata(calldata),
                        world=world, caller=tm.const(CALLER_ADDR),
-                       callvalue=tm.const(value),
-                       scenario=ScenarioConfig(end_constraints=False))
+                       callvalue=tm.const(value))
     assert len(res.completed) == 1, \
         f"concrete program should have one path, got {len(res.completed)}"
     return res.completed[0]

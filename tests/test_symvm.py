@@ -9,10 +9,8 @@ from reentscan.smt import terms as tm
 from reentscan.symdomain import CALLABLE, ConcreteCalldata, EdgeKind, EndState
 from reentscan.symvm import (
     AbiCalldata,
-    Mode,
-    ScenarioConfig,
+    AnalyzerConfig,
     SymVM,
-    VmConfig,
     extract_function_ids,
 )
 
@@ -51,8 +49,7 @@ def test_code_without_dispatcher_is_fallback_only():
 def test_callable_flag_inherited_past_the_call():
     code = load_fixture("fund.hex")
     vm = SymVM()
-    res = vm.run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"),
-                       scenario=ScenarioConfig(end_constraints=False))
+    res = vm.run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"))
     paying = [b for b in res.completed if b.ext_call_target is not None]
     skipping = [b for b in res.completed if b.ext_call_target is None]
     assert len(paying) == 1 and len(skipping) == 1
@@ -63,8 +60,7 @@ def test_callable_flag_inherited_past_the_call():
 def test_completed_blocks_have_balanced_call_stack():
     for name in ("fund.hex", "bank.hex", "token.hex"):
         vm = SymVM()
-        res = vm.run_entry(load_fixture(name), AbiCalldata(None, "f"),
-                           scenario=ScenarioConfig(end_constraints=False))
+        res = vm.run_entry(load_fixture(name), AbiCalldata(None, "f"))
         for block in res.completed:
             assert block.call_stack == []
 
@@ -107,7 +103,7 @@ def test_symbolic_init_code_seals_with_diagnostic():
     res = SymVM().run_entry(Bytecode(assemble("""
         CALLVALUE PUSH1 0 MSTORE
         PUSH1 1 PUSH1 31 PUSH1 0 CREATE POP STOP
-    """)), AbiCalldata(None, "f"), scenario=ScenarioConfig(end_constraints=False))
+    """)), AbiCalldata(None, "f"))
     assert res.completed == []
     assert any(b.end_state is EndState.INVALID and "init" in (b.note or "")
                for b in res.sealed)
@@ -126,7 +122,7 @@ def test_unconcretizable_copy_operands_seal_once(op):
         PUSHL next JUMPI next: JUMPDEST
         PUSH1 100 CALLDATALOAD PUSH1 68 CALLDATALOAD PUSH1 36 CALLDATALOAD
         {op} STOP
-    """)), AbiCalldata(None, "f"), scenario=ScenarioConfig(end_constraints=False))
+    """)), AbiCalldata(None, "f"))
     assert res.completed == []
     assert len(res.sealed) == 2  # one per side of the branch
     assert all(b.end_state is EndState.INVALID
@@ -141,14 +137,14 @@ def test_call_depth_bound_halts_self_recursion():
         PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 ADDRESS GAS CALL
         POP STOP
     """
-    vm = SymVM(config=VmConfig(call_depth_bound=4))
+    vm = SymVM(config=AnalyzerConfig(call_depth_bound=4))
     res = vm.run_entry(Bytecode(assemble(src)), ConcreteCalldata(b""))
     assert any(b.end_state is EndState.DEPTH_BOUND for b in res.sealed)
     assert res.completed == []
 
 
 def test_loop_bound_seals_endless_loop():
-    vm = SymVM(config=VmConfig(loop_bound=3))
+    vm = SymVM(config=AnalyzerConfig(loop_bound=3))
     res = vm.run_entry(Bytecode(assemble("""
         top: JUMPDEST PUSHL top JUMP
     """)), ConcreteCalldata(b""))
@@ -158,38 +154,34 @@ def test_loop_bound_seals_endless_loop():
 
 # -- re-entrant scenario ------------------------------------------------------
 
-def test_dummy_reentry_consumes_budget_and_marks_path():
+def test_dummy_reenters_once_and_marks_path():
     code = load_fixture("fund.hex")
     w = selector_of("withdraw()")
-    res = SymVM().run_entry(
-        code, AbiCalldata(w, "f"),
-        scenario=ScenarioConfig(mode=Mode.REENTRANT, reentry_selector=w,
-                                reentry_budget=1, end_constraints=False))
+    res = SymVM().run_entry(code, AbiCalldata(w, "f"),
+                            reentry=AbiCalldata(w, "g"))
     reentered = [b for b in res.completed if b.reentered]
     assert len(reentered) == 1
-    assert reentered[0].reentry_budget == 0
-    # victim account paid out twice along the re-entrant path
+    # victim account paid out twice along the re-entrant path: the inner
+    # withdraw's own call to the attacker did not re-enter again
     victim = reentered[0].world.accounts["c0"]
     assert len(victim.debits) == 2
 
 
-def test_zero_budget_reentrant_run_never_reenters():
+def test_sequential_run_never_reenters():
+    # without re-entry calldata the unknown callee just succeeds
     code = load_fixture("fund.hex")
-    w = selector_of("withdraw()")
-    res = SymVM().run_entry(
-        code, AbiCalldata(w, "f"),
-        scenario=ScenarioConfig(mode=Mode.REENTRANT, reentry_selector=w,
-                                reentry_budget=0, end_constraints=False))
-    assert all(not b.reentered for b in res.completed)
+    res = SymVM().run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"))
+    assert not any(b.reentered for b in res.completed)
+    (paying,) = [b for b in res.completed if b.ext_call_target is not None]
+    assert len(paying.world.accounts["c0"].debits) == 1
+    assert not any(k is EdgeKind.CALL_ENTER for _, _, k in res.ecfg.edges)
 
 
 def test_revert_kills_whole_reentrant_path():
     code = load_fixture("token.hex")
     w = selector_of("withdraw()")
-    res = SymVM().run_entry(
-        code, AbiCalldata(w, "f"),
-        scenario=ScenarioConfig(mode=Mode.REENTRANT, reentry_selector=w,
-                                end_constraints=False))
+    res = SymVM().run_entry(code, AbiCalldata(w, "f"),
+                            reentry=AbiCalldata(w, "g"))
     # the lock makes every re-entering path revert; none complete
     assert res.completed == []
     assert any(b.end_state is EndState.REVERT for b in res.sealed)

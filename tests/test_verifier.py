@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from asm import assemble
 from reentscan.evm_core import Bytecode, selector_of
+from reentscan.smt import Solver, SolverStatus, SolverVerdict
 from reentscan.smt.terms import evaluate
-from reentscan.symvm import FunctionEntry, extract_function_ids
+from reentscan.symvm import FunctionEntry, UndecidedDispatch, extract_function_ids
 from reentscan.verifier import (
     AnalyzerConfig,
     Status,
@@ -33,13 +35,15 @@ def entry_for(code: Bytecode, signature: str) -> FunctionEntry:
 
 # -- degenerate cases ---------------------------------------------------------
 
-def test_zero_reentry_budget_is_benign():
-    # with no re-entry allowed both schedules coincide path for path
-    code = load_fixture("fund.hex")
-    w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w, AnalyzerConfig(reentry_budget=0))
+def test_pair_without_external_call_is_benign():
+    # transfer makes no external call, so the attacker never gets to
+    # re-enter and both schedules coincide path for path
+    code = load_fixture("known_cross_function.hex")
+    f = FunctionEntry(selector=selector_of("transfer(address,uint256)"),
+                      has_call=True)
+    result = verify_pair(code, f, entry_for(code, "withdraw()"))
     assert result.status is Status.BENIGN
-    assert result.paths_I > 0 and result.paths_C > 0
+    assert result.paths_I > 0 and result.paths_I == result.paths_C
 
 
 def test_always_reverting_function_has_empty_sets():
@@ -131,7 +135,58 @@ def test_enumerate_pairs_without_callers_is_empty():
     assert enumerate_pairs(funcs) == []
 
 
+# -- function discovery -------------------------------------------------------
+
+class _UnknownSolver(Solver):
+    """Answers every query that reaches the SAT engine with Unknown."""
+
+    def _solve(self, flat, want_model, start):
+        return SolverVerdict(SolverStatus.UNKNOWN, None)
+
+
+def test_undecided_selector_uniqueness_raises():
+    # no dispatcher: the one path is trivially reachable, but whether only
+    # one function id reaches it goes to the SAT engine and stays Unknown
+    code = Bytecode(assemble("PUSH1 1 PUSH1 0 SSTORE STOP"))
+    with pytest.raises(UndecidedDispatch, match="only selector"):
+        extract_function_ids(code, _UnknownSolver())
+
+
+def test_undecided_dispatch_makes_contract_inconclusive():
+    # with no time to solve, discovery cannot name fund's functions; the
+    # contract must not come out benign with no pairs
+    report = analyze([("fund", load_fixture("fund.hex"), "fixture")],
+                     AnalyzerConfig(solver_timeout=0))
+    (contract,) = report.contracts
+    assert report.status is Status.INCONCLUSIVE
+    assert contract.functions == [] and contract.pairs == []
+    assert contract.error.startswith("undecided dispatch")
+    assert "reachable" in contract.error
+
+
 # -- whole-target analysis ----------------------------------------------------
+
+def test_deployed_runtime_is_analyzed_once():
+    # f() deploys a child whose runtime is the single byte 0x42, then calls
+    # out: every scenario run of the pair deploys it again
+    sel = selector_of("f()")
+    code = Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        PUSH4 {sel.hex()} EQ PUSHL body JUMPI STOP
+        body: JUMPDEST
+        PUSH32 0x604260005360016000f300000000000000000000000000000000000000000000
+        PUSH1 0 MSTORE                    ; init: MSTORE8(0, 0x42); RETURN(0, 1)
+        PUSH1 10 PUSH1 0 PUSH1 0 CREATE POP
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 CALLER GAS CALL POP
+        STOP
+    """))
+    report = analyze([("X", code, "test")])
+    assert [c.label for c in report.contracts] == ["X", "X.created1"]
+    assert report.contracts[1].source == "create"
+    (pair,) = report.contracts[0].pairs
+    deployed = pair.scenarios.created
+    assert len(deployed) > 1 and {c.data for c in deployed} == {b"\x42"}
+
 
 def test_shared_solver_memo_matches_fresh_solvers():
     # analyze answers repeats from one memo per contract; each pair alone must
