@@ -30,6 +30,11 @@ class PathExplosion(Exception):
     """The number of explored paths exceeded the configured cap."""
 
 
+class UnsupportedOpcode(Exception):
+    """A path reached an opcode outside the modeled fragment; dropping the
+    path would let the verdict skip what it does."""
+
+
 class Explorer:
     def __init__(self, solver: Solver, path_cap: int = 10_000):
         self.solver = solver
@@ -66,9 +71,7 @@ class Explorer:
 
     def _close(self, block: BasicBlock, end_state: EndState) -> None:
         block.end_state = end_state
-        info = self.ecfg.nodes[block.id]
-        info.end_state = end_state
-        info.flags = frozenset(block.flags)
+        self.ecfg.nodes[block.id].end_state = end_state
 
     def seal(self, block: BasicBlock, end_state: EndState,
              note: str | None = None) -> None:
@@ -96,7 +99,7 @@ class Explorer:
     # -- branching ------------------------------------------------------------
 
     def _feasible(self, constraints: list[Term]) -> bool:
-        verdict = self.solver.check_sat(constraints, want_model=False)
+        verdict = self.solver.check_sat(constraints)
         # an undecided branch is still explored; its condition rides along
         return verdict.status is not SolverStatus.UNSAT
 
@@ -108,7 +111,7 @@ class Explorer:
         verdict = self.solver.check_sat(block.path_condition.terms)
         if not verdict.is_sat:
             return None
-        value = tm.evaluate(term, verdict.model or {})
+        value = tm.evaluate(term, verdict.model)
         block.path_condition = block.path_condition.extended(
             tm.eq(term, tm.const(value)), ConstraintOrigin.CONCRETIZE)
         return value

@@ -2,24 +2,16 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .keccak import keccak256
 
 
-class BytecodeOrigin(enum.Enum):
-    FILE = "file"
-    RPC_FETCH = "rpc_fetch"
-    CREATE_RETURNED = "create_returned"
-
-
 @dataclass(frozen=True)
 class Bytecode:
-    """Raw runtime (or init) code plus where it came from."""
+    """Raw runtime (or init) code."""
 
     data: bytes
-    origin: BytecodeOrigin = BytecodeOrigin.FILE
 
     def __len__(self) -> int:
         return len(self.data)
@@ -149,7 +141,6 @@ class Instruction:
     offset: int
     opcode: int
     immediate: bytes | None = None
-    truncated: bool = False  # trailing PUSH immediate was zero-padded
 
     @property
     def name(self) -> str:
@@ -179,7 +170,7 @@ def disassemble(code: Bytecode) -> list[Instruction]:
     """Decode every byte exactly once.
 
     Unknown opcodes become INVALID instructions; a PUSH immediate running past
-    the end of the code is zero-padded and flagged as truncated.
+    the end of the code is zero-padded.
     """
     data = code.data
     out: list[Instruction] = []
@@ -189,9 +180,7 @@ def disassemble(code: Bytecode) -> list[Instruction]:
         if PUSH1 <= op <= PUSH32:
             width = op - PUSH1 + 1
             raw = data[pc + 1:pc + 1 + width]
-            truncated = len(raw) < width
-            imm = raw + b"\x00" * (width - len(raw))
-            out.append(Instruction(pc, op, imm, truncated))
+            out.append(Instruction(pc, op, raw.ljust(width, b"\x00")))
             pc += 1 + width
         else:
             out.append(Instruction(pc, op))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import requests
 
-from .evm_core import Bytecode, BytecodeOrigin
+from .evm_core import Bytecode
 
 RPC_URL_ENV = "REENTSCAN_RPC_URL"
 DEFAULT_RETRIES = 2
@@ -67,7 +67,7 @@ def load_hex(path: str | Path) -> Bytecode:
         text = path.read_text()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    return Bytecode(_decode_hex(text, str(path)), BytecodeOrigin.FILE)
+    return Bytecode(_decode_hex(text, str(path)))
 
 
 def fetch_code(address: str, node_url: str | None = None, *,
@@ -107,5 +107,5 @@ def fetch_code(address: str, node_url: str | None = None, *,
         data = _decode_hex(result, address)
         if not data:
             raise EmptyCode(f"{address} has no code (EOA or empty contract)")
-        return Bytecode(data, BytecodeOrigin.RPC_FETCH)
+        return Bytecode(data)
     raise RpcUnreachable(f"cannot reach {node_url}: {last_error}")

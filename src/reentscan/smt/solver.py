@@ -55,39 +55,38 @@ class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
     A query missing from the memo is bit-blasted to fresh CNF and solved.
-    Decided answers are memoized by the ordered tuple of flattened
-    constraints: the same constraints in another order may solve to another
-    model, so a set would not do as the key. Unknown is never memoized, a SAT
-    answer stored without a model is solved again when a model is wanted,
-    and every model handed out is a fresh copy. One instance serves one
-    contract, so the memo lives as long as that contract's analysis.
+    Every SAT answer carries a model, checked against the constraints before
+    it is stored. Decided answers are memoized by the ordered tuple of
+    flattened constraints: the same constraints in another order may solve
+    to another model, so a set would not do as the key. Unknown is never
+    memoized, and every model handed out is a fresh copy. One instance
+    serves one contract, so the memo lives as long as that contract's
+    analysis.
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
         self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
 
-    def check_sat(self, constraints: Iterable[Term],
-                  want_model: bool = True) -> SolverVerdict:
+    def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
         flat = _flatten(constraints)
         if any(c == FALSE for c in flat):
             return SolverVerdict(SolverStatus.UNSAT, None)
         if not flat:
-            return SolverVerdict(SolverStatus.SAT, {} if want_model else None)
+            return SolverVerdict(SolverStatus.SAT, {})
 
         key = tuple(flat)
         known = self._memo.get(key)
-        if known is None or (want_model and known.is_sat and known.model is None):
-            known = self._solve(flat, want_model, start)
+        if known is None:
+            known = self._solve(flat, start)
             if known.status is SolverStatus.UNKNOWN:
                 return known
             self._memo[key] = known
-        model = dict(known.model) if want_model and known.model is not None else None
+        model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
 
-    def _solve(self, flat: list[Term], want_model: bool,
-               start: float) -> SolverVerdict:
+    def _solve(self, flat: list[Term], start: float) -> SolverVerdict:
         sat = SatSolver()
         blaster = BitBlaster(sat)
         try:
@@ -101,13 +100,11 @@ class Solver:
             return SolverVerdict(SolverStatus.UNKNOWN, None)
         if not result:
             return SolverVerdict(SolverStatus.UNSAT, None)
-        model = None
-        if want_model:
-            model = {}
-            for c in flat:
-                for v in c.variables():
-                    model[v.name] = blaster.var_value(v.name, v.width)
-            self._verify_model(flat, model)
+        model = {}
+        for c in flat:
+            for v in c.variables():
+                model[v.name] = blaster.var_value(v.name, v.width)
+        self._verify_model(flat, model)
         return SolverVerdict(SolverStatus.SAT, model)
 
     @staticmethod
@@ -126,12 +123,12 @@ class Solver:
         b = _flatten(right)
         if set(a) == set(b):
             return True
-        forward = self.check_sat([*a, bnot(band(b))], want_model=False)
+        forward = self.check_sat([*a, bnot(band(b))])
         if forward.status is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("left minus right undecided")
         if forward.is_sat:
             return False
-        backward = self.check_sat([*b, bnot(band(a))], want_model=False)
+        backward = self.check_sat([*b, bnot(band(a))])
         if backward.status is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("right minus left undecided")
         return not backward.is_sat

@@ -154,8 +154,7 @@ class Account:
     label: str
     address: Term
     code: Bytecode | None = None
-    storage: dict[Term, Term] = field(default_factory=dict)       # writes, in order
-    storage_base: dict[Term, Term] = field(default_factory=dict)  # memoized initial reads
+    storage: dict[Term, Term] = field(default_factory=dict)  # writes, in order
     credits: list[Term] = field(default_factory=list)
     debits: list[Term] = field(default_factory=list)
     concrete_storage: dict[int, int] | None = None
@@ -167,7 +166,6 @@ class Account:
             address=self.address,
             code=self.code,
             storage=dict(self.storage),
-            storage_base=dict(self.storage_base),
             credits=list(self.credits),
             debits=list(self.debits),
             concrete_storage=self.concrete_storage,
@@ -177,15 +175,11 @@ class Account:
     # storage ----------------------------------------------------------------
 
     def _base_read(self, slot: Term) -> Term:
-        cached = self.storage_base.get(slot)
-        if cached is not None:
-            return cached
+        """The slot's value before any write; a symbolic read is named by
+        the slot's digest, so every read of one slot is one interned term."""
         if self.concrete_storage is not None and slot.is_const:
-            value = tm.const(self.concrete_storage.get(slot.value, 0))
-        else:
-            value = tm.var(f"sload_{self.label}_{slot.digest()}")
-        self.storage_base[slot] = value
-        return value
+            return tm.const(self.concrete_storage.get(slot.value, 0))
+        return tm.var(f"sload_{self.label}_{slot.digest()}")
 
     def read_storage(self, slot: Term) -> Term:
         exact = self.storage.get(slot)
@@ -240,14 +234,12 @@ class LocalWorldState:
         self.accounts: dict[str, Account] = {}
         self.addr_index: dict[Term, str] = {}
         self.next_fresh_account = 0
-        self.sha3_memo: dict[tuple[Term, ...], Term] = {}
 
     def clone(self) -> "LocalWorldState":
         out = LocalWorldState()
         out.accounts = {k: v.clone() for k, v in self.accounts.items()}
         out.addr_index = dict(self.addr_index)
         out.next_fresh_account = self.next_fresh_account
-        out.sha3_memo = dict(self.sha3_memo)
         return out
 
     def add_account(self, label: str, address: Term,
@@ -274,19 +266,16 @@ class LocalWorldState:
         return label
 
     def sha3(self, data: tuple[Term, ...]) -> Term:
-        """Keccak over memory bytes: real hash when concrete, else a memoized
-        fresh symbol named by the digest of the input expression."""
+        """Keccak over memory bytes: real hash when concrete, else a symbol
+        named by the digest of the input expression, so equal inputs give
+        the same interned term on every path."""
         if all(b.is_const for b in data):
             raw = bytes(b.value & 0xFF for b in data)
             return tm.const(int.from_bytes(keccak256(raw), "big"))
-        cached = self.sha3_memo.get(data)
-        if cached is None:
-            joined = tm.const(0)
-            for b in data:
-                joined = tm.bv_add(tm.bv_mul(joined, tm.const(257)), b)
-            cached = tm.var(f"sha3_{joined.digest()}")
-            self.sha3_memo[data] = cached
-        return cached
+        joined = tm.const(0)
+        for b in data:
+            joined = tm.bv_add(tm.bv_mul(joined, tm.const(257)), b)
+        return tm.var(f"sha3_{joined.digest()}")
 
     def with_solvency(self, pc: PathCondition) -> PathCondition:
         """``pc`` with the solvency condition of every touched account appended."""
@@ -352,24 +341,16 @@ class CallKind(enum.Enum):
     DUMMY_REENTRY = "dummy_reentry"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallStackEntry:
+    """A suspended caller; never mutated, so forks share it."""
+
     kind: CallKind
     saved_machine: MachineState
     out_offset: int = 0
     out_size: int = 0
     created_label: str | None = None
     dummy_node: int | None = None  # ECFG node of the attacker hop, if any
-
-    def clone(self) -> "CallStackEntry":
-        return CallStackEntry(
-            kind=self.kind,
-            saved_machine=self.saved_machine.clone(),
-            out_offset=self.out_offset,
-            out_size=self.out_size,
-            created_label=self.created_label,
-            dummy_node=self.dummy_node,
-        )
 
 
 # -- basic blocks and the extended CFG ----------------------------------------
@@ -389,8 +370,6 @@ HALTED = {EndState.STOP, EndState.RETURN, EndState.REVERT,
           EndState.INVALID, EndState.DEPTH_BOUND, EndState.LOOP_BOUND}
 COMPLETED = {EndState.STOP, EndState.RETURN}
 
-CALLABLE = "CALLABLE"
-
 
 @dataclass
 class BasicBlock:
@@ -399,7 +378,7 @@ class BasicBlock:
     world: LocalWorldState
     path_condition: PathCondition
     call_stack: list[CallStackEntry] = field(default_factory=list)
-    flags: set[str] = field(default_factory=set)
+    has_call: bool = False  # a CALL was reached on this path
     end_state: EndState = EndState.OPEN
     visit_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     ext_call_target: Term | None = None
@@ -407,14 +386,15 @@ class BasicBlock:
     note: str | None = None
 
     def copy_as(self, new_id: int) -> "BasicBlock":
-        """Deep, independent copy with a fresh id (path state only)."""
+        """Independent copy with a fresh id (path state only); the frozen
+        call-stack entries are shared, only the list is copied."""
         return BasicBlock(
             id=new_id,
             machine=self.machine.clone(),
             world=self.world.clone(),
             path_condition=self.path_condition,
-            call_stack=[e.clone() for e in self.call_stack],
-            flags=set(self.flags),
+            call_stack=list(self.call_stack),
+            has_call=self.has_call,
             end_state=EndState.OPEN,
             visit_counts=dict(self.visit_counts),
             ext_call_target=self.ext_call_target,
@@ -437,7 +417,6 @@ class NodeInfo:
     contract: str
     start_pc: int
     end_state: EndState = EndState.OPEN
-    flags: frozenset[str] = frozenset()
 
 
 class ECFG:

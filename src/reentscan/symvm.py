@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg_manager import Explorer
+from .cfg_manager import Explorer, UnsupportedOpcode
 from .evm_core import (
     Bytecode,
-    BytecodeOrigin,
     FunctionId,
     Instruction,
     OPCODES,
@@ -37,7 +36,6 @@ from .symdomain import (
     AbiCalldata,
     Account,
     BasicBlock,
-    CALLABLE,
     Calldata,
     CallKind,
     CallStackEntry,
@@ -201,7 +199,7 @@ class SymVM:
             if runtime is None:
                 return None
             acct = block.world.accounts[entry.created_label]
-            acct.code = Bytecode(runtime, BytecodeOrigin.CREATE_RETURNED)
+            acct.code = Bytecode(runtime)
             if runtime:
                 self._created.append(acct.code)
             cont = ex.transition(block, EdgeKind.CREATE_RETURN,
@@ -243,7 +241,7 @@ class SymVM:
         in_size = m.stack.pop()
         out_off = m.stack.pop()
         out_size = m.stack.pop()
-        block.flags.add(CALLABLE)
+        block.has_call = True
 
         world = block.world
         caller_acct = world.accounts[m.account]
@@ -346,7 +344,7 @@ class SymVM:
         nxt = ex.transition(block, EdgeKind.CREATE_ENTER, contract=label)
         nxt.call_stack.append(entry)
         nxt.machine = MachineState(
-            code=Bytecode(init, BytecodeOrigin.CREATE_RETURNED),
+            code=Bytecode(init),
             account=label, caller=creator.address, callvalue=value,
             calldata=TermCalldata(()))
         return nxt
@@ -385,49 +383,13 @@ class SymVM:
         elif name in _BINOPS:
             a, b = stack.pop(), stack.pop()
             stack.append(_BINOPS[name](a, b))
-        elif name in ("SDIV", "SMOD"):
-            a, b = stack.pop(), stack.pop()
-            if a.is_const and b.is_const:
-                x, y = _signed(a.value), _signed(b.value)
-                if y == 0:
-                    r = 0
-                elif name == "SDIV":
-                    r = abs(x) // abs(y) * (1 if (x < 0) == (y < 0) else -1)
-                else:
-                    r = abs(x) % abs(y) * (1 if x >= 0 else -1)
-                stack.append(tm.const(r))
+        elif name in _FOLDS:
+            fold = _FOLDS[name]
+            args = [stack.pop() for _ in range(entry[1])]
+            if fold is not None and all(a.is_const for a in args):
+                stack.append(tm.const(fold(*(a.value for a in args))))
             else:
-                stack.append(self._memo_word(name.lower(), a, b))
-        elif name == "EXP":
-            a, b = stack.pop(), stack.pop()
-            if a.is_const and b.is_const:
-                stack.append(tm.const(pow(a.value, b.value, 1 << 256)))
-            else:
-                stack.append(self._memo_word("exp", a, b))
-        elif name in ("ADDMOD", "MULMOD"):
-            a, b, n = stack.pop(), stack.pop(), stack.pop()
-            if a.is_const and b.is_const and n.is_const:
-                if n.value == 0:
-                    stack.append(tm.const(0))
-                elif name == "ADDMOD":
-                    stack.append(tm.const((a.value + b.value) % n.value))
-                else:
-                    stack.append(tm.const((a.value * b.value) % n.value))
-            else:
-                stack.append(self._memo_word(name.lower(), a, b, n))
-        elif name == "SIGNEXTEND":
-            b, x = stack.pop(), stack.pop()
-            if b.is_const and x.is_const:
-                if b.value >= 31:
-                    stack.append(x)
-                else:
-                    bits = 8 * (b.value + 1)
-                    v = x.value & ((1 << bits) - 1)
-                    if v >> (bits - 1):
-                        v |= WORD ^ ((1 << bits) - 1)
-                    stack.append(tm.const(v))
-            else:
-                stack.append(self._memo_word("signextend", b, x))
+                stack.append(self._memo_word(name.lower(), *args))
         elif name == "BYTE":
             i, x = stack.pop(), stack.pop()
             if i.is_const:
@@ -438,14 +400,6 @@ class SymVM:
                         tm.shr(x, tm.const(8 * (31 - i.value))), tm.const(0xFF)))
             else:
                 stack.append(self._memo_word("byte", i, x))
-        elif name == "SAR":
-            shift, x = stack.pop(), stack.pop()
-            if shift.is_const and x.is_const:
-                s = min(shift.value, 256)
-                v = _signed(x.value) >> s
-                stack.append(tm.const(v))
-            else:
-                stack.append(self._memo_word("sar", shift, x))
         elif name == "NOT":
             stack.append(tm.bv_not(stack.pop()))
         elif name == "ISZERO":
@@ -464,8 +418,6 @@ class SymVM:
             stack.append(m.caller)
         elif name == "CALLVALUE":
             stack.append(m.callvalue)
-        elif name == "ORIGIN":
-            stack.append(tm.var("origin"))
         elif name == "CALLDATALOAD":
             off = self._concretize(block, ex, [stack.pop()], "calldata offset")
             if off is None:
@@ -500,8 +452,6 @@ class SymVM:
                 stack.append(tm.const(len(acct.code.data)))
             else:
                 stack.append(self._memo_word("extcodesize", addr))
-        elif name == "EXTCODEHASH":
-            stack.append(self._memo_word("extcodehash", stack.pop()))
         elif name == "RETURNDATASIZE":
             stack.append(tm.const(len(m.returndata)))
         elif name == "RETURNDATACOPY":
@@ -514,10 +464,8 @@ class SymVM:
                 j = src + i
                 m.memory[dst + i] = (m.returndata[j] if j < len(m.returndata)
                                      else tm.const(0))
-        elif name == "BLOCKHASH":
-            stack.append(self._memo_word("blockhash", stack.pop()))
-        elif name in ("COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY",
-                      "GASLIMIT", "GASPRICE", "GAS"):
+        elif name in ("ORIGIN", "COINBASE", "TIMESTAMP", "NUMBER",
+                      "DIFFICULTY", "GASLIMIT", "GASPRICE", "GAS"):
             stack.append(tm.var(name.lower()))
         elif name == "PC":
             stack.append(tm.const(ins.offset))
@@ -577,8 +525,8 @@ class SymVM:
         else:
             # DELEGATECALL, CALLCODE, STATICCALL, CREATE2, SELFDESTRUCT,
             # EXTCODECOPY: outside the modeled fragment
-            ex.seal(block, EndState.INVALID, f"unsupported opcode {name}")
-            return None
+            raise UnsupportedOpcode(
+                f"unsupported opcode {name} at {m.account}@{ins.offset}")
 
         if len(stack) > MAX_STACK:
             ex.seal(block, EndState.INVALID, "stack overflow")
@@ -586,6 +534,42 @@ class SymVM:
         m.pc = next_pc
         return block
 
+
+def _sdiv(a: int, b: int) -> int:
+    x, y = _signed(a), _signed(b)
+    if y == 0:
+        return 0
+    return abs(x) // abs(y) * (1 if (x < 0) == (y < 0) else -1)
+
+
+def _smod(a: int, b: int) -> int:
+    x, y = _signed(a), _signed(b)
+    if y == 0:
+        return 0
+    return abs(x) % abs(y) * (1 if x >= 0 else -1)
+
+
+def _signextend(b: int, x: int) -> int:
+    if b >= 31:
+        return x
+    bits = 8 * (b + 1)
+    v = x & ((1 << bits) - 1)
+    return v | (WORD ^ ((1 << bits) - 1)) if v >> (bits - 1) else v
+
+
+# Ops outside the solver fragment: folded on constant operands, otherwise an
+# opaque word named after the op (None: never folded).
+_FOLDS = {
+    "SDIV": _sdiv,
+    "SMOD": _smod,
+    "EXP": lambda a, b: pow(a, b, 1 << 256),
+    "ADDMOD": lambda a, b, n: (a + b) % n if n else 0,
+    "MULMOD": lambda a, b, n: a * b % n if n else 0,
+    "SIGNEXTEND": _signextend,
+    "SAR": lambda shift, x: _signed(x) >> min(shift, 256),
+    "EXTCODEHASH": None,
+    "BLOCKHASH": None,
+}
 
 _BINOPS = {
     "ADD": tm.bv_add,
@@ -628,16 +612,16 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     for block in result.completed:
         terms = block.path_condition.terms
         verdict = vm.solver.check_sat(terms)
-        has_call = CALLABLE in block.flags
+        has_call = block.has_call
         if verdict.status is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 f"undecided dispatch: cannot tell whether path {block.id} "
                 "is reachable")
         if verdict.status is SolverStatus.UNSAT:
             continue  # unreachable dispatch arm
-        value = (verdict.model or {}).get("function_id", 0) & 0xFFFFFFFF
+        value = verdict.model.get("function_id", 0) & 0xFFFFFFFF
         unique = vm.solver.check_sat(
-            terms + [tm.bnot(tm.eq(fid_low, tm.const(value)))], want_model=False)
+            terms + [tm.bnot(tm.eq(fid_low, tm.const(value)))])
         if unique.status is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 f"undecided dispatch: cannot tell whether only selector "

@@ -23,7 +23,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from .cfg_manager import PathExplosion
+from .cfg_manager import PathExplosion, UnsupportedOpcode
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
@@ -148,9 +148,7 @@ def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
 
 
 def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
-                      config: AnalyzerConfig,
-                      solver: Solver | None = None) -> ScenarioSet:
-    solver = solver or Solver(config.solver_timeout)
+                      config: AnalyzerConfig, solver: Solver) -> ScenarioSet:
     vm = SymVM(solver, config)
     out = ScenarioSet(f=f, g=g)
 
@@ -194,7 +192,7 @@ def _feasible_only(conditions: list[PathCondition],
     out = []
     undecided = False
     for c in conditions:
-        verdict = solver.check_sat(c.terms, want_model=False)
+        verdict = solver.check_sat(c.terms)
         if verdict.status is SolverStatus.UNSAT:
             continue
         if verdict.status is SolverStatus.UNKNOWN:
@@ -228,7 +226,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
     try:
         scenarios = collect_scenarios(code, f, g, config, solver)
-    except PathExplosion as exc:
+    except (PathExplosion, UnsupportedOpcode) as exc:
         return done(Status.INCONCLUSIVE, note=str(exc))
 
     I = _dedupe(scenarios.I)

@@ -12,6 +12,7 @@ collected once per test session:
 7. structural conformance of the exploration speed-ups.
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -33,6 +34,7 @@ from reentscan.verifier import AnalyzerConfig, Status, analyze
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TESTS = Path(__file__).resolve().parent
+PINNED_REPORTS = TESTS / "fixture_reports.json"
 
 # published reference wall-clock seconds; the bound asserted is 10x each
 REFERENCE_SECONDS = {
@@ -94,6 +96,26 @@ def test_criterion1_every_vulnerable_pair_has_witness(runs):
         for pair in _main_contract(report, name).pairs:
             if pair.status is Status.VULNERABLE:
                 assert pair.witness, f"{name}: missing witness model"
+
+
+def _without_elapsed(value):
+    if isinstance(value, dict):
+        return {k: _without_elapsed(v) for k, v in value.items()
+                if k != "elapsed_ms"}
+    if isinstance(value, list):
+        return [_without_elapsed(v) for v in value]
+    return value
+
+
+def test_criterion1_reports_match_pinned(runs):
+    """Each fixture's whole report, witnesses included, equals the pinned
+    one in fixture_reports.json (timings dropped). A change that means to
+    move a report regenerates that file and says why."""
+    pinned = json.loads(PINNED_REPORTS.read_text())
+    assert sorted(pinned) == sorted(REFERENCE_SECONDS)
+    for name in REFERENCE_SECONDS:
+        report, _ = runs[name]
+        assert _without_elapsed(report.to_dict()) == pinned[name], name
 
 
 # -- 2: combination counts ----------------------------------------------------

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from reentscan.cli import EXIT_USAGE, main
+from test_verifier import staticcall_probe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,3 +61,13 @@ def test_undecided_dispatch_exits_inconclusive(tmp_path, capsys):
                  "--solver-timeout", "0",
                  "--report", str(tmp_path / "out.json")]) == 2
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_unsupported_opcode_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "probe.hex"
+    path.write_text(staticcall_probe().hex())
+    assert main(["--bytecode", str(path),
+                 "--report", str(tmp_path / "out.json")]) == 2
+    (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
+    assert contract["status"] == "inconclusive"
+    assert "STATICCALL" in contract["error"]

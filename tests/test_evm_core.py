@@ -39,10 +39,9 @@ def test_disassemble_simple():
     assert [i.offset for i in instructions] == [0, 2, 5, 6]
 
 
-def test_truncated_push_is_padded_and_flagged():
+def test_truncated_push_is_zero_padded():
     code = Bytecode(bytes.fromhex("62ff"))  # PUSH3 with only 1 byte left
     (ins,) = disassemble(code)
-    assert ins.truncated
     assert ins.push_value == 0xFF0000
 
 

@@ -6,7 +6,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from reentscan.evm_core import BytecodeOrigin
 from reentscan.ingest import (
     EmptyCode,
     IngestError,
@@ -27,7 +26,6 @@ def test_load_hex_accepts_prefix_and_whitespace(tmp_path):
     spaced = tmp_path / "b.hex"
     spaced.write_text("60 01\n")
     assert load_hex(spaced).data == b"\x60\x01"
-    assert load_hex(plain).origin is BytecodeOrigin.FILE
 
 
 def test_load_hex_reports_bad_character_offset(tmp_path):
@@ -100,7 +98,6 @@ def test_fetch_code_roundtrip():
     finally:
         mock.close()
     assert code.data == b"\x60\x01"
-    assert code.origin is BytecodeOrigin.RPC_FETCH
     assert mock.requests_seen == 1
 
 

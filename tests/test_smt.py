@@ -370,6 +370,8 @@ def test_repeated_query_is_solved_once(solve_calls):
     second = solver.check_sat(list(query))
     assert len(solve_calls) == 1
     assert first.is_sat and second.is_sat
+    # every SAT answer carries a model that satisfies the query
+    assert all(evaluate(c, first.model) == 1 for c in query)
     assert first.model == second.model and first.model is not second.model
     second.model["x"] = 0
     assert solver.check_sat(query).model == first.model
@@ -390,20 +392,6 @@ def test_unknown_is_not_memoized():
     assert solver.check_sat(query).status is SolverStatus.UNKNOWN
     solver.timeout = 30.0
     assert solver.check_sat(query).status is SolverStatus.SAT
-
-
-def test_sat_without_model_is_solved_again_for_a_model(solve_calls):
-    solver = Solver()
-    query = [ult(const(5), var("x")), ult(var("x"), var("y"))]
-    bare = solver.check_sat(query, want_model=False)
-    assert bare.is_sat and bare.model is None
-    full = solver.check_sat(query)
-    assert full.is_sat
-    assert all(evaluate(c, full.model) == 1 for c in query)
-    assert len(solve_calls) == 2
-    assert solver.check_sat(query, want_model=False).model is None
-    assert solver.check_sat(query).model == full.model
-    assert len(solve_calls) == 2
 
 
 # -- 256-bit behavior ---------------------------------------------------------

@@ -1,5 +1,8 @@
 """Symbolic domain: path conditions, storage, calldata, block forking."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, strategies as st
 
 from reentscan.evm_core import Bytecode, selector_of
@@ -8,6 +11,8 @@ from reentscan.smt.terms import evaluate
 from reentscan.symdomain import (
     AbiCalldata,
     BasicBlock,
+    CallKind,
+    CallStackEntry,
     ConcreteCalldata,
     Constraint,
     ConstraintOrigin,
@@ -172,22 +177,39 @@ def test_fork_isolation():
     original.machine.stack.append(tm.const(1))
     original.machine.memory[0] = tm.const(0xAB)
     original.world.accounts["c0"].write_storage(tm.const(0), tm.const(5))
-    original.flags.add("CALLABLE")
+    original.has_call = True
+    frame = CallStackEntry(kind=CallKind.CALL, saved_machine=_machine())
+    original.call_stack.append(frame)
 
     copy = original.copy_as(1)
     copy.machine.stack.append(tm.const(2))
     copy.machine.memory[0] = tm.const(0xCD)
     copy.world.accounts["c0"].write_storage(tm.const(0), tm.const(6))
     copy.world.accounts["c0"].credits.append(tm.const(4))
-    copy.flags.add("EXTRA")
     copy.path_condition = copy.path_condition.extended(tm.eq(tm.var("y"), tm.const(1)))
+    assert copy.call_stack.pop() is frame  # shared, not copied
 
     assert original.machine.stack == [tm.const(1)]
     assert original.machine.memory[0] == tm.const(0xAB)
     assert original.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(5)
     assert original.world.accounts["c0"].credits == []
-    assert original.flags == {"CALLABLE"}
+    assert original.call_stack == [frame]
     assert len(original.path_condition) == 1
     # the fork keeps inherited state
-    assert copy.flags >= {"CALLABLE"}
+    assert copy.has_call
     assert copy.end_state is EndState.OPEN
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.out_size = 1
+
+
+def test_unwritten_reads_are_one_term_across_worlds():
+    # no per-world memo: interning alone makes repeated symbols one object
+    a, b = _block().world, _block().world
+    slot = tm.bv_add(tm.var("caller"), tm.const(1))
+    read_a = a.accounts["c0"].read_storage(slot)
+    assert read_a.op == "var"
+    assert read_a is b.accounts["c0"].read_storage(slot)
+    assert read_a is a.clone().accounts["c0"].read_storage(slot)
+    data = (tm.var("caller"), tm.const(0))
+    assert a.sha3(data).op == "var"
+    assert a.sha3(data) is b.sha3(tuple(data))

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 from asm import assemble
-from reentscan.evm_core import Bytecode, selector_of
+from reentscan.cfg_manager import UnsupportedOpcode
+from reentscan.evm_core import OPCODE_BY_NAME, OPCODES, Bytecode, selector_of
 from reentscan.smt import terms as tm
-from reentscan.symdomain import CALLABLE, ConcreteCalldata, EdgeKind, EndState
+from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
 from reentscan.symvm import (
     AbiCalldata,
     AnalyzerConfig,
@@ -53,8 +54,8 @@ def test_callable_flag_inherited_past_the_call():
     paying = [b for b in res.completed if b.ext_call_target is not None]
     skipping = [b for b in res.completed if b.ext_call_target is None]
     assert len(paying) == 1 and len(skipping) == 1
-    assert CALLABLE in paying[0].flags       # survives to the end of the path
-    assert CALLABLE not in skipping[0].flags
+    assert paying[0].has_call       # survives to the end of the path
+    assert not skipping[0].has_call
 
 
 def test_completed_blocks_have_balanced_call_stack():
@@ -127,6 +128,18 @@ def test_unconcretizable_copy_operands_seal_once(op):
     assert len(res.sealed) == 2  # one per side of the branch
     assert all(b.end_state is EndState.INVALID
                and "cannot concretize" in (b.note or "") for b in res.sealed)
+
+
+# -- unsupported opcodes ------------------------------------------------------
+
+@pytest.mark.parametrize("op", ["DELEGATECALL", "CALLCODE", "STATICCALL",
+                                "CREATE2", "SELFDESTRUCT", "EXTCODECOPY"])
+def test_unsupported_opcode_raises(op):
+    # a path that reaches an unmodeled opcode must not vanish from the run
+    pops = OPCODES[OPCODE_BY_NAME[op]][1]
+    code = Bytecode(assemble("PUSH1 0 " * pops + f"{op} STOP"))
+    with pytest.raises(UnsupportedOpcode, match=op):
+        SymVM().run_entry(code, ConcreteCalldata(b""))
 
 
 # -- bounds -------------------------------------------------------------------

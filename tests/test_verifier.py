@@ -72,6 +72,42 @@ def test_path_explosion_is_inconclusive():
     assert result.note and "path" in result.note.lower()
 
 
+def staticcall_probe() -> Bytecode:
+    """fund with a STATICCALL to itself just after the payout."""
+    sel = selector_of("withdraw()")
+    return Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        DUP1 PUSH4 {sel.hex()} EQ PUSHL withdraw JUMPI STOP
+        withdraw: JUMPDEST POP
+        CALLER SLOAD
+        DUP1 ISZERO PUSHL done JUMPI
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 ADDRESS GAS STATICCALL POP
+        POP
+        PUSH1 0 CALLER SSTORE
+        STOP
+        done: JUMPDEST POP STOP
+    """))
+
+
+def test_unsupported_opcode_makes_contract_inconclusive():
+    # the paying path reaches STATICCALL; dropping it would leave withdraw
+    # without a call, so no pairs and a benign contract
+    report = analyze([("probe", staticcall_probe(), "test")])
+    (contract,) = report.contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert "STATICCALL" in contract.error
+    assert report.status is Status.INCONCLUSIVE
+
+
+def test_unsupported_opcode_makes_pair_inconclusive():
+    code = staticcall_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w)
+    assert result.status is Status.INCONCLUSIVE
+    assert "STATICCALL" in result.note
+
+
 def test_dag_shaped_balance_slot_is_analyzed():
     # fund with balances[CALLER doubled 64 times]: the slot term is a DAG
     # of 65 nodes whose tree unfolding has 2^64 leaves
@@ -140,7 +176,7 @@ def test_enumerate_pairs_without_callers_is_empty():
 class _UnknownSolver(Solver):
     """Answers every query that reaches the SAT engine with Unknown."""
 
-    def _solve(self, flat, want_model, start):
+    def _solve(self, flat, start):
         return SolverVerdict(SolverStatus.UNKNOWN, None)
 
 
