@@ -35,6 +35,11 @@ class UnsupportedOpcode(Exception):
     path would let the verdict skip what it does."""
 
 
+class BoundReached(Exception):
+    """A path was cut at the loop or call-depth bound; dropping the path
+    would let the verdict skip what the rest of it does."""
+
+
 class Explorer:
     def __init__(self, solver: Solver, path_cap: int = 10_000):
         self.solver = solver
@@ -99,9 +104,8 @@ class Explorer:
     # -- branching ------------------------------------------------------------
 
     def _feasible(self, constraints: list[Term]) -> bool:
-        verdict = self.solver.check_sat(constraints)
         # an undecided branch is still explored; its condition rides along
-        return verdict.status is not SolverStatus.UNSAT
+        return self.solver.status(constraints) is not SolverStatus.UNSAT
 
     def concretize(self, block: BasicBlock, term: Term) -> int | None:
         """Pin a word to one model value, recorded on the path; None when the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +52,16 @@ def _flatten(constraints: Iterable[Term]) -> list[Term]:
     return out
 
 
+def _trivial(flat: list[Term]) -> SolverStatus | None:
+    """The status of a flattened query that needs no solving, else None."""
+    if any(c == FALSE for c in flat):
+        return SolverStatus.UNSAT
+    return None if flat else SolverStatus.SAT
+
+
+RECENT_MODELS = 64  # models of recent solves that status queries try first
+
+
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
@@ -62,19 +73,29 @@ class Solver:
     memoized, and every model handed out is a fresh copy. One instance
     serves one contract, so the memo lives as long as that contract's
     analysis.
+
+    Callers that read only the status (branch feasibility, the verifier's
+    feasibility filter, selector uniqueness, both directed equivalence
+    queries) use :meth:`status`, which first tries the models of the last
+    :data:`RECENT_MODELS` solves, KLEE's counterexample cache: a model that
+    satisfies the query proves it SAT without blasting it. Such a hit is
+    never stored as the key's model, so :meth:`check_sat`, which serves the
+    callers that read models, still hands out exactly the model a fresh
+    solve of the key gives.
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
         self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
+        self._sat_keys: set[tuple[Term, ...]] = set()  # shown SAT by a recent model
+        self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
         flat = _flatten(constraints)
-        if any(c == FALSE for c in flat):
-            return SolverVerdict(SolverStatus.UNSAT, None)
-        if not flat:
-            return SolverVerdict(SolverStatus.SAT, {})
+        trivial = _trivial(flat)
+        if trivial is not None:
+            return SolverVerdict(trivial, {} if trivial is SolverStatus.SAT else None)
 
         key = tuple(flat)
         known = self._memo.get(key)
@@ -83,8 +104,33 @@ class Solver:
             if known.status is SolverStatus.UNKNOWN:
                 return known
             self._memo[key] = known
+            if known.model is not None:
+                self._models.appendleft(known.model)
         model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
+
+    def status(self, constraints: Iterable[Term]) -> SolverStatus:
+        """The status of the query without its model.
+
+        Answered from a recent model when one satisfies the query, unbound
+        variables read as 0; such a model proves SAT also where solving the
+        query would give Unknown (an operation the bit-blaster cannot lower).
+        """
+        flat = _flatten(constraints)
+        trivial = _trivial(flat)
+        if trivial is not None:
+            return trivial
+        key = tuple(flat)
+        known = self._memo.get(key)
+        if known is not None:
+            return known.status
+        if key in self._sat_keys:
+            return SolverStatus.SAT
+        query = band(flat)
+        if any(evaluate(query, m) == 1 for m in self._models):
+            self._sat_keys.add(key)
+            return SolverStatus.SAT
+        return self.check_sat(flat).status
 
     def _solve(self, flat: list[Term], start: float) -> SolverVerdict:
         sat = SatSolver()
@@ -123,12 +169,12 @@ class Solver:
         b = _flatten(right)
         if set(a) == set(b):
             return True
-        forward = self.check_sat([*a, bnot(band(b))])
-        if forward.status is SolverStatus.UNKNOWN:
+        forward = self.status([*a, bnot(band(b))])
+        if forward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("left minus right undecided")
-        if forward.is_sat:
+        if forward is SolverStatus.SAT:
             return False
-        backward = self.check_sat([*b, bnot(band(a))])
-        if backward.status is SolverStatus.UNKNOWN:
+        backward = self.status([*b, bnot(band(a))])
+        if backward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("right minus left undecided")
-        return not backward.is_sat
+        return backward is SolverStatus.UNSAT

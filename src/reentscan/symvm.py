@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg_manager import Explorer, UnsupportedOpcode
+from .cfg_manager import BoundReached, Explorer, UnsupportedOpcode
 from .evm_core import (
     Bytecode,
     FunctionId,
@@ -68,6 +68,15 @@ class RunResult:
     sealed: list[BasicBlock]      # every halted block, Revert and Invalid included
     ecfg: ECFG
     created: list[Bytecode]       # non-empty runtime code returned by each CREATE
+
+    def check_bounds(self) -> "RunResult":
+        """Raise :class:`BoundReached` if a path was cut at a bound."""
+        for b in self.sealed:
+            if b.end_state in (EndState.LOOP_BOUND, EndState.DEPTH_BOUND):
+                bound = b.end_state.value.replace("_", " ")
+                raise BoundReached(
+                    f"{bound} reached at {b.machine.account}@{b.machine.pc}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -602,9 +611,10 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     """Recover dispatchable selectors by solving each completed path for the
     symbolic function id; paths open to several ids collapse into a fallback
     entry. Raises :class:`UndecidedDispatch` when either query is Unknown,
-    since a skipped or collapsed arm would hide its pairs."""
+    and :class:`BoundReached` when a path was cut at a bound, since a
+    skipped or collapsed arm would hide its pairs."""
     vm = SymVM(solver, config)
-    result = vm.run_entry(code, AbiCalldata(None, "f"))
+    result = vm.run_entry(code, AbiCalldata(None, "f")).check_bounds()
 
     fid_low = tm.bv_and(tm.var("function_id"), tm.const(0xFFFFFFFF))
     by_selector: dict[int, bool] = {}
@@ -620,13 +630,13 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
         if verdict.status is SolverStatus.UNSAT:
             continue  # unreachable dispatch arm
         value = verdict.model.get("function_id", 0) & 0xFFFFFFFF
-        unique = vm.solver.check_sat(
+        unique = vm.solver.status(
             terms + [tm.bnot(tm.eq(fid_low, tm.const(value)))])
-        if unique.status is SolverStatus.UNKNOWN:
+        if unique is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 f"undecided dispatch: cannot tell whether only selector "
                 f"{value:#010x} reaches path {block.id}")
-        if unique.status is SolverStatus.UNSAT:
+        if unique is SolverStatus.UNSAT:
             by_selector[value] = by_selector.get(value, False) or has_call
         else:
             fallback = (fallback or False) or has_call

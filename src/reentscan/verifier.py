@@ -23,7 +23,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from .cfg_manager import PathExplosion, UnsupportedOpcode
+from .cfg_manager import BoundReached, PathExplosion, UnsupportedOpcode
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
@@ -142,7 +142,7 @@ def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
         world=end.world.clone(),
         caller=caller,
         callvalue=tm.var("g_callvalue"),
-        path_condition=end.path_condition)
+        path_condition=end.path_condition).check_bounds()
     into.extend(b.world.with_solvency(b.path_condition) for b in res.completed)
     out.created.extend(res.created)
 
@@ -153,7 +153,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     out = ScenarioSet(f=f, g=g)
 
     # I: strictly sequential f then g
-    seq = vm.run_entry(code, AbiCalldata(f.selector, "f"))
+    seq = vm.run_entry(code, AbiCalldata(f.selector, "f")).check_bounds()
     out.ecfg_I = seq.ecfg
     out.created.extend(seq.created)
     for end in seq.completed:
@@ -161,7 +161,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
     # C: g injected mid-f through the attacker dummy
     ree = vm.run_entry(code, AbiCalldata(f.selector, "f"),
-                       reentry=AbiCalldata(g.selector, "g"))
+                       reentry=AbiCalldata(g.selector, "g")).check_bounds()
     out.ecfg_C = ree.ecfg
     out.created.extend(ree.created)
     for end in ree.completed:
@@ -192,10 +192,10 @@ def _feasible_only(conditions: list[PathCondition],
     out = []
     undecided = False
     for c in conditions:
-        verdict = solver.check_sat(c.terms)
-        if verdict.status is SolverStatus.UNSAT:
+        status = solver.status(c.terms)
+        if status is SolverStatus.UNSAT:
             continue
-        if verdict.status is SolverStatus.UNKNOWN:
+        if status is SolverStatus.UNKNOWN:
             undecided = True
         out.append(c)
     return out, undecided
@@ -226,7 +226,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
     try:
         scenarios = collect_scenarios(code, f, g, config, solver)
-    except (PathExplosion, UnsupportedOpcode) as exc:
+    except (PathExplosion, UnsupportedOpcode, BoundReached) as exc:
         return done(Status.INCONCLUSIVE, note=str(exc))
 
     I = _dedupe(scenarios.I)
@@ -234,11 +234,12 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     I, i_undecided = _feasible_only(I, solver)
     C, _ = _feasible_only(C, solver)
     scenarios.I, scenarios.C = I, C
-    if not I or not C:
-        note = "empty scenario set" if not (scenarios.I or scenarios.C) else None
+    # only an empty C is settled here: an empty I leaves every c unmatched
+    if not C:
         if i_undecided:
             return done(Status.INCONCLUSIVE, scenarios, note="undecided baseline")
-        return done(Status.BENIGN, scenarios, note=note)
+        return done(Status.BENIGN, scenarios,
+                    note=None if I else "empty scenario set")
 
     inconclusive = False
     for c in C:

@@ -45,6 +45,7 @@ from reentscan.smt import (
 )
 from reentscan.smt import terms
 from reentscan.smt.sat import SatSolver
+from reentscan.smt.solver import RECENT_MODELS
 from reentscan.smt.terms import TRUE, FALSE, truthy
 
 WORD_EDGES = [0, 1, 2, (1 << 255) - 1, 1 << 255, (1 << 256) - 2, (1 << 256) - 1]
@@ -325,9 +326,11 @@ def test_solver_against_enumeration():
         brute_sat = any(
             all(evaluate(c, {"x": x, "y": y}) == 1 for c in constraints)
             for x in range(256) for y in range(256))
+        # status first, so that earlier iterations' models can answer it
+        status = solver.status(constraints)
+        assert status is (SolverStatus.SAT if brute_sat else SolverStatus.UNSAT)
         verdict = solver.check_sat(constraints)
-        assert verdict.status in (SolverStatus.SAT, SolverStatus.UNSAT)
-        assert verdict.is_sat == brute_sat
+        assert verdict.status is status
         if verdict.is_sat:
             model = verdict.model or {}
             assert all(evaluate(c, model) == 1 for c in constraints)
@@ -392,6 +395,67 @@ def test_unknown_is_not_memoized():
     assert solver.check_sat(query).status is SolverStatus.UNKNOWN
     solver.timeout = 30.0
     assert solver.check_sat(query).status is SolverStatus.SAT
+
+
+# -- status queries and the recent-model ring ---------------------------------
+
+def test_status_is_answered_from_a_recent_model(solve_calls):
+    solver = Solver()
+    x, y = var("x"), var("y")
+    assert solver.check_sat([ult(const(5), x)]).is_sat
+    assert len(solve_calls) == 1
+    # y is unbound in the stored model and reads as 0
+    query = [ult(const(5), x), eq(y, const(0))]
+    assert solver.status(query) is SolverStatus.SAT
+    assert solver.status(query) is SolverStatus.SAT
+    assert len(solve_calls) == 1
+
+
+def test_status_hit_leaves_models_exact(solve_calls):
+    solver = Solver()
+    x = var("x")
+    solver.check_sat([ult(const(5), x)])
+    query = [ult(const(5), x), ult(x, bv_not(const(0)))]
+    assert solver.status(query) is SolverStatus.SAT
+    assert len(solve_calls) == 1
+    # the model reader solves the key afresh rather than taking the hit's model
+    assert solver.check_sat(query).model == Solver().check_sat(query).model
+    assert len(solve_calls) == 3
+
+
+def test_status_miss_is_solved(solve_calls):
+    solver = Solver()
+    x = var("x")
+    solver.check_sat([ult(x, const(5))])
+    assert solver.status([ult(const(9), x)]) is SolverStatus.SAT
+    assert len(solve_calls) == 2
+    assert solver.status([ult(x, const(5)), ult(const(9), x)]) \
+        is SolverStatus.UNSAT
+    assert len(solve_calls) == 3
+    # the miss's model now answers queries it satisfies
+    assert solver.status([ult(const(9), x), ult(const(7), x)]) \
+        is SolverStatus.SAT
+    assert len(solve_calls) == 3
+
+
+def test_status_never_caches_unknown(solve_calls):
+    solver = Solver(timeout=0)
+    query = [ult(const(5), var("x"))]
+    assert solver.status(query) is SolverStatus.UNKNOWN
+    assert not solver._models
+    solver.timeout = 30.0
+    assert solver.status(query) is SolverStatus.SAT
+    assert len(solve_calls) == 2
+
+
+def test_model_ring_keeps_the_most_recent():
+    solver = Solver()
+    x = var("x")
+    for v in range(RECENT_MODELS + 6):
+        solver.check_sat([eq(x, const(v))])
+    assert len(solver._models) == RECENT_MODELS
+    assert [m["x"] for m in solver._models] == list(
+        range(RECENT_MODELS + 5, 5, -1))
 
 
 # -- 256-bit behavior ---------------------------------------------------------

@@ -72,22 +72,36 @@ def test_path_explosion_is_inconclusive():
     assert result.note and "path" in result.note.lower()
 
 
-def staticcall_probe() -> Bytecode:
-    """fund with a STATICCALL to itself just after the payout."""
+def fund_probe(before_read: str = "", after_payout: str = "") -> Bytecode:
+    """fund, with extra code before the balance read or after the payout."""
     sel = selector_of("withdraw()")
     return Bytecode(assemble(f"""
         PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
         DUP1 PUSH4 {sel.hex()} EQ PUSHL withdraw JUMPI STOP
         withdraw: JUMPDEST POP
+        {before_read}
         CALLER SLOAD
         DUP1 ISZERO PUSHL done JUMPI
         PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
-        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 ADDRESS GAS STATICCALL POP
+        {after_payout}
         POP
         PUSH1 0 CALLER SSTORE
         STOP
         done: JUMPDEST POP STOP
     """))
+
+
+def staticcall_probe() -> Bytecode:
+    """fund with a STATICCALL to itself just after the payout."""
+    return fund_probe(
+        after_payout="PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 ADDRESS GAS STATICCALL POP")
+
+
+def loop_probe() -> Bytecode:
+    """fund with a concrete five-pass loop before the balance read."""
+    return fund_probe(before_read="""
+        PUSH1 0 loop: JUMPDEST PUSH1 1 ADD DUP1 PUSH1 5 GT PUSHL loop JUMPI POP
+    """)
 
 
 def test_unsupported_opcode_makes_contract_inconclusive():
@@ -106,6 +120,62 @@ def test_unsupported_opcode_makes_pair_inconclusive():
     result = verify_pair(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "STATICCALL" in result.note
+
+
+def test_loop_bound_makes_contract_inconclusive():
+    # every withdraw path is cut at the default loop bound of 3; dropping
+    # them would leave no withdraw function, no pairs and a benign contract
+    report = analyze([("probe", loop_probe(), "test")])
+    (contract,) = report.contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert "loop bound" in contract.error
+    assert report.status is Status.INCONCLUSIVE
+
+
+def test_loop_bound_makes_pair_inconclusive():
+    code = loop_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w)
+    assert result.status is Status.INCONCLUSIVE
+    assert "loop bound" in result.note
+    # the re-entered withdraw runs the loop again on the same path, and
+    # visits are counted per path: C needs twice the five passes
+    assert verify_pair(code, w, w, AnalyzerConfig(loop_bound=10)).status \
+        is Status.VULNERABLE
+
+
+def test_depth_bound_makes_pair_inconclusive():
+    # at depth bound 2 the attacker cannot re-enter: the paying C path is cut
+    code = load_fixture("fund.hex")
+    w = entry_for(code, "withdraw()")
+    result = verify_pair(code, w, w, AnalyzerConfig(call_depth_bound=2))
+    assert result.status is Status.INCONCLUSIVE
+    assert "depth bound" in result.note
+
+
+def test_empty_sequential_side_leaves_verdict_to_reentrant_side():
+    # withdraw pays 0 to the caller, then sets slot 7; claim reverts once
+    # slot 7 is set and otherwise pays 1 wei. After withdraw, claim always
+    # reverts, so I is empty; re-entered mid-withdraw, claim pays.
+    w, c = selector_of("withdraw()"), selector_of("claim()")
+    code = Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        DUP1 PUSH4 {w.hex()} EQ PUSHL withdraw JUMPI
+        DUP1 PUSH4 {c.hex()} EQ PUSHL claim JUMPI STOP
+        withdraw: JUMPDEST POP
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 CALLER GAS CALL POP
+        PUSH1 1 PUSH1 7 SSTORE STOP
+        claim: JUMPDEST POP
+        PUSH1 7 SLOAD PUSHL fail JUMPI
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 CALLER GAS CALL POP STOP
+        fail: JUMPDEST PUSH1 0 PUSH1 0 REVERT
+    """))
+    result = verify_pair(code, entry_for(code, "withdraw()"),
+                         entry_for(code, "claim()"))
+    assert (result.paths_I, result.paths_C) == (0, 1)
+    assert result.status is Status.VULNERABLE
+    (cond,) = result.scenarios.C
+    assert all(evaluate(t, result.witness) == 1 for t in cond.terms)
 
 
 def test_dag_shaped_balance_slot_is_analyzed():
@@ -240,17 +310,22 @@ def test_shared_solver_memo_matches_fresh_solvers():
 
 
 def test_reports_do_not_depend_on_hash_seed():
-    # str hashes, and with them set and dict orders, differ between processes
+    # str hashes, and with them set and dict orders, differ between processes;
+    # token's twelve pairs put the most queries through the solver's memo,
+    # status set and model ring
     src = str(FIXTURES.parent / "src")
     script = """
 import json, sys
+from pathlib import Path
 from reentscan.evm_core import Bytecode
 from reentscan.verifier import analyze
-code = Bytecode(bytes.fromhex(open(sys.argv[1]).read().strip()))
-print(json.dumps(analyze([("fund", code, "fixture")]).to_dict()))
+targets = [(Path(p).stem, Bytecode(bytes.fromhex(open(p).read().strip())),
+            "fixture") for p in sys.argv[1:]]
+print(json.dumps(analyze(targets).to_dict()))
 """
     procs = [subprocess.Popen(
-        [sys.executable, "-c", script, str(FIXTURES / "fund.hex")],
+        [sys.executable, "-c", script, str(FIXTURES / "fund.hex"),
+         str(FIXTURES / "token.hex")],
         stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src})
         for seed in ("1", "2")]
@@ -267,4 +342,6 @@ print(json.dumps(analyze([("fund", code, "fixture")]).to_dict()))
 
     first, second = (normalized(p) for p in procs)
     assert first == second
-    assert first["status"] == Status.VULNERABLE.value
+    assert [c["status"] for c in first["contracts"]] == [
+        Status.VULNERABLE.value, Status.VULNERABLE.value]
+    assert len(first["contracts"][1]["pairs"]) == 12
