@@ -61,15 +61,9 @@ class SatSolver:
             if lit not in seen:
                 seen.add(lit)
                 out.append(lit)
-        # drop literals falsified at level 0; a clause satisfied at level 0 is a no-op
-        filtered = []
-        for lit in out:
-            v = self._value(lit)
-            if v == 1 and self.level[abs(lit)] == 0:
-                return  # already satisfied
-            if v == -1 and self.level[abs(lit)] == 0:
-                continue
-            filtered.append(lit)
+        filtered = self._level0_filter(out)
+        if filtered is None:
+            return  # already satisfied at level 0
         if not filtered:
             self.ok = False
             return
@@ -78,6 +72,54 @@ class SatSolver:
                 self.ok = False
             return
         self._attach(filtered)
+
+    @classmethod
+    def load(cls, num_vars: int, clauses: list[list[int]]) -> "SatSolver":
+        """A solver in the state that ``num_vars`` :meth:`new_var` calls and
+        :meth:`add_clause` on each clause in order leave, for clauses with
+        no repeated or complementary literals (a Tseitin encoding's). It
+        takes ownership of the clause lists."""
+        s = cls()
+        n = s.num_vars = num_vars
+        s.assign = [0] * (n + 1)
+        s.level = [0] * (n + 1)
+        s.reason = [0] * (n + 1)
+        s.activity = [0.0] * (n + 1)
+        s.phase = [0] + [-1] * n
+        # with every activity 0, n inserts leave the heap in index order
+        s.heap = list(range(1, n + 1))
+        s.heap_pos = [-1, *range(n)]
+        kept, watches = s.clauses, s.watches
+        fixed: set[int] = set()  # both literals of each variable set so far
+        for lits in clauses:
+            if not fixed.isdisjoint(lits):
+                lits = s._level0_filter(lits)
+                if lits is None:
+                    continue
+            if len(lits) > 1:
+                idx = len(kept)
+                kept.append(lits)
+                watches.setdefault(-lits[0], []).append(idx)
+                watches.setdefault(-lits[1], []).append(idx)
+            elif lits:  # unassigned, as the filter dropped what is not
+                s._enqueue(lits[0], 0)
+                fixed.update((lits[0], -lits[0]))
+            else:
+                s.ok = False
+                break
+        return s
+
+    def _level0_filter(self, lits: list[int]) -> list[int] | None:
+        """``lits`` without literals false at level 0; None if one is true."""
+        filtered = []
+        for lit in lits:
+            v = self._value(lit)
+            if v == 1 and self.level[abs(lit)] == 0:
+                return None
+            if v == -1 and self.level[abs(lit)] == 0:
+                continue
+            filtered.append(lit)
+        return filtered
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self.clauses)

@@ -1,8 +1,10 @@
 """Satisfiability and path-condition equivalence checks over 256-bit words.
 
 :class:`Solver` lowers terms to CNF (``bitblast``) and decides them with
-the in-tree CDCL engine (``sat``). Unknown results (budget exhausted or an
-unsupported operation) are always surfaced, never coerced.
+the in-tree CDCL engine (``sat``). It owns one gate store, so each term is
+blasted once per contract, and each query's CNF is replayed from the cone of
+its constraints. Unknown results (budget exhausted or an unsupported
+operation) are always surfaced, never coerced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bitblast import BitBlaster, UnsupportedTermError
-from .sat import SatSolver
 from .terms import FALSE, TRUE, Term, band, bnot, evaluate
 
 
@@ -65,14 +66,16 @@ RECENT_MODELS = 64  # models of recent solves that status queries try first
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
-    A query missing from the memo is bit-blasted to fresh CNF and solved.
+    A query missing from the memo is solved in a fresh SAT instance loaded
+    from the solver's gate store (see ``bitblast``): the CNF of its
+    constraints' cone alone, exactly what blasting the query afresh gives.
     Every SAT answer carries a model, checked against the constraints before
     it is stored. Decided answers are memoized by the ordered tuple of
     flattened constraints: the same constraints in another order may solve
     to another model, so a set would not do as the key. Unknown is never
     memoized, and every model handed out is a fresh copy. One instance
-    serves one contract, so the memo lives as long as that contract's
-    analysis.
+    serves one contract, so the memo and the gate store live as long as
+    that contract's analysis.
 
     Callers that read only the status (branch feasibility, the verifier's
     feasibility filter, selector uniqueness, both directed equivalence
@@ -89,6 +92,7 @@ class Solver:
         self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
         self._sat_keys: set[tuple[Term, ...]] = set()  # shown SAT by a recent model
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
+        self._blaster = BitBlaster()
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
@@ -133,11 +137,8 @@ class Solver:
         return self.check_sat(flat).status
 
     def _solve(self, flat: list[Term], start: float) -> SolverVerdict:
-        sat = SatSolver()
-        blaster = BitBlaster(sat)
         try:
-            for c in flat:
-                blaster.assert_true(c)
+            sat = self._blaster.load(flat)
         except UnsupportedTermError:
             return SolverVerdict(SolverStatus.UNKNOWN, None)
 
@@ -149,7 +150,7 @@ class Solver:
         model = {}
         for c in flat:
             for v in c.variables():
-                model[v.name] = blaster.var_value(v.name, v.width)
+                model[v.name] = self._blaster.var_value(sat, v)
         self._verify_model(flat, model)
         return SolverVerdict(SolverStatus.SAT, model)
 

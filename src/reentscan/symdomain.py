@@ -302,6 +302,8 @@ class MachineState:
     memory: dict[int, Term] = field(default_factory=dict)  # byte address -> byte value
     pc: int = 0
     returndata: list[Term] = field(default_factory=list)
+    # JUMP/JUMPI offset -> passes in this frame; a new frame starts from 0
+    visit_counts: dict[int, int] = field(default_factory=dict)
 
     def clone(self) -> "MachineState":
         return MachineState(
@@ -314,6 +316,7 @@ class MachineState:
             memory=dict(self.memory),
             pc=self.pc,
             returndata=list(self.returndata),
+            visit_counts=dict(self.visit_counts),
         )
 
     # memory -----------------------------------------------------------------
@@ -380,7 +383,6 @@ class BasicBlock:
     call_stack: list[CallStackEntry] = field(default_factory=list)
     has_call: bool = False  # a CALL was reached on this path
     end_state: EndState = EndState.OPEN
-    visit_counts: dict[tuple[str, int], int] = field(default_factory=dict)
     ext_call_target: Term | None = None
     reentered: bool = False
     note: str | None = None
@@ -396,7 +398,6 @@ class BasicBlock:
             call_stack=list(self.call_stack),
             has_call=self.has_call,
             end_state=EndState.OPEN,
-            visit_counts=dict(self.visit_counts),
             ext_call_target=self.ext_call_target,
             reentered=self.reentered,
         )

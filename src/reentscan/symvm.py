@@ -504,9 +504,8 @@ class SymVM:
         elif name == "JUMPDEST":
             pass
         elif name in ("JUMP", "JUMPI"):
-            key = (m.account, ins.offset)
-            count = block.visit_counts.get(key, 0) + 1
-            block.visit_counts[key] = count
+            count = m.visit_counts.get(ins.offset, 0) + 1
+            m.visit_counts[ins.offset] = count
             if count > self.config.loop_bound:
                 ex.seal(block, EndState.LOOP_BOUND)
                 return None

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reentscan.smt import (
     IndeterminateEquivalence,
@@ -44,6 +44,7 @@ from reentscan.smt import (
     var,
 )
 from reentscan.smt import terms
+from reentscan.smt.bitblast import BitBlaster
 from reentscan.smt.sat import SatSolver
 from reentscan.smt.solver import RECENT_MODELS
 from reentscan.smt.terms import TRUE, FALSE, truthy
@@ -296,6 +297,33 @@ def test_heap_decisions_match_linear_scan():
         assert _load(ScanCheckedSat(), n, clauses).solve() is _brute(n, clauses)
 
 
+@st.composite
+def _tseitin_cnf(draw):
+    """Clauses over distinct variables, units among them."""
+    n = draw(st.integers(1, 10))
+    clause = st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True) \
+        .flatmap(lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
+    return n, [list(c) for c in draw(st.lists(clause, max_size=30))]
+
+
+def _solver_state(sat):
+    return (sat.num_vars, sat.clauses, sat.watches, sat.trail, sat.assign,
+            sat.level, sat.reason, sat.phase, sat.heap, sat.heap_pos, sat.ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tseitin_cnf())
+@example((3, [[1], [-1, 2], [1, 3], [-2]]))  # falsified, satisfied, contradictory
+@example((2, [[-1, 2], [1], [-2, 1]]))
+def test_bulk_load_matches_incremental_construction(cnf):
+    n, clauses = cnf
+    built = _load(SatSolver(), n, clauses)
+    loaded = SatSolver.load(n, [list(c) for c in clauses])
+    assert _solver_state(loaded) == _solver_state(built)
+    assert loaded.solve() is built.solve()
+    assert _solver_state(loaded) == _solver_state(built)
+
+
 # -- width-8 enumeration oracle ----------------------------------------------
 
 def _random_term(rng, depth, width=8):
@@ -496,6 +524,81 @@ def test_model_extraction_256_bit():
     verdict = solver.check_sat([ult(const(1 << 200), x), ult(x, bv_not(const(0)))])
     assert verdict.is_sat
     assert (1 << 200) < verdict.model["x"] < (1 << 256) - 1
+
+
+# -- the per-contract gate store ----------------------------------------------
+
+def _loaded_state(sat):
+    return sat.num_vars, sat.clauses, sat.trail, sat.watches
+
+
+def _sharing_queries():
+    """Queries that share subterms, in the order one contract might ask them."""
+    x, y = var("x", 8), var("y", 8)
+    path = [ult(const(3, 8), x), eq(bv_and(x, y), const(1, 8)),
+            ult(bv_add(x, y), const(200, 8)), bnot(eq(shl(y, x), bv_sub(y, x)))]
+    prefixes = [path[:k] for k in range(1, len(path) + 1)]
+    left, right = path[:3], [path[2], path[0], ule(bv_add(x, y), const(150, 8))]
+    differences = [[*left, bnot(band(right))], [*right, bnot(band(left))]]
+    # blasts to the constant true literal though no term folding sees it
+    commuted = eq(bv_add(x, y), bv_add(y, x))
+    return [*prefixes, *differences, [path[1], commuted, path[3]], path[::-1]]
+
+
+def test_store_loads_the_cnf_of_a_fresh_blaster():
+    store = BitBlaster()
+    fresh_vars = 0
+    for query in _sharing_queries():
+        fresh = BitBlaster().load(query)
+        fresh_vars += fresh.num_vars
+        assert _loaded_state(store.load(query)) == _loaded_state(fresh)
+    assert store.num_vars < fresh_vars  # the queries did share gates
+
+
+def test_shared_solver_models_match_fresh_solvers():
+    shared = Solver()
+    for query in _sharing_queries():
+        verdict = shared.check_sat(query)
+        assert verdict == Solver().check_sat(query)
+    assert any(shared.check_sat(q).is_sat for q in _sharing_queries())
+
+
+def test_unsupported_query_leaves_the_store_consistent():
+    x, y = var("x", 8), var("y", 8)
+    good = [ult(const(3, 8), x), ult(x, y)]
+    # x, y and the first constraints lower before the product fails
+    bad = [*good, eq(bv_add(bv_mul(x, y), x), const(6, 8))]
+    follow = [*good, eq(bv_add(y, x), const(6, 8))]
+    solver = Solver()
+    assert solver.check_sat(bad).status is SolverStatus.UNKNOWN
+    assert solver.check_sat(follow) == Solver().check_sat(follow)
+    store = BitBlaster()
+    with pytest.raises(UnsupportedTermError):
+        store.load(bad)
+    assert _loaded_state(store.load(follow)) == \
+        _loaded_state(BitBlaster().load(follow))
+
+
+def test_variable_bits_are_keyed_by_name_and_width():
+    solver = Solver()
+    narrow, wide = var("x", 8), var("x", 16)
+    assert solver.check_sat([eq(narrow, const(0xAB, 8))]).model == {"x": 0xAB}
+    assert solver.check_sat([eq(wide, const(0x1234, 16))]).model == {"x": 0x1234}
+    store = BitBlaster()
+    narrow_bits, wide_bits = store.blast_bv(narrow), store.blast_bv(wide)
+    assert (len(narrow_bits), len(wide_bits)) == (8, 16)
+    assert not set(narrow_bits) & set(wide_bits)
+
+
+def test_deep_terms_blast_without_recursion():
+    # lowering and the cone walk keep their own stacks: a chain deeper
+    # than Python's recursion limit still loads
+    chain = var("x0", 8)
+    for i in range(1, 1500):
+        chain = bv_xor(chain, var(f"x{i}", 8))
+    verdict = Solver().check_sat([eq(chain, const(5, 8))])
+    assert verdict.is_sat
+    assert evaluate(chain, verdict.model) == 5
 
 
 @settings(max_examples=30, deadline=None)

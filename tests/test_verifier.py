@@ -138,10 +138,17 @@ def test_loop_bound_makes_pair_inconclusive():
     result = verify_pair(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "loop bound" in result.note
-    # the re-entered withdraw runs the loop again on the same path, and
-    # visits are counted per path: C needs twice the five passes
     assert verify_pair(code, w, w, AnalyzerConfig(loop_bound=10)).status \
         is Status.VULNERABLE
+
+
+def test_loop_passes_are_counted_per_call_frame():
+    # the re-entered withdraw runs the five-pass loop again on the same
+    # path; its frame counts its own passes, so a bound of 5 fits both runs
+    code = loop_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w, AnalyzerConfig(loop_bound=5))
+    assert result.status is Status.VULNERABLE
 
 
 def test_depth_bound_makes_pair_inconclusive():
