@@ -1,13 +1,16 @@
 """Path bookkeeping: the depth-first worklist, block sealing, branching, DOT export.
 
-The :class:`Explorer` owns the extended CFG under construction and the
-``dfs_stack`` of pending blocks. Branches follow the fall-through side first
-and push the jump side; single-feasible branches continue in place without
-forking a new node.
+The :class:`Explorer` owns one run: the extended CFG under construction, the
+``dfs_stack`` of pending blocks, the sealed blocks and the code each CREATE
+returned. Branches follow the fall-through side first and push the jump
+side; single-feasible branches continue in place without forking a new node.
+A block is sealed only where the EVM halts the path; where the model cannot
+finish one, the run raises a :class:`CannotFinish` at that point.
 """
 
 from __future__ import annotations
 
+from .evm_core import Bytecode
 from .smt import Solver, SolverStatus
 from .smt import terms as tm
 from .smt.terms import Term
@@ -26,18 +29,33 @@ class DoubleSealError(Exception):
     """A block was sealed twice; exploration bookkeeping is corrupt."""
 
 
-class PathExplosion(Exception):
+class CannotFinish(Exception):
+    """The run stopped before its paths halted; dropping a path would let
+    the verdict skip what the rest of it does. The text names the reason
+    and, for a path, ``<account>@<pc>``."""
+
+
+class PathExplosion(CannotFinish):
     """The number of explored paths exceeded the configured cap."""
 
 
-class UnsupportedOpcode(Exception):
-    """A path reached an opcode outside the modeled fragment; dropping the
-    path would let the verdict skip what it does."""
+class UnsupportedOpcode(CannotFinish):
+    """A path reached an opcode outside the modeled fragment."""
 
 
-class BoundReached(Exception):
-    """A path was cut at the loop or call-depth bound; dropping the path
-    would let the verdict skip what the rest of it does."""
+class BoundReached(CannotFinish):
+    """A path was cut at the loop or call-depth bound."""
+
+
+class CannotConcretize(CannotFinish):
+    """An operand the model needs as a number has no model value (the
+    solver cannot decide the path condition), or init code or the code a
+    CREATE returns is symbolic."""
+
+
+def where(block: BasicBlock) -> str:
+    """``<account>@<pc>`` of the instruction ``block`` is at."""
+    return f"{block.machine.account}@{block.machine.pc}"
 
 
 class Explorer:
@@ -47,6 +65,7 @@ class Explorer:
         self.ecfg = ECFG()
         self.dfs_stack: list[BasicBlock] = []
         self.sealed: list[BasicBlock] = []
+        self.created: list[Bytecode] = []  # non-empty runtime code per CREATE
         self._next_id = 0
 
     # -- block lifecycle ------------------------------------------------------
@@ -78,14 +97,12 @@ class Explorer:
         block.end_state = end_state
         self.ecfg.nodes[block.id].end_state = end_state
 
-    def seal(self, block: BasicBlock, end_state: EndState,
-             note: str | None = None) -> None:
+    def seal(self, block: BasicBlock, end_state: EndState) -> None:
         if block.end_state is not EndState.OPEN:
             raise DoubleSealError(
                 f"block {block.id} already sealed as {block.end_state}")
         if end_state not in HALTED:
             raise ValueError(f"{end_state} is not a halting end state")
-        block.note = note
         self._close(block, end_state)
         self.sealed.append(block)
         if len(self.sealed) > self.path_cap:
@@ -107,24 +124,25 @@ class Explorer:
         # an undecided branch is still explored; its condition rides along
         return self.solver.status(constraints) is not SolverStatus.UNSAT
 
-    def concretize(self, block: BasicBlock, term: Term) -> int | None:
-        """Pin a word to one model value, recorded on the path; None when the
-        path condition has no model."""
+    def concretize(self, block: BasicBlock, term: Term, what: str) -> int:
+        """Pin a word to one model value, recorded on the path; raises
+        :class:`CannotConcretize` when the path condition has no model."""
         if term.is_const:
             return term.value
         verdict = self.solver.check_sat(block.path_condition.terms)
         if not verdict.is_sat:
-            return None
+            raise CannotConcretize(f"cannot concretize {what} at {where(block)}")
         value = tm.evaluate(term, verdict.model)
         block.path_condition = block.path_condition.extended(
             tm.eq(term, tm.const(value)), ConstraintOrigin.CONCRETIZE)
         return value
 
     def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
-        """Move ``block`` to the jump target, or seal it if there is none."""
-        value = self.concretize(block, target)
+        """Move ``block`` to the jump target, or seal it if that is no
+        JUMPDEST (an exceptional halt)."""
+        value = self.concretize(block, target, "jump target")
         if value not in jumpdests:
-            self.seal(block, EndState.INVALID, "bad jump target")
+            self.seal(block, EndState.INVALID)
             return False
         block.machine.pc = value
         return True
@@ -167,7 +185,7 @@ class Explorer:
             block.path_condition = block.path_condition.extended(neg)
             block.machine.pc = fall_pc
             return block
-        self.seal(block, EndState.INVALID, "contradictory branch")
+        self.seal(block, EndState.INVALID)  # contradictory branch
         return None
 
 

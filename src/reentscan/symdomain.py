@@ -182,13 +182,19 @@ class Account:
         return tm.var(f"sload_{self.label}_{slot.digest()}")
 
     def read_storage(self, slot: Term) -> Term:
-        exact = self.storage.get(slot)
-        if exact is not None:
-            return exact
-        # unresolved aliasing against symbolic slots: most recent write wins
-        value = self._base_read(slot)
-        for written_slot, written_value in self.storage.items():
-            value = tm.ite(tm.eq(slot, written_slot), written_value, value)
+        """The most recent write that may alias ``slot`` wins. Writes are
+        walked newest first; a write to this very slot shadows every older
+        write and the value before any write."""
+        newer: list[tuple[Term, Term]] = []
+        for written_slot, written_value in reversed(self.storage.items()):
+            if written_slot is slot:  # terms are interned
+                value = written_value
+                break
+            newer.append((tm.eq(slot, written_slot), written_value))
+        else:
+            value = self._base_read(slot)
+        for cond, written_value in reversed(newer):
+            value = tm.ite(cond, written_value, value)
         return value
 
     def write_storage(self, slot: Term, value: Term) -> None:
@@ -364,13 +370,10 @@ class EndState(enum.Enum):
     RETURN = "return"
     REVERT = "revert"
     INVALID = "invalid"
-    DEPTH_BOUND = "depth_bound"
-    LOOP_BOUND = "loop_bound"
     BRANCHED = "branched"      # continued into forked successors
     TRANSITED = "transited"    # continued across a contract boundary
 
-HALTED = {EndState.STOP, EndState.RETURN, EndState.REVERT,
-          EndState.INVALID, EndState.DEPTH_BOUND, EndState.LOOP_BOUND}
+HALTED = {EndState.STOP, EndState.RETURN, EndState.REVERT, EndState.INVALID}
 COMPLETED = {EndState.STOP, EndState.RETURN}
 
 
@@ -385,7 +388,6 @@ class BasicBlock:
     end_state: EndState = EndState.OPEN
     ext_call_target: Term | None = None
     reentered: bool = False
-    note: str | None = None
 
     def copy_as(self, new_id: int) -> "BasicBlock":
         """Independent copy with a fresh id (path state only); the frozen

@@ -9,6 +9,12 @@ without re-entry calldata, just succeed. The dummy is behavioral, it has no
 bytecode of its own. The VM adds no solvency terms; the verifier appends
 them to final conditions.
 
+A path the model cannot finish never vanishes: an unsupported opcode, a
+loop or call-depth bound, or an operand with no model value raises where it
+happens (:class:`~reentscan.cfg_manager.CannotFinish`). Operands are pinned
+only where a number is needed, so a REVERT, and the RETURN that ends the
+transaction, leave their discarded data range free.
+
 Symbol names are fixed by role (``caller``, ``f_callvalue``, ``g_arg0``,
 storage reads keyed by account and slot digest) so that path conditions from
 independently explored scenarios over the same function pair share one symbol
@@ -19,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg_manager import BoundReached, Explorer, UnsupportedOpcode
+from .cfg_manager import (BoundReached, CannotConcretize, Explorer,
+                          UnsupportedOpcode, where)
 from .evm_core import (
     Bytecode,
     FunctionId,
@@ -68,15 +75,6 @@ class RunResult:
     sealed: list[BasicBlock]      # every halted block, Revert and Invalid included
     ecfg: ECFG
     created: list[Bytecode]       # non-empty runtime code returned by each CREATE
-
-    def check_bounds(self) -> "RunResult":
-        """Raise :class:`BoundReached` if a path was cut at a bound."""
-        for b in self.sealed:
-            if b.end_state in (EndState.LOOP_BOUND, EndState.DEPTH_BOUND):
-                bound = b.end_state.value.replace("_", " ")
-                raise BoundReached(
-                    f"{bound} reached at {b.machine.account}@{b.machine.pc}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,6 @@ class SymVM:
 
     def explore(self, root: BasicBlock, reentry: Calldata | None) -> RunResult:
         ex = Explorer(self.solver, self.config.path_cap)
-        self._created: list[Bytecode] = []
         ex.push(ex.adopt(root))
         while ex.dfs_stack:
             block = ex.dfs_stack.pop()
@@ -149,7 +146,7 @@ class SymVM:
                 cur = self._step(cur, ex, reentry)
         completed = [b for b in ex.sealed
                      if b.end_state in COMPLETED and not b.call_stack]
-        return RunResult(completed, ex.sealed, ex.ecfg, self._created)
+        return RunResult(completed, ex.sealed, ex.ecfg, ex.created)
 
     # -- helpers --------------------------------------------------------------
 
@@ -172,17 +169,9 @@ class SymVM:
 
     @staticmethod
     def _concretize(block: BasicBlock, ex: Explorer, terms: list[Term],
-                    what: str) -> list[int] | None:
-        """Pin each word in turn to a model value, recorded on the path; the
-        first that cannot be pinned seals the path and stops the rest."""
-        values = []
-        for term in terms:
-            value = ex.concretize(block, term)
-            if value is None:
-                ex.seal(block, EndState.INVALID, f"cannot concretize {what}")
-                return None
-            values.append(value)
-        return values
+                    what: str) -> list[int]:
+        """Pin each word in turn to a model value, recorded on the path."""
+        return [ex.concretize(block, term, what) for term in terms]
 
     @staticmethod
     def _memo_word(name: str, *parts: Term) -> Term:
@@ -193,7 +182,9 @@ class SymVM:
     # -- halting --------------------------------------------------------------
 
     def _halt(self, block: BasicBlock, ex: Explorer, end: EndState,
-              data: tuple[Term, ...] = ()) -> BasicBlock | None:
+              span: list[Term] | None = None) -> BasicBlock | None:
+        """Halt the current frame; ``span`` is a RETURN's (offset, size),
+        pinned only when a caller frame reads the data."""
         if end is EndState.REVERT:
             # a revert anywhere abandons the whole path
             ex.seal(block, EndState.REVERT)
@@ -201,16 +192,16 @@ class SymVM:
         if not block.call_stack:
             ex.seal(block, end)
             return None
+        data = () if span is None else block.machine.mbytes(
+            *self._concretize(block, ex, span, "return range"))
 
         entry = block.call_stack.pop()
         if entry.kind is CallKind.CREATE:
-            runtime = self._require_concrete_bytes(block, ex, data, "init return")
-            if runtime is None:
-                return None
+            runtime = self._require_concrete_bytes(block, data, "init return")
             acct = block.world.accounts[entry.created_label]
             acct.code = Bytecode(runtime)
             if runtime:
-                self._created.append(acct.code)
+                ex.created.append(acct.code)
             cont = ex.transition(block, EdgeKind.CREATE_RETURN,
                                  contract=entry.saved_machine.account)
             cont.machine = entry.saved_machine.clone()
@@ -230,18 +221,23 @@ class SymVM:
         machine.stack.append(tm.const(1))
         return cont
 
-    def _require_concrete_bytes(self, block: BasicBlock, ex: Explorer,
-                                data: tuple[Term, ...],
-                                what: str) -> bytes | None:
+    @staticmethod
+    def _require_concrete_bytes(block: BasicBlock, data: tuple[Term, ...],
+                                what: str) -> bytes:
         if not all(b.is_const for b in data):
-            ex.seal(block, EndState.INVALID, f"symbolic {what}")
-            return None
+            raise CannotConcretize(f"symbolic {what} at {where(block)}")
         return bytes(b.value & 0xFF for b in data)
+
+    def _check_depth(self, block: BasicBlock, frames: int) -> None:
+        """Raise :class:`BoundReached` if ``frames`` more call frames would
+        reach the call-depth bound."""
+        if len(block.call_stack) + frames >= self.config.call_depth_bound:
+            raise BoundReached(f"depth bound reached at {where(block)}")
 
     # -- call and create ------------------------------------------------------
 
     def _do_call(self, block: BasicBlock, ex: Explorer,
-                 reentry: Calldata | None, next_pc: int) -> BasicBlock | None:
+                 reentry: Calldata | None, next_pc: int) -> BasicBlock:
         m = block.machine
         _gas = m.stack.pop()
         to = m.stack.pop()
@@ -257,11 +253,8 @@ class SymVM:
         target = world.external_account(to)
         self._transfer(caller_acct, target, value)
 
-        sizes = self._concretize(block, ex, [in_off, in_size, out_off, out_size],
-                                 "call memory range")
-        if sizes is None:
-            return None
-        in_off_v, in_size_v, out_off_v, out_size_v = sizes
+        in_off_v, in_size_v, out_off_v, out_size_v = self._concretize(
+            block, ex, [in_off, in_size, out_off, out_size], "call memory range")
 
         if target.code is not None:
             if not target.code.data:
@@ -270,9 +263,7 @@ class SymVM:
                 m.returndata = []
                 m.pc = next_pc
                 return block
-            if len(block.call_stack) + 1 >= self.config.call_depth_bound:
-                ex.seal(block, EndState.DEPTH_BOUND)
-                return None
+            self._check_depth(block, 1)
             saved = m.clone()
             saved.pc = next_pc
             entry = CallStackEntry(
@@ -299,10 +290,8 @@ class SymVM:
 
     def _reenter(self, block: BasicBlock, ex: Explorer, reentry: Calldata,
                  attacker: Account, next_pc: int,
-                 out_off: int, out_size: int) -> BasicBlock | None:
-        if len(block.call_stack) + 2 >= self.config.call_depth_bound:
-            ex.seal(block, EndState.DEPTH_BOUND)
-            return None
+                 out_off: int, out_size: int) -> BasicBlock:
+        self._check_depth(block, 2)
         block.reentered = True
         victim = block.world.accounts[VICTIM]
         g_value = tm.var("g_callvalue")
@@ -323,21 +312,14 @@ class SymVM:
         return entry_block
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
-                   next_pc: int) -> BasicBlock | None:
+                   next_pc: int) -> BasicBlock:
         m = block.machine
         value = m.stack.pop()
         offset = m.stack.pop()
         length = m.stack.pop()
         span = self._concretize(block, ex, [offset, length], "create range")
-        if span is None:
-            return None
-        init = self._require_concrete_bytes(block, ex, m.mbytes(*span),
-                                            "init code")
-        if init is None:
-            return None
-        if len(block.call_stack) + 1 >= self.config.call_depth_bound:
-            ex.seal(block, EndState.DEPTH_BOUND)
-            return None
+        init = self._require_concrete_bytes(block, m.mbytes(*span), "init code")
+        self._check_depth(block, 1)
 
         world = block.world
         creator = world.accounts[m.account]
@@ -370,11 +352,9 @@ class SymVM:
             return self._halt(block, ex, EndState.STOP)
         name = ins.name
         entry = OPCODES.get(ins.opcode)
-        if entry is None or name == "INVALID":
-            ex.seal(block, EndState.INVALID, f"invalid opcode 0x{ins.opcode:02x}")
-            return None
-        if len(m.stack) < entry[1]:
-            ex.seal(block, EndState.INVALID, "stack underflow")
+        if entry is None or name == "INVALID" or len(m.stack) < entry[1]:
+            # invalid opcode or stack underflow: an exceptional halt
+            ex.seal(block, EndState.INVALID)
             return None
         next_pc = ins.offset + ins.size
         stack = m.stack
@@ -416,8 +396,6 @@ class SymVM:
         elif name == "SHA3":
             span = self._concretize(block, ex, [stack.pop(), stack.pop()],
                                     "sha3 range")
-            if span is None:
-                return None
             stack.append(world.sha3(m.mbytes(*span)))
         elif name == "ADDRESS":
             stack.append(world.accounts[m.account].address)
@@ -429,16 +407,12 @@ class SymVM:
             stack.append(m.callvalue)
         elif name == "CALLDATALOAD":
             off = self._concretize(block, ex, [stack.pop()], "calldata offset")
-            if off is None:
-                return None
             stack.append(m.calldata.load_word(*off))
         elif name == "CALLDATASIZE":
             stack.append(m.calldata.size())
         elif name == "CALLDATACOPY":
             args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
                                     "calldatacopy arg")
-            if args is None:
-                return None
             dst, src, size = args
             for i in range(size):
                 m.memory[dst + i] = m.calldata.byte_at(src + i)
@@ -447,8 +421,6 @@ class SymVM:
         elif name == "CODECOPY":
             args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
                                     "codecopy arg")
-            if args is None:
-                return None
             dst, src, size = args
             data = m.code.data
             for i in range(size):
@@ -466,8 +438,6 @@ class SymVM:
         elif name == "RETURNDATACOPY":
             args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
                                     "returndatacopy arg")
-            if args is None:
-                return None
             dst, src, size = args
             for i in range(size):
                 j = src + i
@@ -483,18 +453,12 @@ class SymVM:
             stack.append(tm.const((top + 31) // 32 * 32))
         elif name == "MLOAD":
             off = self._concretize(block, ex, [stack.pop()], "mload offset")
-            if off is None:
-                return None
             stack.append(m.mload_word(*off))
         elif name == "MSTORE":
             off = self._concretize(block, ex, [stack.pop()], "mstore offset")
-            if off is None:
-                return None
             m.mstore_word(*off, stack.pop())
         elif name == "MSTORE8":
             off = self._concretize(block, ex, [stack.pop()], "mstore8 offset")
-            if off is None:
-                return None
             m.memory[off[0]] = tm.bv_and(stack.pop(), tm.const(0xFF))
         elif name == "SLOAD":
             stack.append(world.accounts[m.account].read_storage(stack.pop()))
@@ -507,8 +471,7 @@ class SymVM:
             count = m.visit_counts.get(ins.offset, 0) + 1
             m.visit_counts[ins.offset] = count
             if count > self.config.loop_bound:
-                ex.seal(block, EndState.LOOP_BOUND)
-                return None
+                raise BoundReached(f"loop bound reached at {where(block)}")
             if name == "JUMP":
                 return ex.jump(block, stack.pop(), jumpdests)
             target, cond_word = stack.pop(), stack.pop()
@@ -520,12 +483,8 @@ class SymVM:
         elif name == "STOP":
             return self._halt(block, ex, EndState.STOP)
         elif name in ("RETURN", "REVERT"):
-            span = self._concretize(block, ex, [stack.pop(), stack.pop()],
-                                    "return range")
-            if span is None:
-                return None
             end = EndState.RETURN if name == "RETURN" else EndState.REVERT
-            return self._halt(block, ex, end, m.mbytes(*span))
+            return self._halt(block, ex, end, [stack.pop(), stack.pop()])
         elif name == "CALL":
             return self._do_call(block, ex, reentry, next_pc)
         elif name == "CREATE":
@@ -534,10 +493,10 @@ class SymVM:
             # DELEGATECALL, CALLCODE, STATICCALL, CREATE2, SELFDESTRUCT,
             # EXTCODECOPY: outside the modeled fragment
             raise UnsupportedOpcode(
-                f"unsupported opcode {name} at {m.account}@{ins.offset}")
+                f"unsupported opcode {name} at {where(block)}")
 
-        if len(stack) > MAX_STACK:
-            ex.seal(block, EndState.INVALID, "stack overflow")
+        if len(stack) > MAX_STACK:  # stack overflow
+            ex.seal(block, EndState.INVALID)
             return None
         m.pc = next_pc
         return block
@@ -610,10 +569,10 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     """Recover dispatchable selectors by solving each completed path for the
     symbolic function id; paths open to several ids collapse into a fallback
     entry. Raises :class:`UndecidedDispatch` when either query is Unknown,
-    and :class:`BoundReached` when a path was cut at a bound, since a
-    skipped or collapsed arm would hide its pairs."""
+    since a skipped or collapsed arm would hide its pairs; a path the model
+    cannot finish raises from the run itself (see the module docstring)."""
     vm = SymVM(solver, config)
-    result = vm.run_entry(code, AbiCalldata(None, "f")).check_bounds()
+    result = vm.run_entry(code, AbiCalldata(None, "f"))
 
     fid_low = tm.bv_and(tm.var("function_id"), tm.const(0xFFFFFFFF))
     by_selector: dict[int, bool] = {}

@@ -23,7 +23,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from .cfg_manager import BoundReached, PathExplosion, UnsupportedOpcode
+from .cfg_manager import CannotFinish
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
@@ -142,7 +142,7 @@ def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
         world=end.world.clone(),
         caller=caller,
         callvalue=tm.var("g_callvalue"),
-        path_condition=end.path_condition).check_bounds()
+        path_condition=end.path_condition)
     into.extend(b.world.with_solvency(b.path_condition) for b in res.completed)
     out.created.extend(res.created)
 
@@ -153,7 +153,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     out = ScenarioSet(f=f, g=g)
 
     # I: strictly sequential f then g
-    seq = vm.run_entry(code, AbiCalldata(f.selector, "f")).check_bounds()
+    seq = vm.run_entry(code, AbiCalldata(f.selector, "f"))
     out.ecfg_I = seq.ecfg
     out.created.extend(seq.created)
     for end in seq.completed:
@@ -161,7 +161,7 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
     # C: g injected mid-f through the attacker dummy
     ree = vm.run_entry(code, AbiCalldata(f.selector, "f"),
-                       reentry=AbiCalldata(g.selector, "g")).check_bounds()
+                       reentry=AbiCalldata(g.selector, "g"))
     out.ecfg_C = ree.ecfg
     out.created.extend(ree.created)
     for end in ree.completed:
@@ -209,6 +209,8 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     ``solver`` is the contract's shared solver (see :func:`_analyze_one`), so
     queries already answered for discovery or an earlier pair come from its
     memo; without one the pair gets a fresh solver and memo of its own.
+    A run that raises :class:`~reentscan.cfg_manager.CannotFinish` makes
+    the pair inconclusive, with the exception's text as its note.
     """
     config = config or AnalyzerConfig()
     solver = solver or Solver(config.solver_timeout)
@@ -226,7 +228,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
     try:
         scenarios = collect_scenarios(code, f, g, config, solver)
-    except (PathExplosion, UnsupportedOpcode, BoundReached) as exc:
+    except CannotFinish as exc:
         return done(Status.INCONCLUSIVE, note=str(exc))
 
     I = _dedupe(scenarios.I)

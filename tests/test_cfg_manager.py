@@ -4,6 +4,7 @@ import pytest
 
 from asm import assemble
 from reentscan.cfg_manager import (
+    CannotConcretize,
     DoubleSealError,
     Explorer,
     PathExplosion,
@@ -76,6 +77,20 @@ def test_invalid_jump_target_seals_block():
     res = _run("PUSH1 3 JUMP STOP STOP")
     assert res.completed == []
     assert any(b.end_state is EndState.INVALID for b in res.sealed)
+
+
+def test_undecided_jump_target_raises():
+    # the symbolic*symbolic branch leaves the path Unknown to the solver, so
+    # a symbolic jump target has no model value: the run stops there rather
+    # than sealing the path as a bad jump
+    vm = SymVM()
+    with pytest.raises(CannotConcretize,
+                       match=r"^cannot concretize jump target at c0@\d+$"):
+        vm.run_entry(Bytecode(assemble("""
+            PUSH1 4 CALLDATALOAD PUSH1 36 CALLDATALOAD MUL
+            PUSHL next JUMPI next: JUMPDEST
+            PUSH1 4 CALLDATALOAD JUMP
+        """)), AbiCalldata(None, "f"))
 
 
 def test_double_seal_raises():

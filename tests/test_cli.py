@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from reentscan.cli import EXIT_USAGE, main
-from test_verifier import staticcall_probe
+from test_verifier import concretize_probe, staticcall_probe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -71,3 +71,13 @@ def test_unsupported_opcode_exits_inconclusive(tmp_path, capsys):
     (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
     assert contract["status"] == "inconclusive"
     assert "STATICCALL" in contract["error"]
+
+
+def test_unconcretizable_operand_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "probe.hex"
+    path.write_text(concretize_probe().hex())
+    assert main(["--bytecode", str(path),
+                 "--report", str(tmp_path / "out.json")]) == 2
+    (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
+    assert contract["status"] == "inconclusive"
+    assert "cannot concretize" in contract["error"]

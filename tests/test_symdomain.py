@@ -90,13 +90,30 @@ def test_storage_unwritten_read_is_memoized_symbol():
     assert first.op == "var"
 
 
-def test_storage_aliasing_prefers_most_recent_write():
+X = tm.var("x")
+
+
+@pytest.mark.parametrize("writes, slot, expect", [
+    # slot 1 twice; x may alias it: under x == 1 the read is 20
+    ([(tm.const(1), 10), (tm.const(1), 20)], X, {1: 20}),
+    # slot 0 := 5, then x := 7: slot 0 reads 7 when x aliases it, else 5
+    ([(tm.const(0), 5), (X, 7)], tm.const(0), {0: 7, 9: 5}),
+    # x := 7, then slot 0 := 5: slot x reads 5 when x aliases slot 0, else 7
+    ([(X, 7), (tm.const(0), 5)], X, {0: 5, 9: 7}),
+], ids=["overwrite", "later-symbolic-write", "later-exact-write"])
+def test_storage_aliasing_prefers_most_recent_write(writes, slot, expect):
+    acct = _block().world.accounts["c0"]
+    for written, value in writes:
+        acct.write_storage(written, tm.const(value))
+    read = acct.read_storage(slot)
+    for x, value in expect.items():
+        assert evaluate(read, {"x": x}) == value
+
+
+def test_exact_storage_write_reads_back_directly():
     acct = _block().world.accounts["c0"]
     acct.write_storage(tm.const(1), tm.const(10))
     acct.write_storage(tm.const(1), tm.const(20))
-    # a symbolic slot may alias slot 1: under s == 1 the read must be 20
-    read = acct.read_storage(tm.var("s"))
-    assert evaluate(read, {"s": 1}) == 20
     assert acct.read_storage(tm.const(1)) == tm.const(20)
 
 

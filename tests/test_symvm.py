@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 from asm import assemble
-from reentscan.cfg_manager import UnsupportedOpcode
+from reentscan.cfg_manager import BoundReached, CannotConcretize, UnsupportedOpcode
 from reentscan.evm_core import OPCODE_BY_NAME, OPCODES, Bytecode, selector_of
 from reentscan.smt import terms as tm
 from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
@@ -101,14 +101,12 @@ def test_create_returned_runtime_code_is_collected():
 
 
 def test_symbolic_init_code_seals_with_diagnostic():
-    res = SymVM().run_entry(Bytecode(assemble("""
-        CALLVALUE PUSH1 0 MSTORE
-        PUSH1 1 PUSH1 31 PUSH1 0 CREATE POP STOP
-    """)), AbiCalldata(None, "f"))
-    assert res.completed == []
-    assert any(b.end_state is EndState.INVALID and "init" in (b.note or "")
-               for b in res.sealed)
-
+    # the model cannot run symbolic init code: the run stops, naming it
+    with pytest.raises(CannotConcretize, match="symbolic init code at c0@"):
+        SymVM().run_entry(Bytecode(assemble("""
+            CALLVALUE PUSH1 0 MSTORE
+            PUSH1 1 PUSH1 31 PUSH1 0 CREATE POP STOP
+        """)), AbiCalldata(None, "f"))
 
 
 # -- concretization -----------------------------------------------------------
@@ -116,18 +114,41 @@ def test_symbolic_init_code_seals_with_diagnostic():
 @pytest.mark.parametrize("op", ["CALLDATACOPY", "CODECOPY", "RETURNDATACOPY"])
 def test_unconcretizable_copy_operands_seal_once(op):
     # the symbolic*symbolic branch leaves the solver Unknown on the path, so
-    # the first symbolic copy operand cannot be pinned; the path must be
-    # sealed once, not again at the second operand
-    res = SymVM().run_entry(Bytecode(assemble(f"""
+    # the first symbolic copy operand cannot be pinned; the run stops there,
+    # naming the operand and the instruction
+    with pytest.raises(CannotConcretize,
+                       match=rf"cannot concretize {op.lower()} arg at c0@\d+$"):
+        SymVM().run_entry(Bytecode(assemble(f"""
+            PUSH1 4 CALLDATALOAD PUSH1 36 CALLDATALOAD MUL
+            PUSHL next JUMPI next: JUMPDEST
+            PUSH1 100 CALLDATALOAD PUSH1 68 CALLDATALOAD PUSH1 36 CALLDATALOAD
+            {op} STOP
+        """)), AbiCalldata(None, "f"))
+
+
+# -- halting data -------------------------------------------------------------
+
+def test_top_level_return_pins_no_bytes():
+    # nothing reads the data of a transaction's own RETURN, so its symbolic
+    # range stays unpinned and the completed path keeps no constraint
+    res = SymVM().run_entry(Bytecode(assemble("""
+        PUSH1 32 PUSH1 4 CALLDATALOAD RETURN
+    """)), AbiCalldata(None, "f"))
+    (end,) = res.completed
+    assert end.end_state is EndState.RETURN
+    assert len(end.path_condition) == 0
+
+
+def test_revert_on_unknown_path_needs_no_model():
+    # the branch leaves the path Unknown to the solver; a REVERT discards its
+    # data, so its symbolic range needs no model and each side just reverts
+    res = SymVM().run_entry(Bytecode(assemble("""
         PUSH1 4 CALLDATALOAD PUSH1 36 CALLDATALOAD MUL
         PUSHL next JUMPI next: JUMPDEST
-        PUSH1 100 CALLDATALOAD PUSH1 68 CALLDATALOAD PUSH1 36 CALLDATALOAD
-        {op} STOP
+        PUSH1 32 PUSH1 4 CALLDATALOAD REVERT
     """)), AbiCalldata(None, "f"))
     assert res.completed == []
-    assert len(res.sealed) == 2  # one per side of the branch
-    assert all(b.end_state is EndState.INVALID
-               and "cannot concretize" in (b.note or "") for b in res.sealed)
+    assert [b.end_state for b in res.sealed] == [EndState.REVERT] * 2
 
 
 # -- unsupported opcodes ------------------------------------------------------
@@ -151,18 +172,16 @@ def test_call_depth_bound_halts_self_recursion():
         POP STOP
     """
     vm = SymVM(config=AnalyzerConfig(call_depth_bound=4))
-    res = vm.run_entry(Bytecode(assemble(src)), ConcreteCalldata(b""))
-    assert any(b.end_state is EndState.DEPTH_BOUND for b in res.sealed)
-    assert res.completed == []
+    with pytest.raises(BoundReached, match=r"^depth bound reached at c0@12$"):
+        vm.run_entry(Bytecode(assemble(src)), ConcreteCalldata(b""))
 
 
 def test_loop_bound_seals_endless_loop():
     vm = SymVM(config=AnalyzerConfig(loop_bound=3))
-    res = vm.run_entry(Bytecode(assemble("""
-        top: JUMPDEST PUSHL top JUMP
-    """)), ConcreteCalldata(b""))
-    assert res.completed == []
-    assert [b.end_state for b in res.sealed] == [EndState.LOOP_BOUND]
+    with pytest.raises(BoundReached, match=r"^loop bound reached at c0@4$"):
+        vm.run_entry(Bytecode(assemble("""
+            top: JUMPDEST PUSHL top JUMP
+        """)), ConcreteCalldata(b""))
 
 
 # -- re-entrant scenario ------------------------------------------------------

@@ -104,6 +104,15 @@ def loop_probe() -> Bytecode:
     """)
 
 
+def concretize_probe() -> Bytecode:
+    """fund with an MLOAD at a symbolic offset before the balance read, on
+    a path whose symbolic*symbolic branch the solver leaves Unknown."""
+    return fund_probe(before_read="""
+        PUSH1 4 CALLDATALOAD PUSH1 36 CALLDATALOAD MUL PUSHL next JUMPI
+        next: JUMPDEST PUSH1 4 CALLDATALOAD MLOAD POP
+    """)
+
+
 def test_unsupported_opcode_makes_contract_inconclusive():
     # the paying path reaches STATICCALL; dropping it would leave withdraw
     # without a call, so no pairs and a benign contract
@@ -120,6 +129,24 @@ def test_unsupported_opcode_makes_pair_inconclusive():
     result = verify_pair(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "STATICCALL" in result.note
+
+
+def test_unconcretizable_operand_makes_contract_inconclusive():
+    # the MLOAD offset has no model on any withdraw path; dropping those
+    # paths would leave only the fallback, no pairs and a benign contract
+    report = analyze([("probe", concretize_probe(), "test")])
+    (contract,) = report.contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert "cannot concretize mload offset" in contract.error
+    assert report.status is Status.INCONCLUSIVE
+
+
+def test_unconcretizable_operand_makes_pair_inconclusive():
+    code = concretize_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w)
+    assert result.status is Status.INCONCLUSIVE
+    assert "cannot concretize mload offset" in result.note
 
 
 def test_loop_bound_makes_contract_inconclusive():
