@@ -139,8 +139,17 @@ class Explorer:
 
     def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
         """Move ``block`` to the jump target, or seal it if that is no
-        JUMPDEST (an exceptional halt)."""
-        value = self.concretize(block, target, "jump target")
+        JUMPDEST (an exceptional halt). A symbolic target must have only one
+        feasible value: pinning one of several would drop the paths to the
+        others, so the run raises :class:`CannotConcretize` instead."""
+        if target.is_const:
+            value = target.value
+        else:
+            before = block.path_condition.terms
+            value = self.concretize(block, target, "jump target")
+            other = tm.bnot(tm.eq(target, tm.const(value)))
+            if self.solver.status([*before, other]) is not SolverStatus.UNSAT:
+                raise CannotConcretize(f"symbolic jump target at {where(block)}")
         if value not in jumpdests:
             self.seal(block, EndState.INVALID)
             return False

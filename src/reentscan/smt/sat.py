@@ -9,6 +9,12 @@ Sörensson, "An Extensible SAT-solver", SAT 2003). Every unassigned variable
 is in the heap; assigned ones may linger until popped, and backtracking puts
 the variables it unassigns back. The top unassigned variable is the one a
 scan over all variables for the highest activity, first index first, picks.
+
+While activities are flat (no bump and no re-insertion yet, so until the
+first conflict), the heap is the sorted index range and ``_decide`` walks a
+cursor over it instead of popping. The first bump or re-insertion drops the
+part the cursor passed and renumbers the rest, which as a sorted range is a
+valid heap; membership, and so every decision, is what popping gives.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ class SatSolver:
         self.phase: list[int] = [0]  # saved polarity
         self.heap: list[int] = []  # decision order, see the module docstring
         self.heap_pos: list[int] = [-1]  # var -> index in heap, -1 if absent
+        self.cursor: int | None = 0  # next heap index while flat, else None
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.qhead = 0
@@ -45,8 +52,9 @@ class SatSolver:
         self.reason.append(0)
         self.activity.append(0.0)
         self.phase.append(-1)
-        self.heap_pos.append(-1)
-        self._heap_insert(self.num_vars)
+        # activity 0 and the highest index: the heap's last place, flat or not
+        self.heap_pos.append(len(self.heap))
+        self.heap.append(self.num_vars)
         return self.num_vars
 
     def add_clause(self, lits: list[int]) -> None:
@@ -190,7 +198,17 @@ class SatSolver:
 
     # -- decision heap --------------------------------------------------------
 
+    def _unflatten(self) -> None:
+        """Hand the flat range over to the heap: drop what the cursor passed."""
+        del self.heap[:self.cursor]
+        pos = self.heap_pos
+        for i, var in enumerate(self.heap):
+            pos[var] = i
+        self.cursor = None
+
     def _heap_insert(self, var: int) -> None:
+        if self.cursor is not None:
+            self._unflatten()
         self.heap_pos[var] = len(self.heap)
         self.heap.append(var)
         self._sift_up(len(self.heap) - 1)
@@ -236,6 +254,8 @@ class SatSolver:
         pos[var] = i
 
     def _bump(self, var: int) -> None:
+        if self.cursor is not None:
+            self._unflatten()
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
             for i in range(1, self.num_vars + 1):
@@ -308,6 +328,18 @@ class SatSolver:
 
     def _decide(self) -> int:
         heap, pos, assign = self.heap, self.heap_pos, self.assign
+        i = self.cursor
+        if i is not None:
+            n = len(heap)
+            while i < n:
+                var = heap[i]
+                pos[var] = -1
+                i += 1
+                if assign[var] == 0:
+                    self.cursor = i
+                    return var if self.phase[var] >= 0 else -var
+            self.cursor = i
+            return 0
         while heap:
             var = heap[0]
             pos[var] = -1

@@ -81,10 +81,15 @@ class Solver:
     feasibility filter, selector uniqueness, both directed equivalence
     queries) use :meth:`status`, which first tries the models of the last
     :data:`RECENT_MODELS` solves, KLEE's counterexample cache: a model that
-    satisfies the query proves it SAT without blasting it. Such a hit is
-    never stored as the key's model, so :meth:`check_sat`, which serves the
-    callers that read models, still hands out exactly the model a fresh
-    solve of the key gives.
+    satisfies the query proves it SAT without blasting it. A model is tried
+    constraint by constraint, up to the first false one, and keeps the
+    values of the terms evaluated under it until it leaves the ring, so no
+    term is evaluated twice under one model: a query that adds a constraint
+    to one tried before, as the next branch on a path does, evaluates only
+    that constraint under the models already tried. A hit is never stored
+    as the key's model, so :meth:`check_sat`, which serves the callers that
+    read models, still hands out exactly the model a fresh solve of the key
+    gives.
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
@@ -92,6 +97,8 @@ class Solver:
         self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
         self._sat_keys: set[tuple[Term, ...]] = set()  # shown SAT by a recent model
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
+        # per ring model, the values of the terms evaluated under it
+        self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
         self._blaster = BitBlaster()
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
@@ -110,6 +117,7 @@ class Solver:
             self._memo[key] = known
             if known.model is not None:
                 self._models.appendleft(known.model)
+                self._values.appendleft({})
         model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
 
@@ -130,10 +138,16 @@ class Solver:
             return known.status
         if key in self._sat_keys:
             return SolverStatus.SAT
-        query = band(flat)
-        if any(evaluate(query, m) == 1 for m in self._models):
-            self._sat_keys.add(key)
-            return SolverStatus.SAT
+        for model, values in zip(self._models, self._values):
+            for c in flat:
+                value = values.get(c)
+                if value is None:
+                    value = evaluate(c, model, values)
+                if value != 1:
+                    break
+            else:
+                self._sat_keys.add(key)
+                return SolverStatus.SAT
         return self.check_sat(flat).status
 
     def _solve(self, flat: list[Term], start: float) -> SolverVerdict:

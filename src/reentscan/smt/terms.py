@@ -429,14 +429,18 @@ def bool_to_word(cond: Term, width: int = 256) -> Term:
 
 # -- concrete evaluation ------------------------------------------------------
 
-def evaluate(term: Term, env: Mapping[str, int] | None = None) -> int:
+def evaluate(term: Term, env: Mapping[str, int] | None = None,
+             memo: dict[Term, int] | None = None) -> int:
     """Evaluate a term to a concrete int (booleans yield 0/1).
 
     Unbound variables default to 0, matching model extraction where the solver
-    left them unconstrained.
+    left them unconstrained. ``memo`` holds values of terms under the same
+    ``env``; it is read and extended, so calls that share it evaluate each
+    subterm once.
     """
     env = env or {}
-    memo: dict[Term, int] = {}
+    if memo is None:
+        memo = {}
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
         t, ready = stack.pop()

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from reentscan.cli import EXIT_USAGE, main
-from test_verifier import concretize_probe, staticcall_probe
+from test_verifier import concretize_probe, jump_probe, staticcall_probe
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,3 +81,13 @@ def test_unconcretizable_operand_exits_inconclusive(tmp_path, capsys):
     (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
     assert contract["status"] == "inconclusive"
     assert "cannot concretize" in contract["error"]
+
+
+def test_symbolic_jump_target_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "probe.hex"
+    path.write_text(jump_probe().hex())
+    assert main(["--bytecode", str(path),
+                 "--report", str(tmp_path / "out.json")]) == 2
+    (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
+    assert contract["status"] == "inconclusive"
+    assert "symbolic jump target" in contract["error"]

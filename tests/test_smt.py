@@ -43,6 +43,7 @@ from reentscan.smt import (
     urem,
     var,
 )
+from reentscan.smt import solver as solver_mod
 from reentscan.smt import terms
 from reentscan.smt.bitblast import BitBlaster
 from reentscan.smt.sat import SatSolver
@@ -250,6 +251,16 @@ class ScanCheckedSat(SatSolver):
         return lit
 
 
+class HandOverRecordingSat(ScanCheckedSat):
+    """Records the cursor and the decision count at the hand-over to the heap."""
+
+    handover = None
+
+    def _unflatten(self) -> None:
+        self.handover = (self.cursor, self.decisions)
+        super()._unflatten()
+
+
 def _load(solver, n, clauses):
     for _ in range(n):
         solver.new_var()
@@ -295,6 +306,22 @@ def test_heap_decisions_match_linear_scan():
     for _ in range(40):
         n, clauses = _random_3sat(rng, rng.randint(3, 12))
         assert _load(ScanCheckedSat(), n, clauses).solve() is _brute(n, clauses)
+    # no conflict: every decision comes from the cursor
+    n = 80
+    clauses = [[rng.choice([-1, 1]) * x for x in rng.sample(range(1, n + 1), 3)]
+               for _ in range(n)]
+    flat = HandOverRecordingSat.load(n, [list(c) for c in clauses])
+    assert flat.solve() is True
+    assert flat.handover is None and flat.decisions > 0
+    assert all(any(flat.model_value(abs(l)) == (l > 0) for l in cl)
+               for cl in clauses)
+    # the first conflict comes after the cursor passed both decided and
+    # propagated variables; the scan then checks the heap's decisions
+    live = HandOverRecordingSat.load(*_pigeonhole(6, 5))
+    assert live.solve() is False
+    passed, decided = live.handover
+    assert 0 < decided < passed
+    assert live.decisions > decided
 
 
 @st.composite
@@ -484,6 +511,32 @@ def test_model_ring_keeps_the_most_recent():
     assert len(solver._models) == RECENT_MODELS
     assert [m["x"] for m in solver._models] == list(
         range(RECENT_MODELS + 5, 5, -1))
+
+
+def test_status_evaluates_only_the_added_constraint(monkeypatch):
+    solver = Solver()
+    x = var("x", 8)
+    for v in (0, 1, 2):  # the ring holds x = 2, x = 1, x = 0, in that order
+        solver.check_sat([eq(x, const(v, 8))])
+    below = ult(x, const(3, 8))
+    # tried under every ring model: x = 2 and x = 1 fail, x = 0 holds
+    assert solver.status([below, eq(x, const(0, 8))]) is SolverStatus.SAT
+    calls = []
+    evaluate_ = solver_mod.evaluate
+
+    def counted(term, *args):
+        calls.append(term)
+        return evaluate_(term, *args)
+
+    monkeypatch.setattr(solver_mod, "evaluate", counted)
+    added = eq(x, const(1, 8))
+    assert solver.status([below, added]) is SolverStatus.SAT
+    assert calls == [added, added]  # false under x = 2, true under x = 1
+    calls.clear()
+    # a constraint already false under a model rules it out unevaluated:
+    # x = 2 fails on added, x = 1 on x == 0, and only x = 0 evaluates added
+    assert solver.status([added, eq(x, const(0, 8))]) is SolverStatus.UNSAT
+    assert calls == [added]
 
 
 # -- 256-bit behavior ---------------------------------------------------------

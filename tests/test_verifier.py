@@ -113,6 +113,12 @@ def concretize_probe() -> Bytecode:
     """)
 
 
+def jump_probe() -> Bytecode:
+    """fund with a jump to a calldata word before the balance read; the
+    attacker who passes the offset of ``pay`` runs fund's withdraw."""
+    return fund_probe(before_read="PUSH1 4 CALLDATALOAD JUMP pay: JUMPDEST")
+
+
 def test_unsupported_opcode_makes_contract_inconclusive():
     # the paying path reaches STATICCALL; dropping it would leave withdraw
     # without a call, so no pairs and a benign contract
@@ -147,6 +153,37 @@ def test_unconcretizable_operand_makes_pair_inconclusive():
     result = verify_pair(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "cannot concretize mload offset" in result.note
+
+
+def test_symbolic_jump_target_makes_contract_inconclusive():
+    # pinning the target to one model value would explore one destination
+    # of many; the others, pay among them, would drop out
+    report = analyze([("probe", jump_probe(), "test")])
+    (contract,) = report.contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert "symbolic jump target at c0@" in contract.error
+    assert report.status is Status.INCONCLUSIVE
+
+
+def test_symbolic_jump_target_makes_pair_inconclusive():
+    code = jump_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w)
+    assert result.status is Status.INCONCLUSIVE
+    assert "symbolic jump target at c0@" in result.note
+
+
+def test_single_valued_jump_target_decides():
+    # the jump is reached only when the word is pay: the path condition
+    # leaves the target one value, so pinning it drops nothing
+    code = fund_probe(before_read="""
+        PUSH1 4 CALLDATALOAD DUP1 PUSHL pay EQ PUSHL ok JUMPI STOP
+        ok: JUMPDEST JUMP pay: JUMPDEST
+    """)
+    (contract,) = analyze([("probe", code, "test")]).contracts
+    assert contract.status is Status.VULNERABLE
+    w = entry_for(code, "withdraw()")
+    assert verify_pair(code, w, w).status is Status.VULNERABLE
 
 
 def test_loop_bound_makes_contract_inconclusive():
