@@ -49,8 +49,8 @@ class BoundReached(CannotFinish):
 
 class CannotConcretize(CannotFinish):
     """An operand the model needs as a number has no model value (the
-    solver cannot decide the path condition), or init code or the code a
-    CREATE returns is symbolic."""
+    solver cannot decide the path condition) or more than one feasible
+    value, or init code or the code a CREATE returns is symbolic."""
 
 
 def where(block: BasicBlock) -> str:
@@ -125,31 +125,28 @@ class Explorer:
         return self.solver.status(constraints) is not SolverStatus.UNSAT
 
     def concretize(self, block: BasicBlock, term: Term, what: str) -> int:
-        """Pin a word to one model value, recorded on the path; raises
-        :class:`CannotConcretize` when the path condition has no model."""
+        """Pin a word to its one value under the path condition, recorded on
+        the path. Raises :class:`CannotConcretize` when the path condition
+        has no model, or leaves the word more than one value: pinning one
+        of several would drop the paths to the others."""
         if term.is_const:
             return term.value
-        verdict = self.solver.check_sat(block.path_condition.terms)
+        before = block.path_condition.terms
+        verdict = self.solver.check_sat(before)
         if not verdict.is_sat:
             raise CannotConcretize(f"cannot concretize {what} at {where(block)}")
         value = tm.evaluate(term, verdict.model)
+        pinned = tm.eq(term, tm.const(value))
+        if self.solver.status([*before, tm.bnot(pinned)]) is not SolverStatus.UNSAT:
+            raise CannotConcretize(f"symbolic {what} at {where(block)}")
         block.path_condition = block.path_condition.extended(
-            tm.eq(term, tm.const(value)), ConstraintOrigin.CONCRETIZE)
+            pinned, ConstraintOrigin.CONCRETIZE)
         return value
 
     def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
         """Move ``block`` to the jump target, or seal it if that is no
-        JUMPDEST (an exceptional halt). A symbolic target must have only one
-        feasible value: pinning one of several would drop the paths to the
-        others, so the run raises :class:`CannotConcretize` instead."""
-        if target.is_const:
-            value = target.value
-        else:
-            before = block.path_condition.terms
-            value = self.concretize(block, target, "jump target")
-            other = tm.bnot(tm.eq(target, tm.const(value)))
-            if self.solver.status([*before, other]) is not SolverStatus.UNSAT:
-                raise CannotConcretize(f"symbolic jump target at {where(block)}")
+        JUMPDEST (an exceptional halt)."""
+        value = self.concretize(block, target, "jump target")
         if value not in jumpdests:
             self.seal(block, EndState.INVALID)
             return False

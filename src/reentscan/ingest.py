@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .evm_core import Bytecode
 
@@ -74,15 +73,25 @@ def fetch_code(address: str, node_url: str | None = None, *,
                retries: int = DEFAULT_RETRIES,
                deadline: float = DEFAULT_DEADLINE) -> Bytecode:
     """Fetch deployed runtime code with eth_getCode at the latest block."""
+    # imported here, so that analyzing code from files never pays for it
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.parse import urlsplit
+    from urllib.request import Request, urlopen
+
     node_url = node_url or os.environ.get(RPC_URL_ENV)
     if not node_url:
         raise IngestError(f"no RPC url given and {RPC_URL_ENV} is unset")
-    payload = {
+    payload = json.dumps({
         "jsonrpc": "2.0",
         "id": 1,
         "method": "eth_getCode",
         "params": [address, "latest"],
-    }
+    }).encode()
+    if urlsplit(node_url).scheme not in ("http", "https"):
+        raise IngestError(f"RPC url is not http(s): {node_url!r}")
+    request = Request(node_url, data=payload,
+                      headers={"Content-Type": "application/json"})
     stop_at = time.monotonic() + deadline
     last_error: Exception | None = None
     for _ in range(retries + 1):
@@ -90,15 +99,23 @@ def fetch_code(address: str, node_url: str | None = None, *,
         if remaining <= 0:
             break
         try:
-            response = requests.post(node_url, json=payload, timeout=remaining)
-        except requests.RequestException as exc:
+            try:
+                with urlopen(request, timeout=remaining) as response:
+                    raw = response.read()
+            except HTTPError as exc:
+                # a non-2xx reply may still carry the JSON-RPC error object
+                with exc:
+                    raw = exc.read()
+        except (OSError, HTTPException) as exc:
             last_error = exc
             continue
         try:
-            body = response.json()
+            body = json.loads(raw)
         except ValueError as exc:
             raise RpcErrorResponse(
-                f"malformed JSON from {node_url}: {response.text[:200]!r}") from exc
+                f"malformed JSON from {node_url}: {raw[:200]!r}") from exc
+        if not isinstance(body, dict):
+            raise RpcErrorResponse(f"unexpected reply: {body!r:.200}")
         if "error" in body:
             raise RpcErrorResponse(f"rpc error: {body['error']}")
         result = body.get("result")

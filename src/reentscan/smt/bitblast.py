@@ -16,6 +16,13 @@ after that root. That is exactly the CNF a fresh store would lower from
 those roots alone: the same numbering, and the same clauses with the same
 literals in the same order. So what earlier queries lowered never shows in
 a query's search, model or witness.
+
+The store's gate cache is structural hashing: the same gate over the same
+operands is one literal, and a root's negation lowers to its literal negated.
+So :meth:`BitBlaster.refutes` can see that a query's roots contradict each
+other, one constant false or two complementary, before any CNF is built, as
+AIG-based equivalence checkers do before calling SAT (Kuehlmann et al., IEEE
+TCAD 2002).
 """
 
 from __future__ import annotations
@@ -292,6 +299,16 @@ class BitBlaster:
         if op == "bor":
             return self.g_or_many([self.blast_bool(a) for a in term.args])
         raise UnsupportedTermError(f"boolean op {op!r}")
+
+    def refutes(self, roots: Iterable[Term]) -> bool:
+        """Whether the store alone shows the roots contradictory: one lowers
+        to constant false, or two lower to complementary literals.
+
+        Lowers every root first, so an unsupported root raises
+        :class:`UnsupportedTermError` whatever the others lower to.
+        """
+        lits = {self.blast_bool(root) for root in roots}
+        return -TRUE_LIT in lits or any(-lit in lits for lit in lits)
 
     # -- per-query CNF --------------------------------------------------------
 

@@ -157,11 +157,19 @@ class SatSolver:
         return True
 
     def _propagate(self) -> int:
-        """Return conflicting clause index + 1, or 0."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            watch_list = self.watches.get(lit)
+        """Return conflicting clause index + 1, or 0.
+
+        :meth:`_value` and :meth:`_enqueue` are inlined; the watch lists,
+        literal swaps and trail are what calling them gives.
+        """
+        trail, clauses, watches = self.trail, self.clauses, self.watches
+        assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            watch_list = watches.get(lit)
             if not watch_list:
                 continue
             kept: list[int] = []
@@ -170,30 +178,40 @@ class SatSolver:
             while i < n:
                 ci = watch_list[i]
                 i += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # ensure the falsified literal is at position 1
                 if clause[0] == -lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first > 0:
+                    var, value = first, assign[first]
+                else:
+                    var, value = -first, -assign[-first]
+                if value == 1:
                     kept.append(ci)
                     continue
                 # search replacement watch
-                found = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(-clause[1], []).append(ci)
-                        found = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1], clause[k] = other, clause[1]
+                        watches.setdefault(-other, []).append(ci)
                         break
-                if found:
-                    continue
-                kept.append(ci)
-                if not self._enqueue(first, ci + 1):
-                    kept.extend(watch_list[i:])
-                    self.watches[lit] = kept
-                    return ci + 1
-            self.watches[lit] = kept
+                else:
+                    kept.append(ci)
+                    if value == -1:
+                        kept.extend(watch_list[i:])
+                        watches[lit] = kept
+                        self.qhead = qhead
+                        return ci + 1
+                    sign = 1 if first > 0 else -1
+                    assign[var] = sign
+                    level[var] = depth
+                    reason[var] = ci + 1
+                    phase[var] = sign
+                    trail.append(first)
+            watches[lit] = kept
+        self.qhead = qhead
         return 0
 
     # -- decision heap --------------------------------------------------------

@@ -1,17 +1,18 @@
 """Satisfiability and path-condition equivalence checks over 256-bit words.
 
-:class:`Solver` lowers terms to CNF (``bitblast``) and decides them with
+:class:`Solver` lowers terms to gates (``bitblast``) and decides them with
 the in-tree CDCL engine (``sat``). It owns one gate store, so each term is
-blasted once per contract, and each query's CNF is replayed from the cone of
-its constraints. Unknown results (budget exhausted or an unsupported
-operation) are always surfaced, never coerced.
+blasted once per contract. A query whose constraints the store already shows
+contradictory is UNSAT with no CNF built; any other query's CNF is replayed
+from the cone of its constraints. Unknown results (budget exhausted or an
+unsupported operation) are always surfaced, never coerced.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -66,9 +67,12 @@ RECENT_MODELS = 64  # models of recent solves that status queries try first
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
-    A query missing from the memo is solved in a fresh SAT instance loaded
-    from the solver's gate store (see ``bitblast``): the CNF of its
-    constraints' cone alone, exactly what blasting the query afresh gives.
+    A query missing from the memo has each of its constraints lowered in the
+    solver's gate store (see ``bitblast``). If one lowers to constant false,
+    or two to complementary literals, the query is UNSAT without a SAT
+    instance. Otherwise it is solved in a fresh SAT instance loaded from the
+    store: the CNF of its constraints' cone alone, exactly what blasting the
+    query afresh gives.
     Every SAT answer carries a model, checked against the constraints before
     it is stored. Decided answers are memoized by the ordered tuple of
     flattened constraints: the same constraints in another order may solve
@@ -90,6 +94,12 @@ class Solver:
     as the key's model, so :meth:`check_sat`, which serves the callers that
     read models, still hands out exactly the model a fresh solve of the key
     gives.
+
+    :attr:`answers` counts each query asked by the place that answered it:
+    ``trivial``, ``memo``, ``sat_set`` (shown SAT by a ring model before),
+    ``ring``, ``refuted`` (contradictory in the store), ``solved`` (decided
+    by a SAT instance), ``timeout`` (a SAT instance out of time) or
+    ``unsupported`` (a constraint the store cannot lower).
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
@@ -100,12 +110,15 @@ class Solver:
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
         self._blaster = BitBlaster()
+        # how each query was answered; the counts sum to the queries asked
+        self.answers: Counter[str] = Counter()
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
         flat = _flatten(constraints)
         trivial = _trivial(flat)
         if trivial is not None:
+            self.answers["trivial"] += 1
             return SolverVerdict(trivial, {} if trivial is SolverStatus.SAT else None)
 
         key = tuple(flat)
@@ -118,6 +131,8 @@ class Solver:
             if known.model is not None:
                 self._models.appendleft(known.model)
                 self._values.appendleft({})
+        else:
+            self.answers["memo"] += 1
         model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
 
@@ -131,12 +146,15 @@ class Solver:
         flat = _flatten(constraints)
         trivial = _trivial(flat)
         if trivial is not None:
+            self.answers["trivial"] += 1
             return trivial
         key = tuple(flat)
         known = self._memo.get(key)
         if known is not None:
+            self.answers["memo"] += 1
             return known.status
         if key in self._sat_keys:
+            self.answers["sat_set"] += 1
             return SolverStatus.SAT
         for model, values in zip(self._models, self._values):
             for c in flat:
@@ -147,18 +165,26 @@ class Solver:
                     break
             else:
                 self._sat_keys.add(key)
+                self.answers["ring"] += 1
                 return SolverStatus.SAT
-        return self.check_sat(flat).status
+        return self.check_sat(flat).status  # counted once, by _solve
 
     def _solve(self, flat: list[Term], start: float) -> SolverVerdict:
         try:
-            sat = self._blaster.load(flat)
+            refuted = self._blaster.refutes(flat)
         except UnsupportedTermError:
+            self.answers["unsupported"] += 1
             return SolverVerdict(SolverStatus.UNKNOWN, None)
+        if refuted:
+            self.answers["refuted"] += 1
+            return SolverVerdict(SolverStatus.UNSAT, None)
 
+        sat = self._blaster.load(flat)
         result = sat.solve(deadline=start + self.timeout)
         if result is None:
+            self.answers["timeout"] += 1
             return SolverVerdict(SolverStatus.UNKNOWN, None)
+        self.answers["solved"] += 1
         if not result:
             return SolverVerdict(SolverStatus.UNSAT, None)
         model = {}

@@ -10,9 +10,10 @@ bytecode of its own. The VM adds no solvency terms; the verifier appends
 them to final conditions.
 
 A path the model cannot finish never vanishes: an unsupported opcode, a
-loop or call-depth bound, or an operand with no model value raises where it
-happens (:class:`~reentscan.cfg_manager.CannotFinish`). Operands are pinned
-only where a number is needed, so a REVERT, and the RETURN that ends the
+loop or call-depth bound, or an operand with no model value or more than
+one feasible value raises where it happens
+(:class:`~reentscan.cfg_manager.CannotFinish`). Operands are pinned only
+where a number is needed, so a REVERT, and the RETURN that ends the
 transaction, leave their discarded data range free.
 
 Symbol names are fixed by role (``caller``, ``f_callvalue``, ``g_arg0``,
@@ -170,7 +171,7 @@ class SymVM:
     @staticmethod
     def _concretize(block: BasicBlock, ex: Explorer, terms: list[Term],
                     what: str) -> list[int]:
-        """Pin each word in turn to a model value, recorded on the path."""
+        """Pin each word in turn to its one value, recorded on the path."""
         return [ex.concretize(block, term, what) for term in terms]
 
     @staticmethod

@@ -4,7 +4,8 @@ import json
 from pathlib import Path
 
 from reentscan.cli import EXIT_USAGE, main
-from test_verifier import concretize_probe, jump_probe, staticcall_probe
+from test_verifier import (concretize_probe, jump_probe, mload_probe,
+                           staticcall_probe)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -91,3 +92,13 @@ def test_symbolic_jump_target_exits_inconclusive(tmp_path, capsys):
     (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
     assert contract["status"] == "inconclusive"
     assert "symbolic jump target" in contract["error"]
+
+
+def test_symbolic_memory_offset_exits_inconclusive(tmp_path, capsys):
+    path = tmp_path / "probe.hex"
+    path.write_text(mload_probe().hex())
+    assert main(["--bytecode", str(path),
+                 "--report", str(tmp_path / "out.json")]) == 2
+    (contract,) = json.loads((tmp_path / "out.json").read_text())["contracts"]
+    assert contract["status"] == "inconclusive"
+    assert "symbolic mload offset" in contract["error"]

@@ -1,8 +1,12 @@
 """Hex-file loading and the eth_getCode client against a local mock server."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from reentscan.ingest import (
     fetch_code,
     load_hex,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- hex files ----------------------------------------------------------------
@@ -53,7 +59,8 @@ def test_load_hex_missing_file():
 class _MockRpc:
     """Tiny JSON-RPC endpoint serving canned eth_getCode responses."""
 
-    def __init__(self, body: bytes, status: int = 200):
+    def __init__(self, body: bytes, status: int = 200,
+                 content_length: int | None = None):
         self.requests_seen = 0
         outer = self
 
@@ -63,6 +70,8 @@ class _MockRpc:
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
+                if content_length is not None:
+                    self.send_header("Content-Length", str(content_length))
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -128,6 +137,15 @@ def test_fetch_code_malformed_json():
         mock.close()
 
 
+def test_fetch_code_json_that_is_no_object():
+    mock = _rpc(raw=b"[1, 2]")
+    try:
+        with pytest.raises(RpcErrorResponse, match="unexpected reply"):
+            fetch_code("0x" + "00" * 20, mock.url)
+    finally:
+        mock.close()
+
+
 def test_fetch_code_unreachable_is_bounded():
     # closed port: every attempt fails fast, retry count stays bounded
     with pytest.raises(RpcUnreachable):
@@ -135,7 +153,51 @@ def test_fetch_code_unreachable_is_bounded():
                    deadline=3.0)
 
 
+@pytest.mark.parametrize("url", ["localhost:1", "example.com",
+                                 "file:///dev/null"])
+def test_fetch_code_rejects_url_that_is_not_http(url):
+    with pytest.raises(IngestError, match="not http"):
+        fetch_code("0x" + "00" * 20, url)
+
+
+def test_fetch_code_truncated_error_body_is_retried():
+    # the 500 reply announces more body than it sends: reading it fails like
+    # a dropped connection, so the attempt is retried, not raised
+    mock = _MockRpc(b'{"jsonrpc"', status=500, content_length=100)
+    try:
+        with pytest.raises(RpcUnreachable):
+            fetch_code("0x" + "00" * 20, mock.url, retries=1, deadline=3.0)
+    finally:
+        mock.close()
+    assert mock.requests_seen == 2
+
+
 def test_fetch_code_requires_url(monkeypatch):
     monkeypatch.delenv("REENTSCAN_RPC_URL", raising=False)
     with pytest.raises(IngestError):
         fetch_code("0x" + "00" * 20)
+
+
+def test_fetch_code_rpc_error_with_http_500():
+    # a node may answer a failed call with a non-2xx status and the JSON-RPC
+    # error object in the body; the error object still names the failure
+    body = json.dumps({"jsonrpc": "2.0", "id": 1,
+                       "error": {"code": -32000, "message": "nope"}}).encode()
+    mock = _MockRpc(body, status=500)
+    try:
+        with pytest.raises(RpcErrorResponse, match="nope"):
+            fetch_code("0x" + "00" * 20, mock.url)
+    finally:
+        mock.close()
+    assert mock.requests_seen == 1
+
+
+def test_cli_import_pulls_in_no_http_client():
+    # the client is imported by fetch_code, so a run on files never loads it
+    probe = ("import sys, reentscan.cli; "
+             "print(sorted(m for m in ('requests', 'urllib.request', "
+             "'http.client') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "[]"

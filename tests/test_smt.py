@@ -10,15 +10,19 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reentscan import verifier
+from reentscan.evm_core import Bytecode
 from reentscan.smt import (
     IndeterminateEquivalence,
     Solver,
     SolverStatus,
+    SolverVerdict,
     UnsupportedTermError,
     band,
     bnot,
@@ -49,6 +53,8 @@ from reentscan.smt.bitblast import BitBlaster
 from reentscan.smt.sat import SatSolver
 from reentscan.smt.solver import RECENT_MODELS
 from reentscan.smt.terms import TRUE, FALSE, truthy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 WORD_EDGES = [0, 1, 2, (1 << 255) - 1, 1 << 255, (1 << 256) - 2, (1 << 256) - 1]
 
@@ -351,6 +357,79 @@ def test_bulk_load_matches_incremental_construction(cnf):
     assert _solver_state(loaded) == _solver_state(built)
 
 
+class MethodCallSat(SatSolver):
+    """Propagates through :meth:`_value` and :meth:`_enqueue` calls, as the
+    kernel did before they were inlined into :meth:`SatSolver._propagate`."""
+
+    def _propagate(self) -> int:
+        while self.qhead < len(self.trail):
+            lit = self.trail[self.qhead]
+            self.qhead += 1
+            watch_list = self.watches.get(lit)
+            if not watch_list:
+                continue
+            kept: list[int] = []
+            i = 0
+            n = len(watch_list)
+            while i < n:
+                ci = watch_list[i]
+                i += 1
+                clause = self.clauses[ci]
+                if clause[0] == -lit:
+                    clause[0], clause[1] = clause[1], clause[0]
+                first = clause[0]
+                if self._value(first) == 1:
+                    kept.append(ci)
+                    continue
+                found = False
+                for k in range(2, len(clause)):
+                    if self._value(clause[k]) != -1:
+                        clause[1], clause[k] = clause[k], clause[1]
+                        self.watches.setdefault(-clause[1], []).append(ci)
+                        found = True
+                        break
+                if found:
+                    continue
+                kept.append(ci)
+                if not self._enqueue(first, ci + 1):
+                    kept.extend(watch_list[i:])
+                    self.watches[lit] = kept
+                    return ci + 1
+            self.watches[lit] = kept
+        return 0
+
+
+def _search_state(sat):
+    return (*_solver_state(sat), sat.qhead, sat.trail_lim, sat.activity,
+            sat.restarts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tseitin_cnf())
+@example((3, [[1], [-1, 2], [1, 3], [-2]]))
+def test_inlined_propagation_matches_method_calls_on_small_cnfs(cnf):
+    n, clauses = cnf
+    new = SatSolver.load(n, [list(c) for c in clauses])
+    old = MethodCallSat.load(n, [list(c) for c in clauses])
+    assert new.solve() is old.solve()
+    assert _search_state(new) == _search_state(old)
+
+
+def test_inlined_propagation_matches_method_calls_on_search():
+    # conflicts, learnt clauses, backjumps and restarts: the same trail,
+    # levels, reasons, watches and clause literal order throughout
+    rng = random.Random(5)
+    instances = [_pigeonhole(6, 5)] + [_random_3sat(rng, 120) for _ in range(2)]
+    results = []
+    for n, clauses in instances:
+        new, old = _load(SatSolver(), n, clauses), _load(MethodCallSat(), n, clauses)
+        results.append(new.solve())
+        assert results[-1] is old.solve()
+        assert new.restarts > 0
+        assert _search_state(new) == _search_state(old)
+    assert results[0] is False  # 6 pigeons, 5 holes
+
+
 # -- width-8 enumeration oracle ----------------------------------------------
 
 def _random_term(rng, depth, width=8):
@@ -630,6 +709,103 @@ def test_unsupported_query_leaves_the_store_consistent():
         store.load(bad)
     assert _loaded_state(store.load(follow)) == \
         _loaded_state(BitBlaster().load(follow))
+
+
+@pytest.fixture
+def no_sat(monkeypatch):
+    def refuse(cls, *args):
+        raise AssertionError("a SAT instance was built")
+
+    monkeypatch.setattr(SatSolver, "load", classmethod(refuse))
+
+
+def test_complementary_roots_are_refuted_without_sat(no_sat):
+    x, y = var("x", 8), var("y", 8)
+    # the operands commuted: two terms, but one adder in the gate store
+    query = [ult(const(3, 8), x), eq(bv_add(x, y), const(6, 8)),
+             bnot(eq(bv_add(y, x), const(6, 8)))]
+    solver = Solver()
+    assert solver.check_sat(query) == SolverVerdict(SolverStatus.UNSAT, None)
+    assert solver.status(query) is SolverStatus.UNSAT
+    assert solver.answers == Counter(refuted=1, memo=1)
+
+
+def test_constant_false_root_is_refuted_without_sat(no_sat):
+    x, y = var("x", 8), var("y", 8)
+    # no term folding sees it, but it blasts to the constant false literal
+    query = [ult(const(3, 8), x), bnot(eq(bv_add(x, y), bv_add(y, x)))]
+    solver = Solver()
+    assert solver.status(query) is SolverStatus.UNSAT
+    assert solver.answers == Counter(refuted=1)
+
+
+def test_unsupported_root_beside_a_refutation_is_unknown(no_sat):
+    x, y = var("x", 8), var("y", 8)
+    c = eq(bv_add(x, y), const(6, 8))
+    product = eq(bv_mul(x, y), const(6, 8))
+    solver = Solver()
+    for query in ([c, bnot(c), product], [product, c, bnot(c)]):
+        assert solver.check_sat(query).status is SolverStatus.UNKNOWN
+        assert solver.status(query) is SolverStatus.UNKNOWN
+    assert solver.answers == Counter(unsupported=4)
+
+
+class AskCountingSolver(Solver):
+    """Counts the queries asked from outside: status answers a miss through
+    check_sat, which is still one query."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked = 0
+        self._inside = False
+
+    def _ask(self, method, constraints):
+        if self._inside:
+            return method(self, constraints)
+        self.asked += 1
+        self._inside = True
+        try:
+            return method(self, constraints)
+        finally:
+            self._inside = False
+
+    def check_sat(self, constraints):
+        return self._ask(Solver.check_sat, constraints)
+
+    def status(self, constraints):
+        return self._ask(Solver.status, constraints)
+
+
+def test_answer_sources_sum_to_queries_asked(monkeypatch):
+    x, y = var("x", 8), var("y", 8)
+    c = ult(const(3, 8), x)
+    solver = AskCountingSolver()
+    solver.status([])                                           # trivial
+    solver.check_sat([c])                                       # solved
+    solver.check_sat([c])                                       # memo
+    solver.status([c, ult(x, const(250, 8))])                   # ring
+    solver.status([c, ult(x, const(250, 8))])                   # sat_set
+    solver.status([c, bnot(c)])                                 # refuted
+    solver.status([c, eq(bv_mul(x, y), const(6, 8))])           # unsupported
+    solver.timeout = 0
+    solver.status([ult(x, y)])                                  # timeout
+    assert solver.answers == Counter(trivial=1, solved=1, memo=1, ring=1,
+                                     sat_set=1, refuted=1, unsupported=1,
+                                     timeout=1)
+    assert solver.asked == 8
+    # and over a whole contract's discovery and pairs
+    solvers = []
+
+    def counting(*args, **kwargs):
+        solvers.append(AskCountingSolver(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(verifier, "Solver", counting)
+    code = (ROOT / "fixtures" / "token.hex").read_text().strip()
+    verifier.analyze([("token", Bytecode(bytes.fromhex(code)), "fixture")])
+    (solver,) = solvers
+    assert solver.asked == sum(solver.answers.values()) > 0
+    assert solver.answers["refuted"] > solver.answers["solved"] > 0
 
 
 def test_variable_bits_are_keyed_by_name_and_width():

@@ -119,6 +119,15 @@ def jump_probe() -> Bytecode:
     return fund_probe(before_read="PUSH1 4 CALLDATALOAD JUMP pay: JUMPDEST")
 
 
+def mload_probe() -> Bytecode:
+    """fund with a jump on the memory word at a calldata offset before the
+    balance read; the attacker who passes 0x20 reads the 1 stored there."""
+    return fund_probe(before_read="""
+        PUSH1 1 PUSH1 0x20 MSTORE
+        PUSH1 4 CALLDATALOAD MLOAD PUSHL cont JUMPI STOP cont: JUMPDEST
+    """)
+
+
 def test_unsupported_opcode_makes_contract_inconclusive():
     # the paying path reaches STATICCALL; dropping it would leave withdraw
     # without a call, so no pairs and a benign contract
@@ -171,6 +180,24 @@ def test_symbolic_jump_target_makes_pair_inconclusive():
     result = verify_pair(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "symbolic jump target at c0@" in result.note
+
+
+def test_symbolic_memory_offset_makes_contract_inconclusive():
+    # pinning the offset to one model value would read one word of memory;
+    # the path through 0x20, to the payout, would drop out
+    report = analyze([("probe", mload_probe(), "test")])
+    (contract,) = report.contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert "symbolic mload offset at c0@" in contract.error
+    assert report.status is Status.INCONCLUSIVE
+
+
+def test_symbolic_memory_offset_makes_pair_inconclusive():
+    code = mload_probe()
+    w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
+    result = verify_pair(code, w, w)
+    assert result.status is Status.INCONCLUSIVE
+    assert "symbolic mload offset at c0@" in result.note
 
 
 def test_single_valued_jump_target_decides():
