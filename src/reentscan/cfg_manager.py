@@ -21,6 +21,7 @@ from .symdomain import (
     ECFG,
     EdgeKind,
     EndState,
+    MachineState,
     NodeInfo,
 )
 
@@ -84,8 +85,9 @@ class Explorer:
         self._register(block)
         return block
 
-    def fork(self, block: BasicBlock) -> BasicBlock:
-        out = block.copy_as(self._next_id)
+    def fork(self, block: BasicBlock,
+             machine: MachineState | None = None) -> BasicBlock:
+        out = block.copy_as(self._next_id, machine)
         self._next_id += 1
         self._register(out)
         return out
@@ -109,12 +111,17 @@ class Explorer:
             raise PathExplosion(f"more than {self.path_cap} paths")
 
     def transition(self, block: BasicBlock, kind: EdgeKind,
-                   contract: str | None = None) -> BasicBlock:
-        """End ``block`` at a contract boundary and continue in a successor."""
+                   machine: MachineState | None = None,
+                   hop: str | None = None) -> BasicBlock:
+        """End ``block`` at a contract boundary and continue in a successor
+        that runs ``machine``. A hop through the code-less account ``hop``
+        (the attacker dummy) runs nothing: it keeps ``block``'s machine,
+        and its node reads ``<hop>@0``."""
         self._close(block, EndState.TRANSITED)
-        out = self.fork(block)
-        if contract is not None:
-            self.ecfg.nodes[out.id].contract = contract
+        out = self.fork(block, machine)
+        if hop is not None:
+            info = self.ecfg.nodes[out.id]
+            info.contract, info.start_pc = hop, 0
         self.ecfg.add_edge(block.id, out.id, kind)
         return out
 

@@ -344,22 +344,17 @@ class MachineState:
                      for i in range(length))
 
 
-class CallKind(enum.Enum):
-    CREATE = "create"
-    CALL = "call"
-    DUMMY_REENTRY = "dummy_reentry"
-
-
 @dataclass(frozen=True)
 class CallStackEntry:
-    """A suspended caller; never mutated, so forks share it."""
+    """A suspended caller; never mutated, so forks share it. ``created``
+    names the account a CREATE frame deploys, ``attacker`` the code-less
+    account a re-entry hops through on its way in and out."""
 
-    kind: CallKind
-    saved_machine: MachineState
+    saved_machine: MachineState   # resumes at the instruction after the call
     out_offset: int = 0
     out_size: int = 0
-    created_label: str | None = None
-    dummy_node: int | None = None  # ECFG node of the attacker hop, if any
+    created: str | None = None
+    attacker: str | None = None
 
 
 # -- basic blocks and the extended CFG ----------------------------------------
@@ -389,12 +384,14 @@ class BasicBlock:
     ext_call_target: Term | None = None
     reentered: bool = False
 
-    def copy_as(self, new_id: int) -> "BasicBlock":
-        """Independent copy with a fresh id (path state only); the frozen
-        call-stack entries are shared, only the list is copied."""
+    def copy_as(self, new_id: int,
+                machine: MachineState | None = None) -> "BasicBlock":
+        """Independent copy with a fresh id (path state only), running
+        ``machine`` if given; the frozen call-stack entries are shared,
+        only the list is copied."""
         return BasicBlock(
             id=new_id,
-            machine=self.machine.clone(),
+            machine=machine if machine is not None else self.machine.clone(),
             world=self.world.clone(),
             path_condition=self.path_condition,
             call_stack=list(self.call_stack),

@@ -45,7 +45,6 @@ from .symdomain import (
     Account,
     BasicBlock,
     Calldata,
-    CallKind,
     CallStackEntry,
     COMPLETED,
     ECFG,
@@ -180,46 +179,61 @@ class SymVM:
         tag = "_".join(p.digest() for p in parts)
         return tm.var(f"{name}_{tag}")
 
-    # -- halting --------------------------------------------------------------
+    # -- entering and leaving a frame ----------------------------------------
+
+    def _enter(self, block: BasicBlock, ex: Explorer, next_pc: int,
+               callee: MachineState, *, out: tuple[int, int] = (0, 0),
+               created: str | None = None,
+               attacker: str | None = None) -> BasicBlock:
+        """Suspend the caller, to resume at ``next_pc``, and run ``callee``
+        in a new frame whose return data lands at ``out`` (offset, size).
+        A CREATE frame deploys ``created``; a re-entry first hops through
+        ``attacker``, which counts as a frame of its own."""
+        saved = block.machine.clone()
+        saved.pc = next_pc
+        frames = 1 if attacker is None else 2
+        if len(block.call_stack) + frames >= self.config.call_depth_bound:
+            raise BoundReached(f"depth bound reached at {where(block)}")
+        if attacker is not None:
+            block = ex.transition(block, EdgeKind.CALL_ENTER, hop=attacker)
+        kind = EdgeKind.CALL_ENTER if created is None else EdgeKind.CREATE_ENTER
+        nxt = ex.transition(block, kind, callee)
+        nxt.call_stack.append(CallStackEntry(saved, *out, created, attacker))
+        return nxt
 
     def _halt(self, block: BasicBlock, ex: Explorer, end: EndState,
               span: list[Term] | None = None) -> BasicBlock | None:
         """Halt the current frame; ``span`` is a RETURN's (offset, size),
-        pinned only when a caller frame reads the data."""
-        if end is EndState.REVERT:
-            # a revert anywhere abandons the whole path
-            ex.seal(block, EndState.REVERT)
-            return None
-        if not block.call_stack:
+        pinned only when a caller frame reads the data. A revert anywhere
+        abandons the whole path; any other halt in a callee resumes its
+        caller with the result the entry calls for: the created address,
+        or 1 for a call."""
+        if end is EndState.REVERT or not block.call_stack:
             ex.seal(block, end)
             return None
         data = () if span is None else block.machine.mbytes(
             *self._concretize(block, ex, span, "return range"))
 
         entry = block.call_stack.pop()
-        if entry.kind is CallKind.CREATE:
+        result = tm.const(1)
+        if entry.created is not None:
             runtime = self._require_concrete_bytes(block, data, "init return")
-            acct = block.world.accounts[entry.created_label]
+            acct = block.world.accounts[entry.created]
             acct.code = Bytecode(runtime)
             if runtime:
                 ex.created.append(acct.code)
-            cont = ex.transition(block, EdgeKind.CREATE_RETURN,
-                                 contract=entry.saved_machine.account)
-            cont.machine = entry.saved_machine.clone()
-            cont.machine.stack.append(acct.address)
-            return cont
-
-        if entry.kind is CallKind.DUMMY_REENTRY:
-            # hop back through the attacker node before resuming f
-            attacker = ex.ecfg.nodes[entry.dummy_node].contract
-            block = ex.transition(block, EdgeKind.CALL_RETURN, contract=attacker)
-        cont = ex.transition(block, EdgeKind.CALL_RETURN,
-                             contract=entry.saved_machine.account)
-        machine = cont.machine = entry.saved_machine.clone()
+            result, data = acct.address, ()  # no return data (EIP-211)
+        if entry.attacker is not None:
+            block = ex.transition(block, EdgeKind.CALL_RETURN,
+                                  hop=entry.attacker)
+        kind = (EdgeKind.CALL_RETURN if entry.created is None
+                else EdgeKind.CREATE_RETURN)
+        cont = ex.transition(block, kind, entry.saved_machine.clone())
+        machine = cont.machine
         machine.returndata = list(data)
         for i in range(min(entry.out_size, len(data))):
             machine.memory[entry.out_offset + i] = data[i]
-        machine.stack.append(tm.const(1))
+        machine.stack.append(result)
         return cont
 
     @staticmethod
@@ -228,12 +242,6 @@ class SymVM:
         if not all(b.is_const for b in data):
             raise CannotConcretize(f"symbolic {what} at {where(block)}")
         return bytes(b.value & 0xFF for b in data)
-
-    def _check_depth(self, block: BasicBlock, frames: int) -> None:
-        """Raise :class:`BoundReached` if ``frames`` more call frames would
-        reach the call-depth bound."""
-        if len(block.call_stack) + frames >= self.config.call_depth_bound:
-            raise BoundReached(f"depth bound reached at {where(block)}")
 
     # -- call and create ------------------------------------------------------
 
@@ -256,61 +264,33 @@ class SymVM:
 
         in_off_v, in_size_v, out_off_v, out_size_v = self._concretize(
             block, ex, [in_off, in_size, out_off, out_size], "call memory range")
+        out = (out_off_v, out_size_v)
 
-        if target.code is not None:
-            if not target.code.data:
-                # deployed empty contract: succeeds without running anything
-                m.stack.append(tm.const(1))
-                m.returndata = []
-                m.pc = next_pc
-                return block
-            self._check_depth(block, 1)
-            saved = m.clone()
-            saved.pc = next_pc
-            entry = CallStackEntry(
-                kind=CallKind.CALL, saved_machine=saved,
-                out_offset=out_off_v, out_size=out_size_v)
-            nxt = ex.transition(block, EdgeKind.CALL_ENTER, contract=target.label)
-            nxt.call_stack.append(entry)
-            nxt.machine = MachineState(
+        if target.code is not None and target.code.data:
+            return self._enter(block, ex, next_pc, MachineState(
                 code=target.code, account=target.label,
                 caller=caller_acct.address, callvalue=value,
-                calldata=TermCalldata(m.mbytes(in_off_v, in_size_v)))
-            return nxt
-
-        # unknown code behind the target address
-        if block.ext_call_target is None:
-            block.ext_call_target = to
-        if reentry is not None and not block.reentered:
-            return self._reenter(block, ex, reentry, target,
-                                 next_pc, out_off_v, out_size_v)
+                calldata=TermCalldata(m.mbytes(in_off_v, in_size_v))), out=out)
+        if target.code is None:
+            # unknown code behind the target address
+            if block.ext_call_target is None:
+                block.ext_call_target = to
+            if reentry is not None and not block.reentered:
+                # the attacker dummy calls back into the victim
+                block.reentered = True
+                victim = world.accounts[VICTIM]
+                g_value = tm.var("g_callvalue")
+                self._transfer(target, victim, g_value)
+                return self._enter(block, ex, next_pc, MachineState(
+                    code=victim.code, account=victim.label,
+                    caller=target.address, callvalue=g_value,
+                    calldata=reentry), out=out, attacker=target.label)
+        # empty deployed code, or unknown code that is not re-entered:
+        # succeeds without running anything
         m.stack.append(tm.const(1))
         m.returndata = []
         m.pc = next_pc
         return block
-
-    def _reenter(self, block: BasicBlock, ex: Explorer, reentry: Calldata,
-                 attacker: Account, next_pc: int,
-                 out_off: int, out_size: int) -> BasicBlock:
-        self._check_depth(block, 2)
-        block.reentered = True
-        victim = block.world.accounts[VICTIM]
-        g_value = tm.var("g_callvalue")
-        self._transfer(attacker, victim, g_value)
-
-        saved = block.machine.clone()
-        saved.pc = next_pc
-        dummy = ex.transition(block, EdgeKind.CALL_ENTER, contract=attacker.label)
-        entry_block = ex.transition(dummy, EdgeKind.CALL_ENTER,
-                                    contract=victim.label)
-        entry_block.call_stack.append(CallStackEntry(
-            kind=CallKind.DUMMY_REENTRY, saved_machine=saved,
-            out_offset=out_off, out_size=out_size, dummy_node=dummy.id))
-        entry_block.machine = MachineState(
-            code=victim.code, account=victim.label,
-            caller=attacker.address, callvalue=g_value,
-            calldata=reentry)
-        return entry_block
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
                    next_pc: int) -> BasicBlock:
@@ -320,7 +300,6 @@ class SymVM:
         length = m.stack.pop()
         span = self._concretize(block, ex, [offset, length], "create range")
         init = self._require_concrete_bytes(block, m.mbytes(*span), "init code")
-        self._check_depth(block, 1)
 
         world = block.world
         creator = world.accounts[m.account]
@@ -328,18 +307,9 @@ class SymVM:
         address = tm.const(int.from_bytes(keccak256(label.encode())[12:], "big"))
         acct = world.add_account(label, address, code=None)
         self._transfer(creator, acct, value)
-
-        saved = m.clone()
-        saved.pc = next_pc
-        entry = CallStackEntry(kind=CallKind.CREATE, saved_machine=saved,
-                               created_label=label)
-        nxt = ex.transition(block, EdgeKind.CREATE_ENTER, contract=label)
-        nxt.call_stack.append(entry)
-        nxt.machine = MachineState(
-            code=Bytecode(init),
-            account=label, caller=creator.address, callvalue=value,
-            calldata=TermCalldata(()))
-        return nxt
+        return self._enter(block, ex, next_pc, MachineState(
+            code=Bytecode(init), account=label, caller=creator.address,
+            callvalue=value, calldata=TermCalldata(())), created=label)
 
     # -- single instruction ---------------------------------------------------
 
@@ -411,22 +381,14 @@ class SymVM:
             stack.append(m.calldata.load_word(*off))
         elif name == "CALLDATASIZE":
             stack.append(m.calldata.size())
-        elif name == "CALLDATACOPY":
-            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
-                                    "calldatacopy arg")
-            dst, src, size = args
+        elif name in _COPY_SOURCES:
+            dst, src, size = self._concretize(
+                block, ex, [stack.pop() for _ in range(3)], f"{name.lower()} arg")
+            source = _COPY_SOURCES[name]
             for i in range(size):
-                m.memory[dst + i] = m.calldata.byte_at(src + i)
+                m.memory[dst + i] = source(m, src + i)
         elif name == "CODESIZE":
             stack.append(tm.const(len(m.code.data)))
-        elif name == "CODECOPY":
-            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
-                                    "codecopy arg")
-            dst, src, size = args
-            data = m.code.data
-            for i in range(size):
-                byte = data[src + i] if src + i < len(data) else 0
-                m.memory[dst + i] = tm.const(byte)
         elif name == "EXTCODESIZE":
             addr = stack.pop()
             acct = world.account_at(addr)
@@ -436,14 +398,6 @@ class SymVM:
                 stack.append(self._memo_word("extcodesize", addr))
         elif name == "RETURNDATASIZE":
             stack.append(tm.const(len(m.returndata)))
-        elif name == "RETURNDATACOPY":
-            args = self._concretize(block, ex, [stack.pop() for _ in range(3)],
-                                    "returndatacopy arg")
-            dst, src, size = args
-            for i in range(size):
-                j = src + i
-                m.memory[dst + i] = (m.returndata[j] if j < len(m.returndata)
-                                     else tm.const(0))
         elif name in ("ORIGIN", "COINBASE", "TIMESTAMP", "NUMBER",
                       "DIFFICULTY", "GASLIMIT", "GASPRICE", "GAS"):
             stack.append(tm.var(name.lower()))
@@ -537,6 +491,16 @@ _FOLDS = {
     "SAR": lambda shift, x: _signed(x) >> min(shift, 256),
     "EXTCODEHASH": None,
     "BLOCKHASH": None,
+}
+
+# Byte sources of the copy opcodes, read at one index; past the end of the
+# code or of the return data they read zero.
+_COPY_SOURCES = {
+    "CALLDATACOPY": lambda m, j: m.calldata.byte_at(j),
+    "CODECOPY": lambda m, j: tm.const(
+        m.code.data[j] if j < len(m.code.data) else 0),
+    "RETURNDATACOPY": lambda m, j: (
+        m.returndata[j] if j < len(m.returndata) else tm.const(0)),
 }
 
 _BINOPS = {

@@ -141,3 +141,25 @@ def test_export_dot_colors_call_boundaries():
         ConcreteCalldata(b""), reentry=AbiCalldata(None, "g"))
     dot = export_dot(ree.ecfg)
     assert "salmon" in dot and "palegreen" in dot
+
+
+def test_frame_boundary_nodes_start_where_their_frame_runs():
+    # CALL at pc 13 re-enters; the re-entered victim starts at pc 0, the
+    # attacker hops read pc 0, and the caller resumes at the POP (pc 14)
+    ree = SymVM().run_entry(
+        Bytecode(assemble("""
+            PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
+            POP STOP
+        """)),
+        ConcreteCalldata(b""), reentry=AbiCalldata(None, "g"))
+    nodes = ree.ecfg.nodes
+    entered = [nodes[dst] for _, dst, k in ree.ecfg.edges
+               if k is EdgeKind.CALL_ENTER]
+    returned = [nodes[dst] for _, dst, k in ree.ecfg.edges
+                if k is EdgeKind.CALL_RETURN]
+    hop = f"ext_{tm.const(0xbb).digest()}"
+    assert [(n.contract, n.start_pc) for n in entered] == [(hop, 0), ("c0", 0)]
+    assert [(n.contract, n.start_pc) for n in returned] == [(hop, 0), ("c0", 14)]
+    dot = export_dot(ree.ecfg)
+    assert f'n{returned[-1].block_id} [label="c0@14' in dot
+    assert f'n{entered[-1].block_id} [label="c0@0' in dot

@@ -11,7 +11,6 @@ from reentscan.smt.terms import evaluate
 from reentscan.symdomain import (
     AbiCalldata,
     BasicBlock,
-    CallKind,
     CallStackEntry,
     ConcreteCalldata,
     Constraint,
@@ -195,7 +194,7 @@ def test_fork_isolation():
     original.machine.memory[0] = tm.const(0xAB)
     original.world.accounts["c0"].write_storage(tm.const(0), tm.const(5))
     original.has_call = True
-    frame = CallStackEntry(kind=CallKind.CALL, saved_machine=_machine())
+    frame = CallStackEntry(saved_machine=_machine())
     original.call_stack.append(frame)
 
     copy = original.copy_as(1)

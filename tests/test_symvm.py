@@ -100,6 +100,23 @@ def test_create_returned_runtime_code_is_collected():
     assert [c.data.hex() for c in res.created] == ["42"]
 
 
+def test_create_leaves_no_return_data():
+    # a deployed child returns 32 bytes to a CALL; a later successful CREATE
+    # then empties the return data buffer (EIP-211)
+    res = SymVM().run_entry(Bytecode(assemble("""
+        PUSH14 0x6460206000f36000526005601bf3 PUSH1 0 MSTORE
+        PUSH1 14 PUSH1 18 PUSH1 0 CREATE  ; child runtime: RETURN(0, 32)
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP6 GAS CALL POP
+        RETURNDATASIZE PUSH1 1 SSTORE
+        PUSH1 0 PUSH1 0 PUSH1 0 CREATE POP
+        RETURNDATASIZE PUSH1 0 SSTORE STOP
+    """)), ConcreteCalldata(b""))
+    (block,) = res.completed
+    victim = block.world.accounts["c0"]
+    assert victim.read_storage(tm.const(1)) == tm.const(32)
+    assert victim.read_storage(tm.const(0)) == tm.const(0)
+
+
 def test_symbolic_init_code_seals_with_diagnostic():
     # the model cannot run symbolic init code: the run stops, naming it
     with pytest.raises(CannotConcretize, match="symbolic init code at c0@"):
