@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bitblast import BitBlaster, UnsupportedTermError
-from .terms import FALSE, TRUE, Term, band, bnot, evaluate
+from .terms import FALSE, Term, band, bnot, evaluate
 
 
 class SolverStatus(enum.Enum):
@@ -41,24 +41,20 @@ class IndeterminateEquivalence(Exception):
 
 
 def _flatten(constraints: Iterable[Term]) -> list[Term]:
+    """The conjuncts in order, each once and true ones dropped; ``[FALSE]``
+    as soon as one is false, as :func:`~reentscan.smt.terms.band` folds it."""
     out: list[Term] = []
     seen: set[Term] = set()
     for c in constraints:
-        parts = c.args if c.op == "band" else (c,)
-        for p in parts:
-            if p == TRUE:
+        for p in c.args if c.op == "band" else (c,):
+            if p.is_const:
+                if not p.value:
+                    return [FALSE]
                 continue
             if p not in seen:
                 seen.add(p)
                 out.append(p)
     return out
-
-
-def _trivial(flat: list[Term]) -> SolverStatus | None:
-    """The status of a flattened query that needs no solving, else None."""
-    if any(c == FALSE for c in flat):
-        return SolverStatus.UNSAT
-    return None if flat else SolverStatus.SAT
 
 
 RECENT_MODELS = 64  # models of recent solves that status queries try first
@@ -67,12 +63,14 @@ RECENT_MODELS = 64  # models of recent solves that status queries try first
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
-    A query missing from the memo has each of its constraints lowered in the
-    solver's gate store (see ``bitblast``). If one lowers to constant false,
-    or two to complementary literals, the query is UNSAT without a SAT
-    instance. Otherwise it is solved in a fresh SAT instance loaded from the
-    store: the CNF of its constraints' cone alone, exactly what blasting the
-    query afresh gives.
+    Every query takes one path. Its constraints are flattened to their
+    conjuncts, where a false conjunct stands for the whole query. A query
+    missing from the memo has each conjunct lowered in the solver's gate
+    store (see ``bitblast``). If one lowers to constant false, or two to
+    complementary literals, the query is UNSAT without a SAT instance.
+    Otherwise it is solved in a fresh SAT instance loaded from the store:
+    the CNF of its constraints' cone alone, exactly what blasting the query
+    afresh gives. The empty query is solved this way too.
     Every SAT answer carries a model, checked against the constraints before
     it is stored. Decided answers are memoized by the ordered tuple of
     flattened constraints: the same constraints in another order may solve
@@ -90,22 +88,20 @@ class Solver:
     values of the terms evaluated under it until it leaves the ring, so no
     term is evaluated twice under one model: a query that adds a constraint
     to one tried before, as the next branch on a path does, evaluates only
-    that constraint under the models already tried. A hit is never stored
-    as the key's model, so :meth:`check_sat`, which serves the callers that
-    read models, still hands out exactly the model a fresh solve of the key
-    gives.
+    that constraint under the models already tried. A hit is not kept: the
+    key asked again is tried on the ring again, and solved once its model
+    has left the ring. So :meth:`check_sat`, which serves the callers that
+    read models, still hands out exactly the model a fresh solve gives.
 
     :attr:`answers` counts each query asked by the place that answered it:
-    ``trivial``, ``memo``, ``sat_set`` (shown SAT by a ring model before),
-    ``ring``, ``refuted`` (contradictory in the store), ``solved`` (decided
-    by a SAT instance), ``timeout`` (a SAT instance out of time) or
-    ``unsupported`` (a constraint the store cannot lower).
+    ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
+    (decided by a SAT instance), ``timeout`` (a SAT instance out of time)
+    or ``unsupported`` (a constraint the store cannot lower).
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
         self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
-        self._sat_keys: set[tuple[Term, ...]] = set()  # shown SAT by a recent model
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
@@ -116,11 +112,6 @@ class Solver:
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
         flat = _flatten(constraints)
-        trivial = _trivial(flat)
-        if trivial is not None:
-            self.answers["trivial"] += 1
-            return SolverVerdict(trivial, {} if trivial is SolverStatus.SAT else None)
-
         key = tuple(flat)
         known = self._memo.get(key)
         if known is None:
@@ -144,18 +135,11 @@ class Solver:
         query would give Unknown (an operation the bit-blaster cannot lower).
         """
         flat = _flatten(constraints)
-        trivial = _trivial(flat)
-        if trivial is not None:
-            self.answers["trivial"] += 1
-            return trivial
         key = tuple(flat)
         known = self._memo.get(key)
         if known is not None:
             self.answers["memo"] += 1
             return known.status
-        if key in self._sat_keys:
-            self.answers["sat_set"] += 1
-            return SolverStatus.SAT
         for model, values in zip(self._models, self._values):
             for c in flat:
                 value = values.get(c)
@@ -164,7 +148,6 @@ class Solver:
                 if value != 1:
                     break
             else:
-                self._sat_keys.add(key)
                 self.answers["ring"] += 1
                 return SolverStatus.SAT
         return self.check_sat(flat).status  # counted once, by _solve

@@ -332,15 +332,16 @@ class MachineState:
             self.memory[offset + i] = tm.bv_and(
                 tm.shr(value, tm.const(8 * (31 - i))), tm.const(0xFF))
 
+    # a read records the zero bytes it expands memory by, so MSIZE counts them
     def mload_word(self, offset: int) -> Term:
         word = tm.const(0)
         for i in range(32):
-            byte = self.memory.get(offset + i, tm.const(0))
+            byte = self.memory.setdefault(offset + i, tm.const(0))
             word = tm.bv_or(word, tm.shl(byte, tm.const(8 * (31 - i))))
         return word
 
     def mbytes(self, offset: int, length: int) -> tuple[Term, ...]:
-        return tuple(self.memory.get(offset + i, tm.const(0))
+        return tuple(self.memory.setdefault(offset + i, tm.const(0))
                      for i in range(length))
 
 

@@ -204,11 +204,11 @@ class SymVM:
     def _halt(self, block: BasicBlock, ex: Explorer, end: EndState,
               span: list[Term] | None = None) -> BasicBlock | None:
         """Halt the current frame; ``span`` is a RETURN's (offset, size),
-        pinned only when a caller frame reads the data. A revert anywhere
-        abandons the whole path; any other halt in a callee resumes its
-        caller with the result the entry calls for: the created address,
-        or 1 for a call."""
-        if end is EndState.REVERT or not block.call_stack:
+        pinned only when a caller frame reads the data. A revert or an
+        exceptional halt anywhere abandons the whole path; a STOP or RETURN
+        in a callee resumes its caller with the result the entry calls for:
+        the created address, or 1 for a call."""
+        if end not in COMPLETED or not block.call_stack:
             ex.seal(block, end)
             return None
         data = () if span is None else block.machine.mbytes(
@@ -325,8 +325,7 @@ class SymVM:
         entry = OPCODES.get(ins.opcode)
         if entry is None or name == "INVALID" or len(m.stack) < entry[1]:
             # invalid opcode or stack underflow: an exceptional halt
-            ex.seal(block, EndState.INVALID)
-            return None
+            return self._halt(block, ex, EndState.INVALID)
         next_pc = ins.offset + ins.size
         stack = m.stack
         world = block.world
@@ -451,8 +450,7 @@ class SymVM:
                 f"unsupported opcode {name} at {where(block)}")
 
         if len(stack) > MAX_STACK:  # stack overflow
-            ex.seal(block, EndState.INVALID)
-            return None
+            return self._halt(block, ex, EndState.INVALID)
         m.pc = next_pc
         return block
 

@@ -319,7 +319,8 @@ def _analyze_one(label: str, code: Bytecode, source: str,
         functions = extract_function_ids(code, solver, config)
         pairs = enumerate_pairs(functions)
     except Exception as exc:  # noqa: BLE001 - one bad contract must not stop the run
-        return ContractReport(label, source, Status.INCONCLUSIVE, error=str(exc))
+        return ContractReport(label, source, Status.INCONCLUSIVE,
+                              error=str(exc) or type(exc).__name__)
 
     results: list[PairResult] = []
     for f, g in pairs:
@@ -327,7 +328,7 @@ def _analyze_one(label: str, code: Bytecode, source: str,
             results.append(verify_pair(code, f, g, config, solver))
         except Exception as exc:  # noqa: BLE001
             results.append(PairResult(f=f, g=g, status=Status.INCONCLUSIVE,
-                                      note=str(exc)))
+                                      note=str(exc) or type(exc).__name__))
     return ContractReport(
         label=label, source=source,
         status=_aggregate(r.status for r in results),

@@ -68,16 +68,17 @@ def _execute(world: OracleWorld, code: bytes, self_addr: int, caller: int,
     memory = bytearray()
     pc = 0
 
-    def grow(upto: int) -> None:
-        if len(memory) < upto:
-            memory.extend(b"\x00" * (upto - len(memory)))
+    def grow(off: int, n: int) -> None:
+        # a zero-length access leaves memory as it is (Yellow Paper, M)
+        if n and len(memory) < off + n:
+            memory.extend(b"\x00" * (off + n - len(memory)))
 
     def mload(off: int, n: int) -> bytes:
-        grow(off + n)
+        grow(off, n)
         return bytes(memory[off:off + n])
 
     def mstore(off: int, data: bytes) -> None:
-        grow(off + len(data))
+        grow(off, len(data))
         memory[off:off + len(data)] = data
 
     def cdload(off: int) -> int:

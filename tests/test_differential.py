@@ -205,6 +205,23 @@ def test_msize_tracks_touched_memory():
     """)
 
 
+def test_msize_counts_memory_a_read_expands():
+    check("""
+        PUSH1 0x40 MLOAD POP
+        MSIZE PUSH1 0 SSTORE                     ; 0x60, as on the EVM
+        STOP
+    """)
+
+
+def test_zero_length_access_leaves_msize():
+    check("""
+        PUSH1 1 PUSH1 0 MSTORE8
+        PUSH1 0 PUSH1 0x40 SHA3 POP              ; SHA3(0x40, 0)
+        MSIZE PUSH1 0 SSTORE                     ; still 0x20
+        STOP
+    """)
+
+
 def test_sha3_of_memory():
     check("""
         PUSH1 0x61 PUSH1 0 MSTORE8

@@ -750,6 +750,22 @@ def test_unsupported_root_beside_a_refutation_is_unknown(no_sat):
     assert solver.answers == Counter(unsupported=4)
 
 
+def test_false_conjunct_refutes_beside_an_unsupported_one(no_sat):
+    x, y = var("x", 8), var("y", 8)
+    solver = Solver()
+    query = [FALSE, eq(bv_mul(x, y), const(6, 8))]
+    assert solver.status(query) is SolverStatus.UNSAT
+    assert solver.answers == Counter(refuted=1)
+
+
+def test_empty_query_is_sat_with_empty_model():
+    solver = Solver()
+    assert solver.check_sat([]) == SolverVerdict(SolverStatus.SAT, {})
+    assert solver.status([]) is SolverStatus.SAT
+    assert solver.check_sat([TRUE]) == SolverVerdict(SolverStatus.SAT, {})
+    assert solver.answers == Counter(solved=1, memo=2)
+
+
 class AskCountingSolver(Solver):
     """Counts the queries asked from outside: status answers a miss through
     check_sat, which is still one query."""
@@ -780,18 +796,17 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     x, y = var("x", 8), var("y", 8)
     c = ult(const(3, 8), x)
     solver = AskCountingSolver()
-    solver.status([])                                           # trivial
+    solver.status([])                                           # solved
     solver.check_sat([c])                                       # solved
     solver.check_sat([c])                                       # memo
     solver.status([c, ult(x, const(250, 8))])                   # ring
-    solver.status([c, ult(x, const(250, 8))])                   # sat_set
+    solver.status([c, ult(x, const(250, 8))])                   # ring
     solver.status([c, bnot(c)])                                 # refuted
     solver.status([c, eq(bv_mul(x, y), const(6, 8))])           # unsupported
     solver.timeout = 0
     solver.status([ult(x, y)])                                  # timeout
-    assert solver.answers == Counter(trivial=1, solved=1, memo=1, ring=1,
-                                     sat_set=1, refuted=1, unsupported=1,
-                                     timeout=1)
+    assert solver.answers == Counter(solved=2, memo=1, ring=2, refuted=1,
+                                     unsupported=1, timeout=1)
     assert solver.asked == 8
     # and over a whole contract's discovery and pairs
     solvers = []

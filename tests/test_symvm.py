@@ -117,6 +117,19 @@ def test_create_leaves_no_return_data():
     assert victim.read_storage(tm.const(0)) == tm.const(0)
 
 
+@pytest.mark.parametrize("init", ["0xfe", "0x01"])  # INVALID; ADD, empty stack
+def test_exceptional_halt_in_init_code_never_resumes_creator(init):
+    res = SymVM().run_entry(Bytecode(assemble(f"""
+        PUSH1 {init} PUSH1 0 MSTORE8
+        PUSH1 1 PUSH1 0 PUSH1 0 CREATE    ; CREATE(value=0, offset 0, len 1)
+        PUSH1 0 SSTORE                    ; store created address at slot 0
+        STOP
+    """)), ConcreteCalldata(b""))
+    for block in res.completed:
+        assert block.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(0)
+    assert any(b.end_state is EndState.INVALID for b in res.sealed)
+
+
 def test_symbolic_init_code_seals_with_diagnostic():
     # the model cannot run symbolic init code: the run stops, naming it
     with pytest.raises(CannotConcretize, match="symbolic init code at c0@"):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from asm import assemble
+from reentscan import verifier
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import Solver, SolverStatus, SolverVerdict
 from reentscan.smt.terms import evaluate
@@ -342,9 +343,12 @@ def test_enumerate_pairs_without_callers_is_empty():
 # -- function discovery -------------------------------------------------------
 
 class _UnknownSolver(Solver):
-    """Answers every query that reaches the SAT engine with Unknown."""
+    """Answers every query that reaches the SAT engine with Unknown, but the
+    empty one, which a real solver always decides."""
 
     def _solve(self, flat, start):
+        if not flat:
+            return super()._solve(flat, start)
         return SolverVerdict(SolverStatus.UNKNOWN, None)
 
 
@@ -366,6 +370,24 @@ def test_undecided_dispatch_makes_contract_inconclusive():
     assert contract.functions == [] and contract.pairs == []
     assert contract.error.startswith("undecided dispatch")
     assert "reachable" in contract.error
+
+
+def _raise_bare(*args, **kwargs):
+    raise AssertionError()
+
+
+def test_internal_error_without_text_is_named_by_its_type(monkeypatch):
+    target = [("fund", load_fixture("fund.hex"), "fixture")]
+    monkeypatch.setattr(verifier, "verify_pair", _raise_bare)
+    (contract,) = analyze(target).contracts
+    assert contract.pairs
+    for pair in contract.pairs:
+        assert pair.status is Status.INCONCLUSIVE
+        assert pair.note == "AssertionError"
+    monkeypatch.setattr(verifier, "extract_function_ids", _raise_bare)
+    (contract,) = analyze(target).contracts
+    assert contract.status is Status.INCONCLUSIVE
+    assert contract.error == "AssertionError"
 
 
 # -- whole-target analysis ----------------------------------------------------
