@@ -16,6 +16,7 @@ Run from the repository root:
 from pathlib import Path
 
 from reentscan.evm_core import Bytecode, selector_of
+from reentscan.smt.terms import conjuncts
 from reentscan.verifier import AnalyzerConfig, verify_pair
 from reentscan.symvm import FunctionEntry, extract_function_ids
 
@@ -25,9 +26,10 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "fund.hex"
 def describe(conditions, name):
     print(f"\n{name} holds {len(conditions)} end-path condition(s):")
     for i, cond in enumerate(conditions):
-        print(f"  [{i}] {len(cond)} constraints")
-        for c in cond.constraints:
-            print(f"      ({c.origin.value}) {c.term}")
+        parts = conjuncts(cond)
+        print(f"  [{i}] {len(parts)} conjuncts")
+        for c in parts:
+            print(f"      {c}")
 
 
 def main() -> None:

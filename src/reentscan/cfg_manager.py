@@ -17,7 +17,6 @@ from .smt.terms import Term
 from .symdomain import (
     HALTED,
     BasicBlock,
-    ConstraintOrigin,
     ECFG,
     EdgeKind,
     EndState,
@@ -127,9 +126,9 @@ class Explorer:
 
     # -- branching ------------------------------------------------------------
 
-    def _feasible(self, constraints: list[Term]) -> bool:
+    def _feasible(self, pc: Term) -> bool:
         # an undecided branch is still explored; its condition rides along
-        return self.solver.status(constraints) is not SolverStatus.UNSAT
+        return self.solver.status([pc]) is not SolverStatus.UNSAT
 
     def concretize(self, block: BasicBlock, term: Term, what: str) -> int:
         """Pin a word to its one value under the path condition, recorded on
@@ -138,16 +137,15 @@ class Explorer:
         of several would drop the paths to the others."""
         if term.is_const:
             return term.value
-        before = block.path_condition.terms
-        verdict = self.solver.check_sat(before)
+        pc = block.path_condition
+        verdict = self.solver.check_sat([pc])
         if not verdict.is_sat:
             raise CannotConcretize(f"cannot concretize {what} at {where(block)}")
         value = tm.evaluate(term, verdict.model)
         pinned = tm.eq(term, tm.const(value))
-        if self.solver.status([*before, tm.bnot(pinned)]) is not SolverStatus.UNSAT:
+        if self.solver.status([pc, tm.bnot(pinned)]) is not SolverStatus.UNSAT:
             raise CannotConcretize(f"symbolic {what} at {where(block)}")
-        block.path_condition = block.path_condition.extended(
-            pinned, ConstraintOrigin.CONCRETIZE)
+        block.path_condition = tm.band((pc, pinned))
         return value
 
     def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
@@ -174,28 +172,28 @@ class Explorer:
             block.machine.pc = fall_pc
             return block
 
-        pc_terms = block.path_condition.terms
-        neg = tm.bnot(cond)
-        fall_ok = self._feasible(pc_terms + [neg])
-        jump_ok = self._feasible(pc_terms + [cond])
+        fall_cond = tm.band((block.path_condition, tm.bnot(cond)))
+        jump_cond = tm.band((block.path_condition, cond))
+        fall_ok = self._feasible(fall_cond)
+        jump_ok = self._feasible(jump_cond)
 
         if fall_ok and jump_ok:
             self._close(block, EndState.BRANCHED)
             fall = self.fork(block)
-            fall.path_condition = fall.path_condition.extended(neg)
+            fall.path_condition = fall_cond
             fall.machine.pc = fall_pc
             jump = self.fork(block)
-            jump.path_condition = jump.path_condition.extended(cond)
+            jump.path_condition = jump_cond
             self.ecfg.add_edge(block.id, fall.id, EdgeKind.FALLTHROUGH)
             self.ecfg.add_edge(block.id, jump.id, EdgeKind.JUMP)
             if self._goto(jump, target, jumpdests):
                 self.push(jump)
             return fall
         if jump_ok:
-            block.path_condition = block.path_condition.extended(cond)
+            block.path_condition = jump_cond
             return self.jump(block, target, jumpdests)
         if fall_ok:
-            block.path_condition = block.path_condition.extended(neg)
+            block.path_condition = fall_cond
             block.machine.pc = fall_pc
             return block
         self.seal(block, EndState.INVALID)  # contradictory branch

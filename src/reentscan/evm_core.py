@@ -92,6 +92,11 @@ _BASE_OPCODES: dict[int, tuple[str, int, int]] = {
     0x43: ("NUMBER", 0, 1),
     0x44: ("DIFFICULTY", 0, 1),
     0x45: ("GASLIMIT", 0, 1),
+    0x46: ("CHAINID", 0, 1),
+    0x47: ("SELFBALANCE", 0, 1),
+    0x48: ("BASEFEE", 0, 1),
+    0x49: ("BLOBHASH", 1, 1),
+    0x4A: ("BLOBBASEFEE", 0, 1),
     0x50: ("POP", 1, 0),
     0x51: ("MLOAD", 1, 1),
     0x52: ("MSTORE", 2, 0),
@@ -104,6 +109,10 @@ _BASE_OPCODES: dict[int, tuple[str, int, int]] = {
     0x59: ("MSIZE", 0, 1),
     0x5A: ("GAS", 0, 1),
     0x5B: ("JUMPDEST", 0, 0),
+    0x5C: ("TLOAD", 1, 1),
+    0x5D: ("TSTORE", 2, 0),
+    0x5E: ("MCOPY", 3, 0),
+    0x5F: ("PUSH0", 0, 1),
     0xF0: ("CREATE", 3, 1),
     0xF1: ("CALL", 7, 1),
     0xF2: ("CALLCODE", 7, 1),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bitblast import BitBlaster, UnsupportedTermError
-from .terms import FALSE, Term, band, bnot, evaluate
+from .terms import Term, band, bnot, conjuncts, evaluate
 
 
 class SolverStatus(enum.Enum):
@@ -40,31 +40,15 @@ class IndeterminateEquivalence(Exception):
     """The solver could not decide an equivalence query within budget."""
 
 
-def _flatten(constraints: Iterable[Term]) -> list[Term]:
-    """The conjuncts in order, each once and true ones dropped; ``[FALSE]``
-    as soon as one is false, as :func:`~reentscan.smt.terms.band` folds it."""
-    out: list[Term] = []
-    seen: set[Term] = set()
-    for c in constraints:
-        for p in c.args if c.op == "band" else (c,):
-            if p.is_const:
-                if not p.value:
-                    return [FALSE]
-                continue
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-    return out
-
-
 RECENT_MODELS = 64  # models of recent solves that status queries try first
 
 
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
-    Every query takes one path. Its constraints are flattened to their
-    conjuncts, where a false conjunct stands for the whole query. A query
+    Every query takes one path. Its constraints are joined into their
+    interned conjunction by :func:`~reentscan.smt.terms.band`, which folds
+    the query to ``FALSE`` as soon as one conjunct is false. A query
     missing from the memo has each conjunct lowered in the solver's gate
     store (see ``bitblast``). If one lowers to constant false, or two to
     complementary literals, the query is UNSAT without a SAT instance.
@@ -72,12 +56,12 @@ class Solver:
     the CNF of its constraints' cone alone, exactly what blasting the query
     afresh gives. The empty query is solved this way too.
     Every SAT answer carries a model, checked against the constraints before
-    it is stored. Decided answers are memoized by the ordered tuple of
-    flattened constraints: the same constraints in another order may solve
-    to another model, so a set would not do as the key. Unknown is never
-    memoized, and every model handed out is a fresh copy. One instance
-    serves one contract, so the memo and the gate store live as long as
-    that contract's analysis.
+    it is stored. Decided answers are memoized by the interned conjunction,
+    which keeps its conjuncts in order: the same constraints in another
+    order may solve to another model, so a set would not do as the key.
+    Unknown is never memoized, and every model handed out is a fresh copy.
+    One instance serves one contract, so the memo and the gate store live
+    as long as that contract's analysis.
 
     Callers that read only the status (branch feasibility, the verifier's
     feasibility filter, selector uniqueness, both directed equivalence
@@ -101,7 +85,7 @@ class Solver:
 
     def __init__(self, timeout: float = 60.0) -> None:
         self.timeout = timeout
-        self._memo: dict[tuple[Term, ...], SolverVerdict] = {}
+        self._memo: dict[Term, SolverVerdict] = {}
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
@@ -111,11 +95,10 @@ class Solver:
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
-        flat = _flatten(constraints)
-        key = tuple(flat)
+        key = band(constraints)
         known = self._memo.get(key)
         if known is None:
-            known = self._solve(flat, start)
+            known = self._solve(conjuncts(key), start)
             if known.status is SolverStatus.UNKNOWN:
                 return known
             self._memo[key] = known
@@ -134,12 +117,12 @@ class Solver:
         variables read as 0; such a model proves SAT also where solving the
         query would give Unknown (an operation the bit-blaster cannot lower).
         """
-        flat = _flatten(constraints)
-        key = tuple(flat)
+        key = band(constraints)
         known = self._memo.get(key)
         if known is not None:
             self.answers["memo"] += 1
             return known.status
+        flat = conjuncts(key)
         for model, values in zip(self._models, self._values):
             for c in flat:
                 value = values.get(c)
@@ -150,9 +133,9 @@ class Solver:
             else:
                 self.answers["ring"] += 1
                 return SolverStatus.SAT
-        return self.check_sat(flat).status  # counted once, by _solve
+        return self.check_sat([key]).status  # counted once, by _solve
 
-    def _solve(self, flat: list[Term], start: float) -> SolverVerdict:
+    def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
         try:
             refuted = self._blaster.refutes(flat)
         except UnsupportedTermError:
@@ -183,22 +166,22 @@ class Solver:
             if evaluate(c, model) != 1:
                 raise RuntimeError(f"solver returned a bogus model for {c!r}")
 
-    def check_equivalence(self, left: Sequence[Term], right: Sequence[Term]) -> bool:
+    def check_equivalence(self, left: Iterable[Term], right: Iterable[Term]) -> bool:
         """Model-set equality of two constraint conjunctions.
 
         Decided by refuting both directed differences; raises
         :class:`IndeterminateEquivalence` if either query is Unknown.
         """
-        a = _flatten(left)
-        b = _flatten(right)
-        if set(a) == set(b):
+        a = band(left)
+        b = band(right)
+        if frozenset(conjuncts(a)) == frozenset(conjuncts(b)):
             return True
-        forward = self.status([*a, bnot(band(b))])
+        forward = self.status([a, bnot(b)])
         if forward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("left minus right undecided")
         if forward is SolverStatus.SAT:
             return False
-        backward = self.status([*b, bnot(band(a))])
+        backward = self.status([b, bnot(a)])
         if backward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("right minus left undecided")
         return backward is SolverStatus.UNSAT

@@ -375,6 +375,9 @@ def bnot(a: Term) -> Term:
 
 
 def band(terms: Iterable[Term]) -> Term:
+    """The conjunction of ``terms``: conjuncts flattened in order, each
+    once, true ones dropped, and ``FALSE`` as soon as one is false. Terms
+    are interned, so ``band([t]) is t`` for any boolean ``t``."""
     flat: list[Term] = []
     seen: set[Term] = set()
     for t in terms:
@@ -394,6 +397,13 @@ def band(terms: Iterable[Term]) -> Term:
     if len(flat) == 1:
         return flat[0]
     return Term("band", BOOL, tuple(flat))
+
+
+def conjuncts(t: Term) -> tuple[Term, ...]:
+    """The conjuncts of a term that :func:`band` built: none for ``TRUE``."""
+    if t.op == "band":
+        return t.args
+    return () if t is TRUE else (t,)
 
 
 def bor(terms: Iterable[Term]) -> Term:

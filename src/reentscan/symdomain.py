@@ -2,7 +2,9 @@
 
 Every value flowing through the emulated machine is a 256-bit
 :class:`~reentscan.smt.terms.Term`; concrete values are constant terms, so
-constant folding doubles as a concrete interpreter. Fresh symbols are named
+constant folding doubles as a concrete interpreter. A path condition is one
+interned boolean term, the conjunction :func:`~reentscan.smt.terms.band`
+builds, so equal conditions are one object. Fresh symbols are named
 deterministically from their role (never from global counters), which keeps
 independently-collected path conditions over one scenario pair in a shared
 symbol environment and makes runs reproducible.
@@ -17,49 +19,6 @@ from .evm_core import Bytecode, FunctionId
 from .keccak import keccak256
 from .smt import terms as tm
 from .smt.terms import Term
-
-# -- path conditions ----------------------------------------------------------
-
-class ConstraintOrigin(enum.Enum):
-    BRANCH = "branch"
-    CONCRETIZE = "concretize"
-    BALANCE = "balance"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    term: Term
-    origin: ConstraintOrigin = ConstraintOrigin.BRANCH
-
-
-class PathCondition:
-    """An immutable, monotonically-grown conjunction of boolean terms."""
-
-    __slots__ = ("constraints",)
-
-    def __init__(self, constraints: tuple[Constraint, ...] = ()):
-        self.constraints = constraints
-
-    def extended(self, term: Term,
-                 origin: ConstraintOrigin = ConstraintOrigin.BRANCH) -> "PathCondition":
-        if term == tm.TRUE:
-            return self
-        return PathCondition(self.constraints + (Constraint(term, origin),))
-
-    @property
-    def terms(self) -> list[Term]:
-        return [c.term for c in self.constraints]
-
-    def key(self) -> frozenset[Term]:
-        """Order-insensitive identity, used for structural dedup."""
-        return frozenset(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def __repr__(self) -> str:
-        return f"PathCondition({', '.join(map(repr, self.terms))})"
-
 
 # -- calldata -----------------------------------------------------------------
 
@@ -283,13 +242,11 @@ class LocalWorldState:
             joined = tm.bv_add(tm.bv_mul(joined, tm.const(257)), b)
         return tm.var(f"sha3_{joined.digest()}")
 
-    def with_solvency(self, pc: PathCondition) -> PathCondition:
+    def with_solvency(self, pc: Term) -> Term:
         """``pc`` with the solvency condition of every touched account appended."""
-        for acct in self.accounts.values():
-            if acct.touched:
-                pc = pc.extended(acct.solvency_constraint(),
-                                 ConstraintOrigin.BALANCE)
-        return pc
+        return tm.band([pc, *(acct.solvency_constraint()
+                              for acct in self.accounts.values()
+                              if acct.touched)])
 
 
 # -- machine state and call stack ---------------------------------------------
@@ -344,6 +301,12 @@ class MachineState:
         return tuple(self.memory.setdefault(offset + i, tm.const(0))
                      for i in range(length))
 
+    def grow(self, offset: int, length: int) -> None:
+        """Expand memory over a range nothing reads: MSIZE counts only the
+        highest byte, and an absent byte reads as 0."""
+        if length:
+            self.memory.setdefault(offset + length - 1, tm.const(0))
+
 
 @dataclass(frozen=True)
 class CallStackEntry:
@@ -378,7 +341,7 @@ class BasicBlock:
     id: int
     machine: MachineState
     world: LocalWorldState
-    path_condition: PathCondition
+    path_condition: Term  # the interned conjunction, grown by tm.band
     call_stack: list[CallStackEntry] = field(default_factory=list)
     has_call: bool = False  # a CALL was reached on this path
     end_state: EndState = EndState.OPEN

@@ -53,7 +53,6 @@ from .symdomain import (
     LocalWorldState,
     MachineState,
     MAX_STACK,
-    PathCondition,
     TermCalldata,
 )
 
@@ -103,7 +102,7 @@ class SymVM:
                   world: LocalWorldState | None = None,
                   caller: Term | None = None,
                   callvalue: Term | None = None,
-                  path_condition: PathCondition | None = None,
+                  path_condition: Term = tm.TRUE,
                   reentry: Calldata | None = None) -> RunResult:
         """Explore one transaction against the victim contract.
 
@@ -132,7 +131,7 @@ class SymVM:
             id=0,
             machine=machine,
             world=world,
-            path_condition=path_condition or PathCondition(),
+            path_condition=path_condition,
         )
         return self.explore(root, reentry)
 
@@ -265,12 +264,14 @@ class SymVM:
         in_off_v, in_size_v, out_off_v, out_size_v = self._concretize(
             block, ex, [in_off, in_size, out_off, out_size], "call memory range")
         out = (out_off_v, out_size_v)
+        m.grow(*out)  # whatever the callee returns
 
         if target.code is not None and target.code.data:
             return self._enter(block, ex, next_pc, MachineState(
                 code=target.code, account=target.label,
                 caller=caller_acct.address, callvalue=value,
                 calldata=TermCalldata(m.mbytes(in_off_v, in_size_v))), out=out)
+        m.grow(in_off_v, in_size_v)
         if target.code is None:
             # unknown code behind the target address
             if block.ext_call_target is None:
@@ -332,6 +333,8 @@ class SymVM:
 
         if ins.is_push:
             stack.append(tm.const(ins.push_value))
+        elif name == "PUSH0":
+            stack.append(tm.const(0))
         elif name.startswith("DUP"):
             stack.append(stack[-int(name[3:])])
         elif name.startswith("SWAP"):
@@ -371,6 +374,8 @@ class SymVM:
             stack.append(world.accounts[m.account].address)
         elif name == "BALANCE":
             stack.append(world.external_account(stack.pop()).balance_expr())
+        elif name == "SELFBALANCE":
+            stack.append(world.accounts[m.account].balance_expr())
         elif name == "CALLER":
             stack.append(m.caller)
         elif name == "CALLVALUE":
@@ -398,7 +403,8 @@ class SymVM:
         elif name == "RETURNDATASIZE":
             stack.append(tm.const(len(m.returndata)))
         elif name in ("ORIGIN", "COINBASE", "TIMESTAMP", "NUMBER",
-                      "DIFFICULTY", "GASLIMIT", "GASPRICE", "GAS"):
+                      "DIFFICULTY", "GASLIMIT", "GASPRICE", "GAS",
+                      "CHAINID", "BASEFEE"):
             stack.append(tm.var(name.lower()))
         elif name == "PC":
             stack.append(tm.const(ins.offset))
@@ -432,6 +438,10 @@ class SymVM:
             cond = tm.truthy(cond_word)
             return ex.branch_on_jumpi(block, target, cond, jumpdests, next_pc)
         elif name.startswith("LOG"):
+            # nothing reads the data, so a symbolic range is not pinned
+            off, size = stack[-1], stack[-2]
+            if off.is_const and size.is_const:
+                m.grow(off.value, size.value)
             for _ in range(entry[1]):
                 stack.pop()
         elif name == "STOP":
@@ -445,7 +455,8 @@ class SymVM:
             return self._do_create(block, ex, next_pc)
         else:
             # DELEGATECALL, CALLCODE, STATICCALL, CREATE2, SELFDESTRUCT,
-            # EXTCODECOPY: outside the modeled fragment
+            # EXTCODECOPY, BLOBHASH, BLOBBASEFEE, TLOAD, TSTORE, MCOPY:
+            # outside the modeled fragment
             raise UnsupportedOpcode(
                 f"unsupported opcode {name} at {where(block)}")
 
@@ -541,8 +552,8 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     by_selector: dict[int, bool] = {}
     fallback: bool | None = None
     for block in result.completed:
-        terms = block.path_condition.terms
-        verdict = vm.solver.check_sat(terms)
+        pc = block.path_condition
+        verdict = vm.solver.check_sat([pc])
         has_call = block.has_call
         if verdict.status is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
@@ -552,7 +563,7 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
             continue  # unreachable dispatch arm
         value = verdict.model.get("function_id", 0) & 0xFFFFFFFF
         unique = vm.solver.status(
-            terms + [tm.bnot(tm.eq(fid_low, tm.const(value)))])
+            [pc, tm.bnot(tm.eq(fid_low, tm.const(value)))])
         if unique is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 f"undecided dispatch: cannot tell whether only selector "

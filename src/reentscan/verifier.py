@@ -27,7 +27,8 @@ from .cfg_manager import CannotFinish
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
-from .symdomain import BasicBlock, ECFG, PathCondition
+from .smt.terms import Term
+from .symdomain import BasicBlock, ECFG
 from .symvm import (
     AbiCalldata,
     AnalyzerConfig,
@@ -49,8 +50,8 @@ class ScenarioSet:
 
     f: FunctionEntry
     g: FunctionEntry
-    I: list[PathCondition] = field(default_factory=list)
-    C: list[PathCondition] = field(default_factory=list)
+    I: list[Term] = field(default_factory=list)
+    C: list[Term] = field(default_factory=list)
     ecfg_I: ECFG | None = None
     ecfg_C: ECFG | None = None
     created: list[Bytecode] = field(default_factory=list)
@@ -133,7 +134,7 @@ def _aggregate(statuses) -> Status:
 # -- scenario collection ------------------------------------------------------
 
 def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
-                  out: ScenarioSet, into: list[PathCondition]) -> None:
+                  out: ScenarioSet, into: list[Term]) -> None:
     """Continue a finished f path with g as its own transaction."""
     caller = end.ext_call_target if end.ext_call_target is not None \
         else tm.var("caller")
@@ -175,24 +176,25 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
 # -- verdicts -----------------------------------------------------------------
 
-def _dedupe(conditions: list[PathCondition]) -> list[PathCondition]:
+def _dedupe(conditions: list[Term]) -> list[Term]:
+    """Drop conditions with the conjuncts of an earlier one in another order."""
     seen: set[frozenset] = set()
     out = []
     for c in conditions:
-        k = c.key()
+        k = frozenset(tm.conjuncts(c))
         if k not in seen:
             seen.add(k)
             out.append(c)
     return out
 
 
-def _feasible_only(conditions: list[PathCondition],
-                   solver: Solver) -> tuple[list[PathCondition], bool]:
+def _feasible_only(conditions: list[Term],
+                   solver: Solver) -> tuple[list[Term], bool]:
     """Drop provably-unsatisfiable conditions; report if any were undecided."""
     out = []
     undecided = False
     for c in conditions:
-        status = solver.status(c.terms)
+        status = solver.status([c])
         if status is SolverStatus.UNSAT:
             continue
         if status is SolverStatus.UNKNOWN:
@@ -249,7 +251,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
         undecided = False
         for i in I:
             try:
-                if solver.check_equivalence(c.terms, i.terms):
+                if solver.check_equivalence([c], [i]):
                     matched = True
                     break
             except IndeterminateEquivalence:
@@ -259,7 +261,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
         if undecided or i_undecided:
             inconclusive = True
             continue
-        sat = solver.check_sat(c.terms)
+        sat = solver.check_sat([c])
         if sat.status is SolverStatus.SAT:
             return done(Status.VULNERABLE, scenarios, witness=sat.model)
         inconclusive = True  # witness extraction failed within budget

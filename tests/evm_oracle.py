@@ -4,7 +4,7 @@ Deliberately written against raw bytes with its own decoding loop and its own
 integer semantics; it shares nothing with the analyzer except the Keccak
 primitive. Conventions chosen to match the analyzer's modeling assumptions:
 
-* GAS, TIMESTAMP, NUMBER and friends read as 0.
+* GAS, TIMESTAMP, NUMBER, CHAINID, BASEFEE and friends read as 0.
 * A CALL to an address without code succeeds (pushes 1) after moving value.
 * Created contract addresses are derived from keccak of a creator label and
   nonce, mirroring the analyzer's deterministic scheme.
@@ -90,7 +90,9 @@ def _execute(world: OracleWorld, code: bytes, self_addr: int, caller: int,
     while pc < len(code):
         op = code[pc]
         pc += 1
-        if 0x60 <= op <= 0x7F:  # PUSH1..PUSH32
+        if op == 0x5F:  # PUSH0
+            stack.append(0)
+        elif 0x60 <= op <= 0x7F:  # PUSH1..PUSH32
             n = op - 0x5F
             chunk = code[pc:pc + n]
             stack.append(int.from_bytes(chunk + b"\x00" * (n - len(chunk)), "big"))
@@ -215,8 +217,11 @@ def _execute(world: OracleWorld, code: bytes, self_addr: int, caller: int,
             dst, src, n = stack.pop(), stack.pop(), stack.pop()
             chunk = code[src:src + n]
             mstore(dst, chunk + b"\x00" * (n - len(chunk)))
-        elif op in (0x32, 0x3A, 0x41, 0x42, 0x43, 0x44, 0x45, 0x5A):
+        elif op in (0x32, 0x3A, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x48,
+                    0x5A):
             stack.append(0)  # ORIGIN/GASPRICE/block env/GAS: modeled as 0
+        elif op == 0x47:  # SELFBALANCE
+            stack.append(acct.balance & MASK)
         elif op == 0x50:
             stack.pop()
         elif op == 0x51:  # MLOAD
@@ -247,7 +252,9 @@ def _execute(world: OracleWorld, code: bytes, self_addr: int, caller: int,
         elif op == 0x5B:  # JUMPDEST
             pass
         elif 0xA0 <= op <= 0xA4:  # LOGn
-            for _ in range(op - 0xA0 + 2):
+            off, n = stack.pop(), stack.pop()
+            grow(off, n)
+            for _ in range(op - 0xA0):
                 stack.pop()
         elif op == 0xF0:  # CREATE
             cval, off, n = stack.pop(), stack.pop(), stack.pop()
@@ -267,6 +274,8 @@ def _execute(world: OracleWorld, code: bytes, self_addr: int, caller: int,
             (_gas, to, cval, in_off, in_n, out_off, out_n) = (
                 stack.pop(), stack.pop(), stack.pop(), stack.pop(),
                 stack.pop(), stack.pop(), stack.pop())
+            grow(in_off, in_n)
+            grow(out_off, out_n)
             acct.balance -= cval
             callee = world.account(to)
             callee.balance += cval

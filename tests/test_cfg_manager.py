@@ -56,7 +56,7 @@ def test_symbolic_jumpi_forks_both_sides():
     assert len(res.completed) == 2
     kinds = {k for _, _, k in res.ecfg.edges}
     assert EdgeKind.FALLTHROUGH in kinds and EdgeKind.JUMP in kinds
-    conditions = {b.path_condition.terms[0] for b in res.completed}
+    conditions = {tm.conjuncts(b.path_condition)[0] for b in res.completed}
     assert len(conditions) == 2  # one side negated, one not
 
 

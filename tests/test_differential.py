@@ -222,6 +222,14 @@ def test_zero_length_access_leaves_msize():
     """)
 
 
+def test_log_grows_memory_over_its_data():
+    check("""
+        PUSH1 0x20 PUSH1 0x40 LOG0               ; LOG0(0x40, 0x20)
+        MSIZE PUSH1 0 SSTORE                     ; 0x60, as on the EVM
+        STOP
+    """)
+
+
 def test_sha3_of_memory():
     check("""
         PUSH1 0x61 PUSH1 0 MSTORE8
@@ -273,6 +281,34 @@ def test_env_values():
         PC PUSH1 3 SSTORE
         STOP
     """, value=77)
+
+
+def test_push0():
+    check("""
+        PUSH0 ISZERO PUSH1 0 SSTORE
+        PUSH1 7 PUSH0 PUSH1 1 ADD SSTORE         ; slot 1 = 7
+        STOP
+    """)
+
+
+def test_selfbalance_follows_transfers():
+    check(f"""
+        SELFBALANCE PUSH1 0 SSTORE
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0
+        PUSH1 40 PUSH4 0x{CALLER_ADDR:08x} PUSH1 0 CALL POP
+        SELFBALANCE PUSH1 1 SSTORE
+        STOP
+    """, value=50, balance=300)
+
+
+@pytest.mark.parametrize("op", ["CHAINID", "BASEFEE"])
+def test_block_env_reads_one_word(op):
+    # the same word on every read: 0 in the oracle, a symbol in the VM
+    check(f"""
+        PUSH1 7 {op} {op} EQ PUSH1 0 SSTORE
+        PUSH1 1 SSTORE                           ; 7: nothing else moved
+        STOP
+    """)
 
 
 def test_balance_reads():
@@ -327,6 +363,24 @@ def test_call_to_codeless_account_transfers_value():
         PUSH1 0 SSTORE                            ; success flag
         STOP
     """, value=100)
+
+
+def test_call_grows_memory_over_its_output_range():
+    check("""
+        PUSH1 0x20 PUSH1 0x40 PUSH1 0 PUSH1 0
+        PUSH1 0 PUSH1 0xbb PUSH1 0 CALL POP      ; output (0x40, 0x20)
+        MSIZE PUSH1 0 SSTORE                     ; 0x60, as on the EVM
+        STOP
+    """)
+
+
+def test_call_grows_memory_over_its_input_range():
+    check("""
+        PUSH1 0 PUSH1 0 PUSH1 0x20 PUSH1 0x80
+        PUSH1 0 PUSH1 0xbb PUSH1 0 CALL POP      ; input (0x80, 0x20)
+        MSIZE PUSH1 0 SSTORE                     ; 0xa0, as on the EVM
+        STOP
+    """)
 
 
 def test_self_call_runs_callee_and_returns_data():

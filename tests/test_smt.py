@@ -52,7 +52,7 @@ from reentscan.smt import terms
 from reentscan.smt.bitblast import BitBlaster
 from reentscan.smt.sat import SatSolver
 from reentscan.smt.solver import RECENT_MODELS
-from reentscan.smt.terms import TRUE, FALSE, truthy
+from reentscan.smt.terms import TRUE, FALSE, conjuncts, truthy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,6 +190,47 @@ def test_boolean_simplifications():
     assert band([FALSE, truthy(x)]) is FALSE
     assert eq(ite(ult(x, const(5)), const(1), const(0)), const(1)) == ult(x, const(5))
     assert bv_not(bv_not(const(7))).value == 7
+
+
+# -- conjunctions -------------------------------------------------------------
+
+@given(st.lists(st.integers(0, 50), max_size=8))
+def test_conjunction_grows_monotonically(values):
+    pc = TRUE
+    seen: list = []
+    for v in values:
+        seen.append(pc)
+        pc = band((pc, ult(var("x"), const(v + 1))))
+    # growing never drops a conjunct: each earlier condition is a prefix
+    for snap in seen:
+        before = conjuncts(snap)
+        assert conjuncts(pc)[: len(before)] == before
+
+
+def test_conjunction_drops_true():
+    t = ult(var("x"), const(3))
+    assert band((TRUE, TRUE)) is TRUE
+    assert conjuncts(band((TRUE, t, TRUE))) == (t,)
+    assert conjuncts(TRUE) == ()
+
+
+_ATOMS = [ult(var("x"), const(3)), eq(var("y"), const(1)),
+          bnot(eq(var("x"), var("y"))), TRUE, FALSE]
+
+
+@given(st.lists(st.sampled_from(_ATOMS), max_size=4))
+def test_conjunction_of_one_is_itself(parts):
+    # band terms, single atoms, TRUE and FALSE alike
+    t = band(parts)
+    assert band([t]) is t
+
+
+@given(st.lists(st.sampled_from(_ATOMS[:3]), max_size=4), st.randoms())
+def test_conjuncts_are_order_insensitive_as_a_set(parts, rnd):
+    shuffled = list(parts)
+    rnd.shuffle(shuffled)
+    assert frozenset(conjuncts(band(parts))) == \
+        frozenset(conjuncts(band(shuffled)))
 
 
 # -- CDCL core ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Symbolic domain: path conditions, storage, calldata, block forking."""
+"""Symbolic domain: storage, calldata, memory, block forking."""
 
 import dataclasses
 
@@ -13,12 +13,9 @@ from reentscan.symdomain import (
     BasicBlock,
     CallStackEntry,
     ConcreteCalldata,
-    Constraint,
-    ConstraintOrigin,
     EndState,
     LocalWorldState,
     MachineState,
-    PathCondition,
     TermCalldata,
 )
 
@@ -30,44 +27,11 @@ def _machine() -> MachineState:
         calldata=ConcreteCalldata(b""))
 
 
-def _block(pc: PathCondition | None = None) -> BasicBlock:
+def _block(pc: tm.Term = tm.TRUE) -> BasicBlock:
     world = LocalWorldState()
     world.add_account("c0", tm.const(0xC0DE), code=Bytecode(b"\x00"))
     return BasicBlock(id=0, machine=_machine(), world=world,
-                      path_condition=pc or PathCondition())
-
-
-# -- path conditions ----------------------------------------------------------
-
-@given(st.lists(st.integers(0, 50), max_size=8))
-def test_path_condition_monotone_growth(values):
-    pc = PathCondition()
-    seen: list[PathCondition] = []
-    for v in values:
-        seen.append(pc)
-        pc = pc.extended(tm.ult(tm.var("x"), tm.const(v + 1)))
-    # extending never mutates earlier snapshots and never drops constraints
-    for i, snap in enumerate(seen):
-        assert len(snap) <= len(pc)
-        assert snap.terms == pc.terms[: len(snap)]
-
-
-def test_path_condition_drops_trivial_true():
-    pc = PathCondition().extended(tm.TRUE)
-    assert len(pc) == 0
-
-
-def test_path_condition_key_is_order_insensitive():
-    a = tm.ult(tm.var("x"), tm.const(3))
-    b = tm.eq(tm.var("y"), tm.const(1))
-    assert PathCondition((Constraint(a), Constraint(b))).key() == \
-        PathCondition((Constraint(b), Constraint(a))).key()
-
-
-def test_constraint_origins_recorded():
-    pc = PathCondition().extended(tm.ult(tm.var("x"), tm.const(3)),
-                                  ConstraintOrigin.BALANCE)
-    assert pc.constraints[0].origin is ConstraintOrigin.BALANCE
+                      path_condition=pc)
 
 
 # -- storage ------------------------------------------------------------------
@@ -189,7 +153,8 @@ def test_memory_word_round_trip(value, offset):
 
 
 def test_fork_isolation():
-    original = _block(PathCondition().extended(tm.ult(tm.var("x"), tm.const(9))))
+    first = tm.ult(tm.var("x"), tm.const(9))
+    original = _block(first)
     original.machine.stack.append(tm.const(1))
     original.machine.memory[0] = tm.const(0xAB)
     original.world.accounts["c0"].write_storage(tm.const(0), tm.const(5))
@@ -202,7 +167,8 @@ def test_fork_isolation():
     copy.machine.memory[0] = tm.const(0xCD)
     copy.world.accounts["c0"].write_storage(tm.const(0), tm.const(6))
     copy.world.accounts["c0"].credits.append(tm.const(4))
-    copy.path_condition = copy.path_condition.extended(tm.eq(tm.var("y"), tm.const(1)))
+    copy.path_condition = tm.band((copy.path_condition,
+                                   tm.eq(tm.var("y"), tm.const(1))))
     assert copy.call_stack.pop() is frame  # shared, not copied
 
     assert original.machine.stack == [tm.const(1)]
@@ -210,7 +176,7 @@ def test_fork_isolation():
     assert original.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(5)
     assert original.world.accounts["c0"].credits == []
     assert original.call_stack == [frame]
-    assert len(original.path_condition) == 1
+    assert original.path_condition is first
     # the fork keeps inherited state
     assert copy.has_call
     assert copy.end_state is EndState.OPEN

@@ -166,7 +166,7 @@ def test_top_level_return_pins_no_bytes():
     """)), AbiCalldata(None, "f"))
     (end,) = res.completed
     assert end.end_state is EndState.RETURN
-    assert len(end.path_condition) == 0
+    assert end.path_condition is tm.TRUE
 
 
 def test_revert_on_unknown_path_needs_no_model():
@@ -181,10 +181,33 @@ def test_revert_on_unknown_path_needs_no_model():
     assert [b.end_state for b in res.sealed] == [EndState.REVERT] * 2
 
 
+# -- memory ranges ------------------------------------------------------------
+
+HUGE = "PUSH32 0x" + "80" + "00" * 31
+
+
+@pytest.mark.parametrize("access, msize", [
+    (f"PUSH1 1 {HUGE} LOG0", (1 << 255) + 32),                   # offset
+    (f"{HUGE} PUSH1 0 LOG0", 1 << 255),                          # size
+    (f"{HUGE} PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0xbb PUSH1 0 CALL POP",
+     1 << 255),                                                  # output
+    (f"PUSH1 0 PUSH1 0 {HUGE} PUSH1 0 PUSH1 0 PUSH1 0xbb PUSH1 0 CALL POP",
+     1 << 255),                                                  # input
+])
+def test_huge_constant_range_finishes(access, msize):
+    # a range nothing reads grows memory by its last byte, not byte by byte
+    res = SymVM().run_entry(Bytecode(assemble(f"{access} MSIZE STOP")),
+                            ConcreteCalldata(b""))
+    (end,) = res.completed
+    assert end.machine.stack[-1].value == msize
+
+
 # -- unsupported opcodes ------------------------------------------------------
 
 @pytest.mark.parametrize("op", ["DELEGATECALL", "CALLCODE", "STATICCALL",
-                                "CREATE2", "SELFDESTRUCT", "EXTCODECOPY"])
+                                "CREATE2", "SELFDESTRUCT", "EXTCODECOPY",
+                                "BLOBHASH", "BLOBBASEFEE", "TLOAD", "TSTORE",
+                                "MCOPY"])
 def test_unsupported_opcode_raises(op):
     # a path that reaches an unmodeled opcode must not vanish from the run
     pops = OPCODES[OPCODE_BY_NAME[op]][1]
