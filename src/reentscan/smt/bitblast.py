@@ -1,26 +1,22 @@
 """Tseitin encoding of bitvector terms onto the CDCL SAT backend.
 
-A :class:`BitBlaster` is a gate store. The :class:`~reentscan.smt.solver.Solver`
-owns one, so there is one per contract. The store lowers each term once:
-it numbers CNF variables itself, and its And/Xor gate cache and term memos
-last as long as it does. Lowering a node records, in call order, every gate
-the node's own lowering touched (created, or found in the cache) together
-with the operands of that call; a variable's bits are its record.
-
-:meth:`BitBlaster.load` builds each query's :class:`SatSolver` from the cone
-of the query's roots only. It walks the cone in the order lowering visits
-arguments, so children come before the node's own gates. It numbers each
-store variable on first touch, emits each gate's clauses with the operands
-of the call that touched it first, and emits each root's unit clause right
-after that root. That is exactly the CNF a fresh store would lower from
-those roots alone: the same numbering, and the same clauses with the same
-literals in the same order. So what earlier queries lowered never shows in
-a query's search, model or witness.
+A :class:`BitBlaster` is a gate store with one :class:`SatSolver` instance.
+The :class:`~reentscan.smt.solver.Solver` owns one, so there is one of each
+per contract. The store lowers each term once: it numbers CNF variables
+itself, its And/Xor gate cache and term memos last as long as it does, and
+each gate's clauses go into the instance once, at the end of the lowering
+that made the gate. A query is solved in that instance: its roots'
+literals (:meth:`BitBlaster.assert_true`) are the assumptions, and the bits
+of the variables in their cone (:meth:`BitBlaster.variables`) are the order
+the search decides on, in the order a walk of the cone first reaches them.
+Every gate in the cone is a function of those bits, so once they are set,
+propagation sets the cone: until its first conflict, the search decides on
+nothing else (see ``sat``).
 
 The store's gate cache is structural hashing: the same gate over the same
 operands is one literal, and a root's negation lowers to its literal negated.
 So :meth:`BitBlaster.refutes` can see that a query's roots contradict each
-other, one constant false or two complementary, before any CNF is built, as
+other, one constant false or two complementary, before any search, as
 AIG-based equivalence checkers do before calling SAT (Kuehlmann et al., IEEE
 TCAD 2002).
 """
@@ -28,12 +24,13 @@ TCAD 2002).
 from __future__ import annotations
 
 from array import array
+from time import perf_counter
 from typing import Iterable
 
 from .sat import SatSolver
 from .terms import Term
 
-TRUE_LIT = 1  # variable 1 is constant true, in the store and in every query
+TRUE_LIT = 1  # variable 1 is constant true
 _LOW = 0xFFFFFFFF  # the low half of a gate-cache key
 
 
@@ -42,26 +39,24 @@ class UnsupportedTermError(Exception):
 
 
 class BitBlaster:
-    """Lowers Terms to gates once; loads per-query CNF from their cones.
+    """Lowers Terms to gates once and attaches their clauses to one instance.
 
-    Bitvectors become LSB-first literal lists. A node's record is a flat
-    ``array("i")`` of ``(a, b, out)`` triples, one per gate touch, with
-    ``out`` negated for an Xor gate.
+    Bitvectors become LSB-first literal lists. The gates a lowering makes
+    wait in a flat ``array("i")`` of ``(a, b, out)`` triples, with ``out``
+    negated for an Xor gate, until the lowering ends.
     """
 
     def __init__(self) -> None:
         self.num_vars = TRUE_LIT
         # node -> its literal, or its bits LSB first; a variable's are its own
         self._memo: dict[Term, int | array] = {}
-        self._records: dict[Term, array] = {}  # nodes that touched gates
         self._and_gates: dict[int, int] = {}
         self._xor_gates: dict[int, int] = {}
-        self._touches = array("i")  # record of the node being lowered
-        # the query loaded last: store variable -> query variable (0: untouched)
-        self._qvar: list[int] = [0, TRUE_LIT]
-        self._seen: set[Term] = set()
-        self._clauses: list[list[int]] = []
-        self._query_vars = TRUE_LIT
+        self._pending = array("i")  # gates made since the last attach
+        self._cone_vars: dict[Term, tuple[Term, ...]] = {}  # by root
+        self.sat = SatSolver()
+        self.sat.add_clause([self.sat.new_var()])
+        self.attach_s = 0.0  # seconds spent attaching clauses
 
     def _new_var(self) -> int:
         self.num_vars += 1
@@ -88,7 +83,7 @@ class BitBlaster:
         o = self._and_gates.get(key)
         if o is None:
             o = self._and_gates[key] = self._new_var()
-        self._touches.extend((a, b, o))
+            self._pending.extend((a, b, o))
         return o
 
     def g_or(self, a: int, b: int) -> int:
@@ -115,7 +110,7 @@ class BitBlaster:
         o = self._xor_gates.get(key)
         if o is None:
             o = self._xor_gates[key] = self._new_var()
-        self._touches.extend((a, b, -o))
+            self._pending.extend((a, b, -o))
         return o
 
     def g_mux(self, c: int, a: int, b: int) -> int:
@@ -197,32 +192,47 @@ class BitBlaster:
     # -- term lowering --------------------------------------------------------
 
     def _lower(self, root: Term) -> None:
-        """Lower every node under ``root`` not lowered yet, children first.
+        """Lower every node under ``root`` not lowered yet, children first,
+        then attach the clauses of the gates made.
 
         An explicit stack, so term depth is not bound by Python's recursion
-        limit; each node's lowering then finds its children in the memo,
-        and its record holds just the gates it touches itself. A node that
-        fails to lower leaves no memo entry and no record.
+        limit; each node's lowering then finds its children in the memo. A
+        node that fails to lower leaves no memo entry, and the gates made
+        before it are attached all the same.
         """
         memo = self._memo
         stack = [root]
-        while stack:
-            term = stack[-1]
-            if term in memo:
+        try:
+            while stack:
+                term = stack[-1]
+                if term in memo:
+                    stack.pop()
+                    continue
+                pending = [a for a in term.args
+                           if a.op != "const" and a not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                if term.is_bool:
+                    memo[term] = self._lower_bool(term)
+                else:
+                    memo[term] = array("i", self._lower_bv(term))
                 stack.pop()
-                continue
-            pending = [a for a in term.args if a.op != "const" and a not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            self._touches = record = array("i")
-            if term.is_bool:
-                memo[term] = self._lower_bool(term)
-            else:
-                memo[term] = array("i", self._lower_bv(term))
-            if record:
-                self._records[term] = record
-            stack.pop()
+        finally:
+            # attaching first backtracks the instance to level 0, a walk
+            # over the last model's trail: skip it when nothing was made
+            if self._pending or self.sat.num_vars < self.num_vars:
+                self._attach()
+
+    def _attach(self) -> None:
+        """Add the variables and the gates made since the last attach to
+        the instance, which adds each gate's Tseitin clauses."""
+        start = perf_counter()
+        sat = self.sat
+        sat.grow(self.num_vars)
+        sat.add_gates(self._pending)
+        del self._pending[:]
+        self.attach_s += perf_counter() - start
 
     def blast_bv(self, term: Term) -> list[int]:
         if term.op == "const":
@@ -310,88 +320,54 @@ class BitBlaster:
         lits = {self.blast_bool(root) for root in roots}
         return -TRUE_LIT in lits or any(-lit in lits for lit in lits)
 
-    # -- per-query CNF --------------------------------------------------------
+    # -- queries --------------------------------------------------------------
 
-    def load(self, roots: Iterable[Term]) -> SatSolver:
-        """A fresh solver holding the CNF of the roots' cone, roots asserted.
+    def assert_true(self, term: Term) -> int:
+        """The assumption literal that asserts a root, lowering it if need be."""
+        return self.blast_bool(term)
 
-        Raises :class:`UnsupportedTermError` if a root cannot be lowered; the
-        store stays usable for the next query.
-        """
-        self._qvar = [0, TRUE_LIT]
-        self._seen = set()
-        self._clauses = [[TRUE_LIT]]
-        self._query_vars = TRUE_LIT
+    def variables(self, roots: Iterable[Term]) -> list[Term]:
+        """The variables in the roots' cone, each once, in the order a walk
+        of the cone first reaches them: the roots in turn, each node's
+        arguments in order, depth first."""
+        out: list[Term] = []
+        seen: set[int] = set()
         for root in roots:
-            self.assert_true(root)
-        return SatSolver.load(self._query_vars, self._clauses)
+            found = self._cone_vars.get(root)
+            if found is None:
+                found = self._cone_vars[root] = self._walk(root)
+            for v in found:
+                if id(v) not in seen:
+                    seen.add(id(v))
+                    out.append(v)
+        return out
 
-    def assert_true(self, term: Term) -> None:
-        """Lower one root and add its cone and its unit clause to the query."""
-        lit = self.blast_bool(term)
-        qvar = self._qvar
-        qvar.extend([0] * (self.num_vars + 1 - len(qvar)))
-        seen = self._seen
-        if term not in seen:
-            seen.add(term)
-            # children first, in argument order, as a fresh lowering visits them
-            stack = [(term, iter(term.args))]
-            while stack:
-                node, args = stack[-1]
-                for arg in args:
-                    if arg not in seen and arg.op != "const":
-                        seen.add(arg)
-                        stack.append((arg, iter(arg.args)))
-                        break
-                else:
-                    stack.pop()
-                    self._emit(node)
-        self._clauses.append([qvar[lit] if lit > 0 else -qvar[-lit]])
-
-    def _emit(self, term: Term) -> None:
-        """Number the store variables ``term`` touches first in this query
-        and add the clauses of the gates among them."""
-        qvar = self._qvar
-        n = self._query_vars
-        if term.op == "var":
-            for v in self._memo[term]:
-                n += 1
-                qvar[v] = n
-            self._query_vars = n
-            return
-        record = self._records.get(term)
-        if record is None:
-            return
-        out = self._clauses
-        it = iter(record)
-        for a, b, o in zip(it, it, it):
-            g = o if o > 0 else -o
-            if qvar[g]:
+    @staticmethod
+    def _walk(root: Term) -> tuple[Term, ...]:
+        out: list[Term] = []
+        seen: set[int] = set()
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
                 continue
-            n += 1
-            qvar[g] = n
-            a = qvar[a] if a > 0 else -qvar[-a]
-            b = qvar[b] if b > 0 else -qvar[-b]
-            if o > 0:
-                out.append([-a, -b, n])
-                out.append([a, -n])
-                out.append([b, -n])
+            seen.add(id(t))
+            if t.op == "var":
+                out.append(t)
             else:
-                out.append([-a, -b, -n])
-                out.append([a, b, -n])
-                out.append([-a, b, n])
-                out.append([a, -b, n])
-        self._query_vars = n
+                stack.extend(reversed(t.args))
+        return tuple(out)
 
-    def var_value(self, sat: SatSolver, var: Term) -> int:
-        """The value of a variable in ``sat``'s model; ``sat`` must be the
-        solver of the query loaded last. A variable outside it reads 0."""
-        bits = self._memo.get(var)
-        if bits is None:
-            return 0
-        qvar = self._qvar
+    def input_bits(self, variables: Iterable[Term]) -> list[int]:
+        """The CNF variables of ``variables``' bits, each LSB first."""
+        memo = self._memo
+        return [bit for v in variables for bit in memo[v]]
+
+    def var_value(self, var: Term) -> int:
+        """The value of a lowered variable in the instance's current model."""
+        assign = self.sat.assign
         value = 0
-        for i, v in enumerate(bits):
-            if qvar[v] and sat.model_value(qvar[v]):
+        for i, bit in enumerate(self._memo[var]):
+            if assign[bit] == 1:
                 value |= 1 << i
         return value

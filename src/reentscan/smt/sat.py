@@ -1,140 +1,220 @@
-"""A compact CDCL SAT solver (watched literals, 1UIP learning, VSIDS, restarts).
+"""A compact CDCL SAT solver (watched literals, 1UIP learning, VSIDS, restarts)
+that solves many queries in one instance, under assumptions.
 
-Literals are nonzero ints: +v / -v for variable v (1-based). ``solve`` returns
-True/False for sat/unsat and None when the time or conflict budget runs out.
+Literals are nonzero ints: +v / -v for variable v (1-based). Clauses are only
+ever added. :meth:`SatSolver.solve` takes a query as a list of assumption
+literals, which it decides first, one decision level each, and an order: the
+only variables it decides on besides. That is MiniSat's incremental interface
+(Eén and Sörensson, "An Extensible SAT-solver", SAT 2003). It returns
+True/False for sat/unsat under the assumptions and None when the time runs
+out. A SAT answer leaves its assignment in place for :meth:`model_value`
+until the next clause or solve. Learnt clauses are kept: they follow from the
+clauses alone, so they hold for every later query.
 
-Decisions come from a lazy binary max-heap of variables ordered by VSIDS
-activity, ties going to the lower index (MiniSat's order heap; Eén and
-Sörensson, "An Extensible SAT-solver", SAT 2003). Every unassigned variable
-is in the heap; assigned ones may linger until popped, and backtracking puts
-the variables it unassigns back. The top unassigned variable is the one a
-scan over all variables for the highest activity, first index first, picks.
+Decisions over the order go in two phases. Until the solve's first conflict,
+a cursor walks the order and sets each unassigned variable false. So a
+conflict-free solve ends at the least assignment to the order, read as a
+binary number whose first variable is the highest bit: each decision takes
+the least value the variables before it allow, and each implied value holds
+in every model that agrees on those variables. At the first conflict, the
+variables the cursor has not passed go into a lazy binary max-heap ordered
+by VSIDS activity, ties going to the lower index (MiniSat's order heap).
+Every later decision pops it, taking the variable's saved phase. A variable
+that conflict analysis bumps becomes decidable too, for the rest of the
+solve: on the order's variables alone, VSIDS leaves ``(x + y) - y != x`` at
+16 bits Unknown after a minute, and with the bumped gates it takes a tenth
+of a second. Backtracking puts back the decidable variables it unassigns,
+and no others. :meth:`SatSolver.minimize` turns the model of a solve that
+conflicted into the least one. Activities and saved phases carry over from
+solve to solve.
 
-While activities are flat (no bump and no re-insertion yet, so until the
-first conflict), the heap is the sorted index range and ``_decide`` walks a
-cursor over it instead of popping. The first bump or re-insertion drops the
-part the cursor passed and renumbers the rest, which as a sorted range is a
-valid heap; membership, and so every decision, is what popping gives.
+Clauses of two literals live only in ``binaries``, which lists for each
+literal the literals its truth implies; longer ones are lists in
+``clauses``, watched on their first two literals. Both tables are one flat
+list indexed by literal, ``2v`` for ``+v`` and ``2v + 1`` for ``-v``, with
+``()`` in the slot of a literal that nothing watches yet.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Iterable, Sequence
+
+
+def _index(lit: int) -> int:
+    """The watch-list index of ``lit``."""
+    return lit << 1 if lit > 0 else (-lit << 1) | 1
+
+
+def _literal(index: int) -> int:
+    """The literal of a watch-list index."""
+    return -(index >> 1) if index & 1 else index >> 1
+
+
+def _gate_clauses(a: int, b: int, o: int) -> list[list[int]]:
+    """The Tseitin clauses of ``o = a & b``, or of ``-o = a ^ b`` if
+    ``o < 0``, each clause's watched literals first. Each negation is one
+    int object, shared by the clauses that hold it."""
+    na, nb, no = -a, -b, -o
+    if o > 0:
+        return [[na, nb, o], [a, no], [b, no]]
+    return [[na, nb, o], [a, b, o], [na, b, no], [a, nb, no]]
+
+
+def _watch(table: list, index: int, entry: int) -> None:
+    found = table[index]
+    if found:
+        found.append(entry)
+    else:
+        table[index] = [entry]
 
 
 class SatSolver:
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
+        # by literal (see _index): the long clauses watching its negation,
+        # and the literals its truth implies
+        self.watches: list[list[int] | tuple] = [(), ()]
+        self.binaries: list[list[int] | tuple] = [(), ()]
+        self.num_binaries = 0  # two-literal clauses, kept in binaries only
         self.assign: list[int] = [0]  # var -> 0 unassigned, 1 true, -1 false
         self.level: list[int] = [0]
-        self.reason: list[int] = [0]  # var -> clause index + 1, 0 = decision
+        # var -> clause index + 1, ~index of the other literal of a binary
+        # clause, 0 for a decision or a unit
+        self.reason: list[int] = [0]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.activity: list[float] = [0.0]
         self.phase: list[int] = [0]  # saved polarity
-        self.heap: list[int] = []  # decision order, see the module docstring
+        self.seen = bytearray(1)  # conflict analysis marks, all 0 between
+        # marks: the current solve's order, and the variables its conflict
+        # analysis bumped outside it (extra), which the heap decides on too
+        self.decidable = bytearray(1)
+        self.order: Sequence[int] = ()
+        self.extra: list[int] = []
+        self.cursor: int | None = 0  # next order index, None once on the heap
+        self.heap: list[int] = []  # decision order after the first conflict
         self.heap_pos: list[int] = [-1]  # var -> index in heap, -1 if absent
-        self.cursor: int | None = 0  # next heap index while flat, else None
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.qhead = 0
         self.ok = True
         self.restarts = 0
+        # totals over every solve
+        self.decisions = 0
+        self.conflicts = 0
+        self.learnts = 0
+        self.minimize_solves = 0
+        self.search_s = 0.0
 
     # -- construction ---------------------------------------------------------
 
+    def grow(self, num_vars: int) -> None:
+        """Add unconstrained variables up to ``num_vars``."""
+        k = num_vars - self.num_vars
+        if k <= 0:
+            return
+        self.num_vars = num_vars
+        self.assign += [0] * k
+        self.level += [0] * k
+        self.reason += [0] * k
+        self.activity += [0.0] * k
+        self.phase += [-1] * k
+        self.heap_pos += [-1] * k
+        self.seen += bytes(k)
+        self.decidable += bytes(k)
+        self.watches += [()] * (2 * k)
+        self.binaries += [()] * (2 * k)
+
     def new_var(self) -> int:
-        self.num_vars += 1
-        self.assign.append(0)
-        self.level.append(0)
-        self.reason.append(0)
-        self.activity.append(0.0)
-        self.phase.append(-1)
-        # activity 0 and the highest index: the heap's last place, flat or not
-        self.heap_pos.append(len(self.heap))
-        self.heap.append(self.num_vars)
+        self.grow(self.num_vars + 1)
         return self.num_vars
 
     def add_clause(self, lits: list[int]) -> None:
+        """Add a clause at level 0: without its repeated literals and those
+        false at level 0, and not at all if it is a tautology or true there."""
+        if self.trail_lim:
+            self._backtrack(0)
         if not self.ok:
             return
-        # dedupe, drop tautologies
-        seen: set[int] = set()
+        assign = self.assign
         out: list[int] = []
         for lit in lits:
-            if -lit in seen:
+            value = assign[lit] if lit > 0 else -assign[-lit]
+            if value == 1 or -lit in out:
                 return
-            if lit not in seen:
-                seen.add(lit)
+            if value == 0 and lit not in out:
                 out.append(lit)
-        filtered = self._level0_filter(out)
-        if filtered is None:
-            return  # already satisfied at level 0
-        if not filtered:
+        if len(out) > 1:
+            self._attach(out)
+        elif out:
+            self._enqueue(out[0], 0)
+        else:
             self.ok = False
-            return
-        if len(filtered) == 1:
-            if not self._enqueue(filtered[0], 0):
-                self.ok = False
-            return
-        self._attach(filtered)
 
-    @classmethod
-    def load(cls, num_vars: int, clauses: list[list[int]]) -> "SatSolver":
-        """A solver in the state that ``num_vars`` :meth:`new_var` calls and
-        :meth:`add_clause` on each clause in order leave, for clauses with
-        no repeated or complementary literals (a Tseitin encoding's). It
-        takes ownership of the clause lists."""
-        s = cls()
-        n = s.num_vars = num_vars
-        s.assign = [0] * (n + 1)
-        s.level = [0] * (n + 1)
-        s.reason = [0] * (n + 1)
-        s.activity = [0.0] * (n + 1)
-        s.phase = [0] + [-1] * n
-        # with every activity 0, n inserts leave the heap in index order
-        s.heap = list(range(1, n + 1))
-        s.heap_pos = [-1, *range(n)]
-        kept, watches = s.clauses, s.watches
-        fixed: set[int] = set()  # both literals of each variable set so far
-        for lits in clauses:
-            if not fixed.isdisjoint(lits):
-                lits = s._level0_filter(lits)
-                if lits is None:
-                    continue
-            if len(lits) > 1:
-                idx = len(kept)
-                kept.append(lits)
-                watches.setdefault(-lits[0], []).append(idx)
-                watches.setdefault(-lits[1], []).append(idx)
-            elif lits:  # unassigned, as the filter dropped what is not
-                s._enqueue(lits[0], 0)
-                fixed.update((lits[0], -lits[0]))
-            else:
-                s.ok = False
-                break
-        return s
+    def add_gates(self, gates: Sequence[int]) -> None:
+        """Add the Tseitin clauses of gates given as flat ``(a, b, out)``
+        triples: ``out = a & b``, or ``-out = a ^ b`` when ``out < 0``.
+        Each output is a variable no clause has mentioned yet.
 
-    def _level0_filter(self, lits: list[int]) -> list[int] | None:
-        """``lits`` without literals false at level 0; None if one is true."""
-        filtered = []
-        for lit in lits:
-            v = self._value(lit)
-            if v == 1 and self.level[abs(lit)] == 0:
-                return None
-            if v == -1 and self.level[abs(lit)] == 0:
+        An And gate's two binary clauses go only into the binaries; a gate
+        with an operand fixed at level 0 goes through :meth:`add_clause`.
+        The rest leave the state :meth:`add_clause` of each of
+        :func:`_gate_clauses` would, with the watches placed here rather
+        than by a call per clause: with one call per clause, to
+        :meth:`_attach` or :meth:`add_clause`, benchmark passes took 8-45%
+        longer.
+        """
+        if self.trail_lim:
+            self._backtrack(0)
+        assign, clauses = self.assign, self.clauses
+        watches, binaries = self.watches, self.binaries
+        it = iter(gates)
+        for a, b, o in zip(it, it, it):
+            if assign[a if a > 0 else -a] or assign[b if b > 0 else -b]:
+                for lits in _gate_clauses(a, b, o):
+                    self.add_clause(lits)
                 continue
-            filtered.append(lit)
-        return filtered
+            ia = a << 1 if a > 0 else (-a << 1) | 1
+            ib = b << 1 if b > 0 else (-b << 1) | 1
+            ci = len(clauses)
+            if o > 0:  # [-a, -b, o], then [a, -o] and [b, -o] as binaries
+                no = -o
+                clauses.append([-a, -b, o])
+                _watch(watches, ia, ci)
+                _watch(watches, ib, ci)
+                _watch(binaries, ia ^ 1, no)
+                _watch(binaries, ib ^ 1, no)
+                _watch(binaries, o << 1, a)
+                _watch(binaries, o << 1, b)
+                self.num_binaries += 2
+            else:
+                clauses += _gate_clauses(a, b, o)
+                c1, c2, c3 = ci + 1, ci + 2, ci + 3
+                _watch(watches, ia, ci)
+                _watch(watches, ib, ci)
+                _watch(watches, ia ^ 1, c1)
+                _watch(watches, ib ^ 1, c1)
+                _watch(watches, ia, c2)
+                _watch(watches, ib ^ 1, c2)
+                _watch(watches, ia ^ 1, c3)
+                _watch(watches, ib, c3)
 
     def _attach(self, lits: list[int]) -> int:
+        """Watch a clause of two or more literals; returns the reason that
+        implies its first literal."""
+        a, b = lits[0], lits[1]
+        if len(lits) == 2:
+            _watch(self.binaries, _index(-a), b)
+            _watch(self.binaries, _index(-b), a)
+            self.num_binaries += 1
+            return ~_index(b)
         idx = len(self.clauses)
         self.clauses.append(lits)
-        self.watches.setdefault(-lits[0], []).append(idx)
-        self.watches.setdefault(-lits[1], []).append(idx)
-        return idx
+        _watch(self.watches, _index(-a), idx)
+        _watch(self.watches, _index(-b), idx)
+        return idx + 1
 
     # -- core -----------------------------------------------------------------
 
@@ -156,23 +236,42 @@ class SatSolver:
         self.trail.append(lit)
         return True
 
-    def _propagate(self) -> int:
-        """Return conflicting clause index + 1, or 0.
+    def _propagate(self) -> list[int] | None:
+        """Return the clause found false, or None.
 
         :meth:`_value` and :meth:`_enqueue` are inlined; the watch lists,
-        literal swaps and trail are what calling them gives.
+        literal swaps and trail are what calling them gives. The binary
+        clauses of a literal go first.
         """
         trail, clauses, watches = self.trail, self.clauses, self.watches
+        binaries = self.binaries
         assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
         depth = len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            watch_list = watches.get(lit)
+            li = lit << 1 if lit > 0 else (-lit << 1) | 1
+            implied = binaries[li]
+            if implied:
+                why = ~(li ^ 1)  # the binary clause (other, -lit)
+                for other in implied:
+                    var = other if other > 0 else -other
+                    value = assign[var]
+                    if value == 0:
+                        sign = 1 if other > 0 else -1
+                        assign[var] = phase[var] = sign
+                        level[var] = depth
+                        reason[var] = why
+                        trail.append(other)
+                    elif (value > 0) != (other > 0):
+                        self.qhead = qhead
+                        return [other, -lit]
+            watch_list = watches[li]
             if not watch_list:
                 continue
-            kept: list[int] = []
+            # kept in place, so the list is not replaced by a new object
+            kept = 0
             i = 0
             n = len(watch_list)
             while i < n:
@@ -188,45 +287,57 @@ class SatSolver:
                 else:
                     var, value = -first, -assign[-first]
                 if value == 1:
-                    kept.append(ci)
+                    watch_list[kept] = ci
+                    kept += 1
                     continue
                 # search replacement watch
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    if (assign[other] if other > 0 else -assign[-other]) != -1:
-                        clause[1], clause[k] = other, clause[1]
-                        watches.setdefault(-other, []).append(ci)
-                        break
+                    if other > 0:
+                        if assign[other] == -1:
+                            continue
+                        wi = (other << 1) | 1
+                    elif assign[-other] == 1:
+                        continue
+                    else:
+                        wi = -other << 1
+                    clause[1], clause[k] = other, clause[1]
+                    found = watches[wi]
+                    if found:
+                        found.append(ci)
+                    else:
+                        watches[wi] = [ci]
+                    break
                 else:
-                    kept.append(ci)
+                    watch_list[kept] = ci
+                    kept += 1
                     if value == -1:
-                        kept.extend(watch_list[i:])
-                        watches[lit] = kept
+                        del watch_list[kept:i]
                         self.qhead = qhead
-                        return ci + 1
+                        return clause
                     sign = 1 if first > 0 else -1
                     assign[var] = sign
                     level[var] = depth
                     reason[var] = ci + 1
                     phase[var] = sign
                     trail.append(first)
-            watches[lit] = kept
+            del watch_list[kept:]
         self.qhead = qhead
-        return 0
+        return None
 
     # -- decision heap --------------------------------------------------------
 
     def _unflatten(self) -> None:
-        """Hand the flat range over to the heap: drop what the cursor passed."""
-        del self.heap[:self.cursor]
+        """Hand the order over to the heap: what the cursor has not passed."""
+        heap = self.heap = list(self.order[self.cursor:])
         pos = self.heap_pos
-        for i, var in enumerate(self.heap):
+        for i, var in enumerate(heap):
             pos[var] = i
+        for i in range(len(heap) // 2 - 1, -1, -1):
+            self._sift_down(i)
         self.cursor = None
 
     def _heap_insert(self, var: int) -> None:
-        if self.cursor is not None:
-            self._unflatten()
         self.heap_pos[var] = len(self.heap)
         self.heap.append(var)
         self._sift_up(len(self.heap) - 1)
@@ -272,8 +383,9 @@ class SatSolver:
         pos[var] = i
 
     def _bump(self, var: int) -> None:
-        if self.cursor is not None:
-            self._unflatten()
+        if not self.decidable[var]:  # decided on from its next unassignment
+            self.decidable[var] = 1
+            self.extra.append(var)
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
             for i in range(1, self.num_vars + 1):
@@ -286,19 +398,19 @@ class SatSolver:
         elif self.heap_pos[var] >= 0:
             self._sift_up(self.heap_pos[var])
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         learnt = [0]
-        seen = [False] * (self.num_vars + 1)
+        seen = self.seen
         counter = 0
         lit = 0
         index = len(self.trail)
-        clause = self.clauses[conflict - 1]
+        clause: Sequence[int] = conflict
         cur_level = len(self.trail_lim)
         while True:
             for q in clause if lit == 0 else clause[1:]:
                 var = abs(q)
                 if not seen[var] and self.level[var] > 0:
-                    seen[var] = True
+                    seen[var] = 1
                     self._bump(var)
                     if self.level[var] >= cur_level:
                         counter += 1
@@ -313,13 +425,19 @@ class SatSolver:
             if counter == 0:
                 break
             reason = self.reason[abs(lit)]
-            clause = self.clauses[reason - 1]
-            # put the implied literal first so the [1:] slice skips it
-            if clause[0] != lit:
-                pos = clause.index(lit)
-                clause[0], clause[pos] = clause[pos], clause[0]
-            seen[abs(lit)] = False
+            if reason > 0:
+                clause = self.clauses[reason - 1]
+                # put the implied literal first so the [1:] slice skips it
+                if clause[0] != lit:
+                    pos = clause.index(lit)
+                    clause[0], clause[pos] = clause[pos], clause[0]
+            else:
+                clause = (lit, _literal(~reason))
+            seen[abs(lit)] = 0
         learnt[0] = -lit
+        # the marks left: the first UIP's and the learnt clause's
+        for q in learnt:
+            seen[abs(q)] = 0
         if len(learnt) == 1:
             return learnt, 0
         back = max(self.level[abs(q)] for q in learnt[1:])
@@ -334,30 +452,36 @@ class SatSolver:
         if len(self.trail_lim) <= level:
             return
         limit = self.trail_lim[level]
-        assign, pos = self.assign, self.heap_pos
-        for lit in reversed(self.trail[limit:]):
-            var = abs(lit)
-            assign[var] = 0
-            if pos[var] < 0:
-                self._heap_insert(var)
-        del self.trail[limit:]
+        trail, assign = self.trail, self.assign
+        if self.cursor is None:
+            mark, pos = self.decidable, self.heap_pos
+            for k in range(len(trail) - 1, limit - 1, -1):
+                var = abs(trail[k])
+                assign[var] = 0
+                if mark[var] and pos[var] < 0:
+                    self._heap_insert(var)
+        else:
+            for lit in trail[limit:]:
+                assign[lit if lit > 0 else -lit] = 0
+        del trail[limit:]
         del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
 
     def _decide(self) -> int:
-        heap, pos, assign = self.heap, self.heap_pos, self.assign
+        assign = self.assign
         i = self.cursor
         if i is not None:
-            n = len(heap)
+            order = self.order
+            n = len(order)
             while i < n:
-                var = heap[i]
-                pos[var] = -1
+                var = order[i]
                 i += 1
                 if assign[var] == 0:
                     self.cursor = i
-                    return var if self.phase[var] >= 0 else -var
+                    return -var
             self.cursor = i
             return 0
+        heap, pos = self.heap, self.heap_pos
         while heap:
             var = heap[0]
             pos[var] = -1
@@ -369,12 +493,48 @@ class SatSolver:
                 return var if self.phase[var] >= 0 else -var
         return 0
 
-    def solve(self, deadline: float | None = None) -> bool | None:
-        if not self.ok:
-            return False
-        if self._propagate():
+    # -- solving --------------------------------------------------------------
+
+    def solve(self, assumptions: Sequence[int] = (),
+              order: Sequence[int] | None = None,
+              deadline: float | None = None) -> bool | None:
+        """Satisfiability under ``assumptions``, deciding over ``order``
+        (every variable when None) besides them.
+
+        The order must hold every variable the clauses leave free once the
+        assumptions and the order are set: a Tseitin encoding's inputs.
+        """
+        start = time.perf_counter()
+        if self.trail_lim:
+            self._backtrack(0)
+        if not self.ok or self._propagate():
             self.ok = False
             return False
+        if order is None:
+            order = range(1, self.num_vars + 1)
+        mark = self.decidable
+        for var in order:
+            mark[var] = 1
+        self.order, self.cursor = order, 0
+        try:
+            return self._search(assumptions, deadline)
+        finally:
+            for var in order:
+                mark[var] = 0
+            for var in self.extra:
+                mark[var] = 0
+            self.extra = []
+            pos = self.heap_pos
+            for var in self.heap:
+                pos[var] = -1
+            self.heap = []
+            self.order, self.cursor = (), 0
+            self.search_s += time.perf_counter() - start
+
+    def _search(self, assumptions: Sequence[int],
+                deadline: float | None) -> bool | None:
+        trail, trail_lim = self.trail, self.trail_lim
+        assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
         conflicts = 0
         restart_limit = 100
         since_restart = 0
@@ -383,38 +543,82 @@ class SatSolver:
             if conflict:
                 conflicts += 1
                 since_restart += 1
-                if len(self.trail_lim) == 0:
+                self.conflicts += 1
+                if not trail_lim:
                     self.ok = False
                     return False
+                if self.cursor is not None:
+                    self._unflatten()
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
-                if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], 0):
-                        self.ok = False
-                        return False
-                else:
-                    ci = self._attach(learnt)
-                    self._enqueue(learnt[0], ci + 1)
+                self._enqueue(learnt[0],
+                              self._attach(learnt) if len(learnt) > 1 else 0)
+                self.learnts += 1
                 self.var_inc /= self.var_decay
                 if conflicts % 256 == 0 and deadline is not None \
                         and time.monotonic() > deadline:
-                    self._backtrack(0)
                     return None
                 if since_restart >= restart_limit:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
                     self.restarts += 1
                     self._backtrack(0)
+            elif len(trail_lim) < len(assumptions):
+                # the next assumption, on a level of its own even if it holds
+                lit = assumptions[len(trail_lim)]
+                value = self._value(lit)
+                if value == -1:
+                    return False
+                trail_lim.append(len(trail))
+                if value == 0:
+                    self._enqueue(lit, 0)
             else:
                 lit = self._decide()
                 if lit == 0:
                     return True
                 if deadline is not None and time.monotonic() > deadline:
-                    self._heap_insert(abs(lit))  # popped but never assigned
-                    self._backtrack(0)
                     return None
-                self.trail_lim.append(len(self.trail))
-                self._enqueue(lit, 0)
+                self.decisions += 1
+                trail_lim.append(len(trail))
+                # _enqueue inlined: the variable is unassigned
+                var, sign = (lit, 1) if lit > 0 else (-lit, -1)
+                assign[var] = phase[var] = sign
+                level[var] = len(trail_lim)
+                reason[var] = 0
+                trail.append(lit)
+
+    def minimize(self, assumptions: Sequence[int], order: Sequence[int],
+                 deadline: float | None = None) -> bool | None:
+        """Replace the model of a SAT solve under ``assumptions`` over
+        ``order`` with the least one, by further solves; None when the time
+        runs out.
+
+        Goes through the order with the current model in hand: a variable
+        it has false is false in the least model too, and one it has true
+        is tried false under the values fixed before it. A try that is SAT
+        gives the next model, and one that is also conflict-free is the
+        least model itself.
+        """
+        fixed = list(assumptions)
+        values = [self.assign[var] for var in order]
+        for i, var in enumerate(order):
+            if values[i] < 0:
+                fixed.append(-var)
+                continue
+            conflicts = self.conflicts
+            self.minimize_solves += 1
+            result = self.solve([*fixed, -var], order[i + 1:], deadline)
+            if result is None:
+                return None
+            if not result:
+                fixed.append(var)
+                continue
+            if self.conflicts == conflicts:
+                return True
+            fixed.append(-var)
+            values[i + 1:] = [self.assign[v] for v in order[i + 1:]]
+        self.minimize_solves += 1
+        return self.solve(fixed, (), deadline)
 
     def model_value(self, var: int) -> bool:
         return self.assign[var] == 1

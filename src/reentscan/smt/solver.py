@@ -1,11 +1,12 @@
 """Satisfiability and path-condition equivalence checks over 256-bit words.
 
 :class:`Solver` lowers terms to gates (``bitblast``) and decides them with
-the in-tree CDCL engine (``sat``). It owns one gate store, so each term is
-blasted once per contract. A query whose constraints the store already shows
-contradictory is UNSAT with no CNF built; any other query's CNF is replayed
-from the cone of its constraints. Unknown results (budget exhausted or an
-unsupported operation) are always surfaced, never coerced.
+the in-tree CDCL engine (``sat``). It owns one gate store with one SAT
+instance, so each term is blasted, and each gate's clauses added, once per
+contract. A query whose constraints the store already shows contradictory
+is UNSAT with no search; any other query is solved in the instance under
+assumptions. Unknown results (budget exhausted or an unsupported operation)
+are always surfaced, never coerced.
 """
 
 from __future__ import annotations
@@ -51,17 +52,25 @@ class Solver:
     the query to ``FALSE`` as soon as one conjunct is false. A query
     missing from the memo has each conjunct lowered in the solver's gate
     store (see ``bitblast``). If one lowers to constant false, or two to
-    complementary literals, the query is UNSAT without a SAT instance.
-    Otherwise it is solved in a fresh SAT instance loaded from the store:
-    the CNF of its constraints' cone alone, exactly what blasting the query
-    afresh gives. The empty query is solved this way too.
-    Every SAT answer carries a model, checked against the constraints before
-    it is stored. Decided answers are memoized by the interned conjunction,
-    which keeps its conjuncts in order: the same constraints in another
-    order may solve to another model, so a set would not do as the key.
-    Unknown is never memoized, and every model handed out is a fresh copy.
-    One instance serves one contract, so the memo and the gate store live
-    as long as that contract's analysis.
+    complementary literals, the query is UNSAT without a search. Otherwise
+    it is solved in the store's one SAT instance, under its conjuncts'
+    literals as assumptions (see ``sat``). The empty query is solved this
+    way too.
+
+    The model of a query is the least assignment to the bits of its
+    variables, read in the order the query first reaches them (the roots
+    in turn, each term's arguments in order), each variable LSB first,
+    with the first bit highest. A search without a conflict ends at it;
+    after one that conflicted, further solves find it
+    (``SatSolver.minimize``). So a model depends only on the query, and
+    not on what the contract asked before it. Every model is checked
+    against the constraints. Decided answers are memoized by the interned
+    conjunction, which keeps its conjuncts in order: the same constraints
+    in another order may solve to another model, so a set would not do as
+    the key. Unknown is never memoized, and every model handed out is a
+    fresh copy. One instance serves one contract, so the memo, the gate
+    store and the SAT instance with its learnt clauses live as long as
+    that contract's analysis.
 
     Callers that read only the status (branch feasibility, the verifier's
     feasibility filter, selector uniqueness, both directed equivalence
@@ -75,12 +84,13 @@ class Solver:
     that constraint under the models already tried. A hit is not kept: the
     key asked again is tried on the ring again, and solved once its model
     has left the ring. So :meth:`check_sat`, which serves the callers that
-    read models, still hands out exactly the model a fresh solve gives.
+    read models, still hands out the least model.
 
     :attr:`answers` counts each query asked by the place that answered it:
     ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
-    (decided by a SAT instance), ``timeout`` (a SAT instance out of time)
-    or ``unsupported`` (a constraint the store cannot lower).
+    (decided by a search, however many solves it took), ``timeout`` (out
+    of time) or ``unsupported`` (a constraint the store cannot lower).
+    :attr:`sat_stats` gives the totals of the SAT instance.
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
@@ -98,13 +108,9 @@ class Solver:
         key = band(constraints)
         known = self._memo.get(key)
         if known is None:
-            known = self._solve(conjuncts(key), start)
+            known = self._settle(key, start)
             if known.status is SolverStatus.UNKNOWN:
                 return known
-            self._memo[key] = known
-            if known.model is not None:
-                self._models.appendleft(known.model)
-                self._values.appendleft({})
         else:
             self.answers["memo"] += 1
         model = dict(known.model) if known.model is not None else None
@@ -133,32 +139,60 @@ class Solver:
             else:
                 self.answers["ring"] += 1
                 return SolverStatus.SAT
-        return self.check_sat([key]).status  # counted once, by _solve
+        return self._settle(key, time.monotonic()).status
+
+    def _settle(self, key: Term, start: float) -> SolverVerdict:
+        """Solve ``key`` and memoize a decided answer."""
+        verdict = self._solve(conjuncts(key), start)
+        if verdict.status is not SolverStatus.UNKNOWN:
+            self._memo[key] = verdict
+        return verdict
 
     def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
+        """Decide the conjuncts; a model found enters the ring."""
+        unknown = SolverVerdict(SolverStatus.UNKNOWN, None)
+        blaster = self._blaster
         try:
-            refuted = self._blaster.refutes(flat)
+            refuted = blaster.refutes(flat)
         except UnsupportedTermError:
             self.answers["unsupported"] += 1
-            return SolverVerdict(SolverStatus.UNKNOWN, None)
+            return unknown
         if refuted:
             self.answers["refuted"] += 1
             return SolverVerdict(SolverStatus.UNSAT, None)
 
-        sat = self._blaster.load(flat)
-        result = sat.solve(deadline=start + self.timeout)
+        sat = blaster.sat
+        deadline = start + self.timeout
+        assumptions = [blaster.assert_true(c) for c in flat]
+        variables = blaster.variables(flat)
+        order = blaster.input_bits(variables)
+        conflicts = sat.conflicts
+        result = sat.solve(assumptions, order, deadline)
+        if result and sat.conflicts != conflicts:  # the model may not be least
+            result = sat.minimize(assumptions, order, deadline)
         if result is None:
             self.answers["timeout"] += 1
-            return SolverVerdict(SolverStatus.UNKNOWN, None)
+            return unknown
         self.answers["solved"] += 1
         if not result:
             return SolverVerdict(SolverStatus.UNSAT, None)
-        model = {}
-        for c in flat:
-            for v in c.variables():
-                model[v.name] = self._blaster.var_value(sat, v)
+        model = {v.name: blaster.var_value(v) for v in variables}
         self._verify_model(flat, model)
+        self._models.appendleft(model)
+        self._values.appendleft({})
         return SolverVerdict(SolverStatus.SAT, model)
+
+    @property
+    def sat_stats(self) -> dict[str, float]:
+        """Totals of the contract's SAT instance over every solve."""
+        sat = self._blaster.sat
+        return {
+            "decisions": sat.decisions, "conflicts": sat.conflicts,
+            "learnt": sat.learnts, "minimize_solves": sat.minimize_solves,
+            "vars": sat.num_vars,
+            "clauses": len(sat.clauses) + sat.num_binaries,
+            "attach_s": self._blaster.attach_s, "search_s": sat.search_s,
+        }
 
     @staticmethod
     def _verify_model(constraints: Sequence[Term], model: Mapping[str, int]) -> None:
