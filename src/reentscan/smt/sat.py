@@ -25,8 +25,9 @@ solve: on the order's variables alone, VSIDS leaves ``(x + y) - y != x`` at
 16 bits Unknown after a minute, and with the bumped gates it takes a tenth
 of a second. Backtracking puts back the decidable variables it unassigns,
 and no others. :meth:`SatSolver.minimize` turns the model of a solve that
-conflicted into the least one. Activities and saved phases carry over from
-solve to solve.
+conflicted into the least one; the solver asks for it only for a witness,
+and keeps the solve's model when it runs out of time. Activities and saved
+phases carry over from solve to solve.
 
 Clauses of two literals live only in ``binaries``, which lists for each
 literal the literals its truth implies; longer ones are lists in

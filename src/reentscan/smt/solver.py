@@ -57,14 +57,8 @@ class Solver:
     literals as assumptions (see ``sat``). The empty query is solved this
     way too.
 
-    The model of a query is the least assignment to the bits of its
-    variables, read in the order the query first reaches them (the roots
-    in turn, each term's arguments in order), each variable LSB first,
-    with the first bit highest. A search without a conflict ends at it;
-    after one that conflicted, further solves find it
-    (``SatSolver.minimize``). So a model depends only on the query, and
-    not on what the contract asked before it. Every model is checked
-    against the constraints. Decided answers are memoized by the interned
+    A SAT answer carries the model its search ended at, checked against
+    the constraints. Decided answers are memoized by the interned
     conjunction, which keeps its conjuncts in order: the same constraints
     in another order may solve to another model, so a set would not do as
     the key. Unknown is never memoized, and every model handed out is a
@@ -83,13 +77,24 @@ class Solver:
     to one tried before, as the next branch on a path does, evaluates only
     that constraint under the models already tried. A hit is not kept: the
     key asked again is tried on the ring again, and solved once its model
-    has left the ring. So :meth:`check_sat`, which serves the callers that
-    read models, still hands out the least model.
+    has left the ring. The callers that read a model but keep a value only
+    once a uniqueness query shows it is the one value (concretized
+    operands, the selector of a dispatch arm) use :meth:`check_sat`.
+
+    Only a witness needs a canonical model, and :meth:`least_model` gives
+    it: the least assignment to the bits of the query's variables, read in
+    the order the query first reaches them (the roots in turn, each term's
+    arguments in order), each variable LSB first, with the first bit
+    highest. A search without a conflict ends at it; after one that
+    conflicted, further solves find it (``SatSolver.minimize``) within a
+    deadline of their own. So a witness depends only on the query, and not
+    on what the contract asked before it. If minimizing runs out of time,
+    the search's model is kept: a decided SAT never becomes Unknown.
 
     :attr:`answers` counts each query asked by the place that answered it:
     ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
-    (decided by a search, however many solves it took), ``timeout`` (out
-    of time) or ``unsupported`` (a constraint the store cannot lower).
+    (decided by a search), ``timeout`` (out of time) or ``unsupported`` (a
+    constraint the store cannot lower).
     :attr:`sat_stats` gives the totals of the SAT instance.
     """
 
@@ -99,6 +104,9 @@ class Solver:
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
+        # memoized SAT keys whose model came from a search that conflicted,
+        # and so may not be the least one
+        self._unminimized: set[Term] = set()
         self._blaster = BitBlaster()
         # how each query was answered; the counts sum to the queries asked
         self.answers: Counter[str] = Counter()
@@ -141,19 +149,39 @@ class Solver:
                 return SolverStatus.SAT
         return self._settle(key, time.monotonic()).status
 
+    def least_model(self, constraints: Iterable[Term]) -> tuple[SolverVerdict, bool]:
+        """:meth:`check_sat` with the least model, for a witness, and
+        whether the model handed out is the least one.
+
+        A memoized model is taken as it is when its search met no conflict
+        or it was minimized. Any other is minimized within a deadline of
+        its own (see :meth:`_minimize`); when that runs out, the search's
+        model is handed out and the flag is False.
+        """
+        key = band(constraints)
+        verdict = self.check_sat([key])
+        if key in self._unminimized:
+            least = self._minimize(key)
+            if least is None:
+                return verdict, False
+            verdict = SolverVerdict(SolverStatus.SAT, dict(least))
+        return verdict, True
+
     def _settle(self, key: Term, start: float) -> SolverVerdict:
         """Solve ``key`` and memoize a decided answer."""
+        conflicts = self._blaster.sat.conflicts
         verdict = self._solve(conjuncts(key), start)
         if verdict.status is not SolverStatus.UNKNOWN:
             self._memo[key] = verdict
+            if verdict.is_sat and self._blaster.sat.conflicts != conflicts:
+                self._unminimized.add(key)
         return verdict
 
     def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
-        """Decide the conjuncts; a model found enters the ring."""
+        """Decide the conjuncts by one search; a model found enters the ring."""
         unknown = SolverVerdict(SolverStatus.UNKNOWN, None)
-        blaster = self._blaster
         try:
-            refuted = blaster.refutes(flat)
+            refuted = self._blaster.refutes(flat)
         except UnsupportedTermError:
             self.answers["unsupported"] += 1
             return unknown
@@ -161,26 +189,56 @@ class Solver:
             self.answers["refuted"] += 1
             return SolverVerdict(SolverStatus.UNSAT, None)
 
-        sat = blaster.sat
-        deadline = start + self.timeout
-        assumptions = [blaster.assert_true(c) for c in flat]
-        variables = blaster.variables(flat)
-        order = blaster.input_bits(variables)
-        conflicts = sat.conflicts
-        result = sat.solve(assumptions, order, deadline)
-        if result and sat.conflicts != conflicts:  # the model may not be least
-            result = sat.minimize(assumptions, order, deadline)
+        assumptions, variables, order = self._lower(flat)
+        result = self._blaster.sat.solve(assumptions, order, start + self.timeout)
         if result is None:
             self.answers["timeout"] += 1
             return unknown
         self.answers["solved"] += 1
         if not result:
             return SolverVerdict(SolverStatus.UNSAT, None)
-        model = {v.name: blaster.var_value(v) for v in variables}
-        self._verify_model(flat, model)
+        model = self._model(flat, variables)
         self._models.appendleft(model)
         self._values.appendleft({})
         return SolverVerdict(SolverStatus.SAT, model)
+
+    def _minimize(self, key: Term) -> dict[str, int] | None:
+        """Memoize and return the least model of ``key``, a SAT query whose
+        memoized model came from a search that conflicted; None when the
+        deadline of its own runs out first.
+
+        The query is solved again in the instance. A search that now meets
+        no conflict ends at the least model; after one that does, further
+        solves find it.
+        """
+        flat = conjuncts(key)
+        sat = self._blaster.sat
+        deadline = time.monotonic() + self.timeout
+        assumptions, variables, order = self._lower(flat)
+        conflicts = sat.conflicts
+        result = sat.solve(assumptions, order, deadline)
+        if result and sat.conflicts != conflicts:
+            result = sat.minimize(assumptions, order, deadline)
+        if not result:
+            return None
+        model = self._model(flat, variables)
+        self._memo[key] = SolverVerdict(SolverStatus.SAT, model)
+        self._unminimized.discard(key)
+        return model
+
+    def _lower(self, flat: tuple[Term, ...]) -> tuple[list[int], list[Term], list[int]]:
+        """The query's assumption literals, its variables, and their bits
+        in the order the query first reaches them."""
+        blaster = self._blaster
+        assumptions = [blaster.assert_true(c) for c in flat]
+        variables = blaster.variables(flat)
+        return assumptions, variables, blaster.input_bits(variables)
+
+    def _model(self, flat: tuple[Term, ...], variables: list[Term]) -> dict[str, int]:
+        """The instance's values of ``variables``, checked against ``flat``."""
+        model = {v.name: self._blaster.var_value(v) for v in variables}
+        self._verify_model(flat, model)
+        return model
 
     @property
     def sat_stats(self) -> dict[str, float]:

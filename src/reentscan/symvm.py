@@ -566,8 +566,8 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
             [pc, tm.bnot(tm.eq(fid_low, tm.const(value)))])
         if unique is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
-                f"undecided dispatch: cannot tell whether only selector "
-                f"{value:#010x} reaches path {block.id}")
+                "undecided dispatch: cannot tell whether a model's selector "
+                f"is the only selector that reaches path {block.id}")
         if unique is SolverStatus.UNSAT:
             by_selector[value] = by_selector.get(value, False) or has_call
         else:

@@ -212,7 +212,11 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     queries already answered for discovery or an earlier pair come from its
     memo; without one the pair gets a fresh solver and memo of its own.
     A run that raises :class:`~reentscan.cfg_manager.CannotFinish` makes
-    the pair inconclusive, with the exception's text as its note.
+    the pair inconclusive, with the exception's text as its note. The
+    witness of a vulnerable pair is the least model of its unmatched
+    condition (see :meth:`~reentscan.smt.Solver.least_model`); if
+    minimizing it runs out of time, the search's model is the witness and
+    the note says so.
     """
     config = config or AnalyzerConfig()
     solver = solver or Solver(config.solver_timeout)
@@ -261,9 +265,10 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
         if undecided or i_undecided:
             inconclusive = True
             continue
-        sat = solver.check_sat([c])
+        sat, least = solver.least_model([c])
         if sat.status is SolverStatus.SAT:
-            return done(Status.VULNERABLE, scenarios, witness=sat.model)
+            return done(Status.VULNERABLE, scenarios, witness=sat.model,
+                        note=None if least else "witness not minimized: out of time")
         inconclusive = True  # witness extraction failed within budget
     if inconclusive:
         return done(Status.INCONCLUSIVE, scenarios)

@@ -463,7 +463,7 @@ def _solver_state(sat):
 @given(_gates())
 @example((4, [], [2], [2, 3, 4]))  # an And gate over an input fixed true
 @example((5, [2, -3, -4], [-4], [4, 2, 5]))  # an Xor fixed, an And over it
-def test_bulk_load_matches_incremental_construction(gates):
+def test_add_gates_matches_clause_by_clause_construction(gates):
     # attaching gates leaves the instance as adding their Tseitin clauses
     # one by one does, before and after a solve
     n, first, units, second = gates
@@ -836,11 +836,16 @@ def _sharing_queries():
 
 def _conflicting_queries():
     """Queries whose search conflicts in an instance of their own, over
-    variables of their own: their models are minimized."""
+    variables of their own. The first one's search ends at p = 12, above
+    its least model p = 4; the last one's conflicts again when it is
+    solved a second time, so its least model takes further solves."""
     p, q, r = var("p", 4), var("q", 4), var("r", 4)
-    return [[bnot(eq(p, bv_sub(const(0, 4), p)))],  # least model p = 4
+    s, t = var("s", 4), var("t", 4)
+    return [[bnot(eq(p, bv_sub(const(0, 4), p)))],
             [bnot(ult(q, bv_or(const(5, 4), r))),
-             bnot(ult(bv_xor(q, bv_add(r, r)), q))]]
+             bnot(ult(bv_xor(q, bv_add(r, r)), q))],
+            [ult(bv_add(t, bv_xor(s, const(10, 4))), t), eq(s, const(15, 4)),
+             bnot(ult(bv_or(t, s), const(9, 4)))]]
 
 
 def test_store_attaches_each_gate_once():
@@ -861,11 +866,11 @@ def test_store_attaches_each_gate_once():
 
 
 def test_shared_solver_models_match_fresh_solvers():
+    # a least model depends on the query alone, not on what ran before it
     shared = Solver()
     queries = _sharing_queries() + _conflicting_queries()
     for query in queries:
-        verdict = shared.check_sat(query)
-        assert verdict == Solver().check_sat(query)
+        assert shared.least_model(query) == Solver().least_model(query)
     assert any(shared.check_sat(q).is_sat for q in queries)
     stats = shared.sat_stats
     assert stats["conflicts"] > 0 and stats["minimize_solves"] > 0
@@ -1046,23 +1051,31 @@ def test_models_are_the_least_assignment_in_first_touch_order(queries):
         status = SolverStatus.UNSAT if expected is None else SolverStatus.SAT
         if status_first:
             assert solver.status(query) is status
-        verdict = solver.check_sat(query)
-        assert verdict == SolverVerdict(status, expected)
-    stats = solver.sat_stats
-    assert stats["conflicts"] > 0 and stats["minimize_solves"] > 0
+        verdict = solver.least_model(query)
+        assert verdict == (SolverVerdict(status, expected), True)
+    assert solver.sat_stats["conflicts"] > 0
 
 
-def test_conflicted_status_then_check_sat_gives_the_least_model():
+def test_conflicted_status_then_least_model_gives_the_least_model():
     p = var("p", 4)
     query = [bnot(eq(p, bv_sub(const(0, 4), p)))]
     solver = Solver()
     assert solver.status(query) is SolverStatus.SAT
     stats = solver.sat_stats
-    assert stats["conflicts"] > 0 and stats["minimize_solves"] > 0
-    assert solver.answers == Counter(solved=1)  # once, however many solves
-    assert solver.check_sat(query) == SolverVerdict(SolverStatus.SAT, {"p": 4})
-    assert solver.answers == Counter(solved=1, memo=1)
-    assert list(solver._models) == [{"p": 4}]
+    assert stats["conflicts"] > 0 and stats["minimize_solves"] == 0
+    assert solver.answers == Counter(solved=1)
+    # the search's own model is memoized and enters the ring
+    searched = SolverVerdict(SolverStatus.SAT, {"p": 12})
+    assert list(solver._models) == [searched.model]
+    assert solver.check_sat(query) == searched
+    least = SolverVerdict(SolverStatus.SAT, {"p": 4})
+    assert solver.least_model(query) == (least, True)
+    assert solver.answers == Counter(solved=1, memo=2)
+    # the least model replaces the memoized one, and is not minimized again
+    decisions = solver.sat_stats["decisions"]
+    assert solver.least_model(query) == (least, True)
+    assert solver.check_sat(query) == least
+    assert solver.sat_stats["decisions"] == decisions
 
 
 def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
@@ -1084,9 +1097,42 @@ def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
     ]
     for query, least in queries:
         solver = Solver()
-        assert solver.check_sat(query) == SolverVerdict(SolverStatus.SAT, least)
-        stats = solver.sat_stats
-        assert stats["conflicts"] > 0 and stats["minimize_solves"] > 0
+        assert solver.least_model(query) == \
+            (SolverVerdict(SolverStatus.SAT, least), True)
+        assert solver.sat_stats["conflicts"] > 0
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("minimized")
+
+
+def test_status_and_check_sat_never_minimize(monkeypatch):
+    monkeypatch.setattr(SatSolver, "minimize", _raise)
+    for query in _conflicting_queries():
+        solver = Solver()
+        assert solver.status(query) is SolverStatus.SAT
+        assert solver.sat_stats["conflicts"] > 0
+        verdict = solver.check_sat(query)
+        assert verdict.is_sat
+        assert all(evaluate(c, verdict.model) == 1 for c in query)
+
+
+def test_least_model_out_of_time_keeps_the_search_model(monkeypatch):
+    # a minimization that runs out of time leaves a decided SAT decided
+    calls = []
+    monkeypatch.setattr(SatSolver, "minimize",
+                        lambda *args: calls.append(args) and None)
+    query = _conflicting_queries()[-1]
+    solver = Solver()
+    verdict, least = solver.least_model(query)
+    assert calls and not least
+    assert verdict.is_sat
+    assert all(evaluate(c, verdict.model) == 1 for c in query)
+    assert solver.answers == Counter(solved=1)
+    # the search's model stays memoized, not taken for the least one
+    monkeypatch.undo()
+    assert solver.least_model(query) == Solver().least_model(query)
+    assert solver.least_model(query)[1]
 
 
 def test_unsat_query_between_sat_ones_leaves_the_instance_usable():

@@ -337,6 +337,31 @@ def test_vulnerable_witness_satisfies_a_candidate_condition():
     assert result.witness
     # the extracted model must satisfy some surviving re-entrant condition
     assert any(evaluate(c, result.witness) == 1 for c in result.scenarios.C)
+    assert result.note is None
+
+
+class _UnminimizedSolver(Solver):
+    """Takes every model for one whose search conflicted, and runs out of
+    time whenever it minimizes one."""
+
+    def _settle(self, key, start):
+        verdict = super()._settle(key, start)
+        if verdict.is_sat:
+            self._unminimized.add(key)
+        return verdict
+
+    def _minimize(self, key):
+        return None
+
+
+def test_witness_out_of_time_to_minimize_stays_vulnerable():
+    # a decided SAT keeps its search's model; it does not turn Unknown
+    code = load_fixture("fund.hex")
+    w = entry_for(code, "withdraw()")
+    result = verify_pair(code, w, w, solver=_UnminimizedSolver())
+    assert result.status is Status.VULNERABLE
+    assert result.note == "witness not minimized: out of time"
+    assert any(evaluate(c, result.witness) == 1 for c in result.scenarios.C)
 
 
 # -- pair enumeration ---------------------------------------------------------
