@@ -5,8 +5,11 @@ withdraw() pays out then zeroes the balance, transfer() moves it to another
 account. Re-entering through transfer() while withdraw() is mid-payment moves
 a balance that is about to be zeroed, so the attacker keeps both.
 
-The script verifies both pairs and writes the re-entrant exploration graph of
-the vulnerable pair as Graphviz DOT, with the attacker hop highlighted.
+The script verifies both pairs and writes the exploration graph of the
+vulnerable pair as Graphviz DOT, with the attacker hop highlighted. One walk
+gives both schedules: f forks at its call to the attacker, which re-enters
+with g on one side and returns at once on the other, where g then runs as
+the next transaction.
 
 Run from the repository root:
 
@@ -43,14 +46,15 @@ def main() -> None:
     print("reaches only states a sequential double-withdraw reaches too.")
     print("transfer() is what lets the stale balance escape the zeroing.")
 
-    graph = vuln.scenarios.ecfg_C
-    out_path.write_text(export_dot(graph, "cross_function_reentrant"))
+    graph = vuln.scenarios.ecfg
+    out_path.write_text(export_dot(graph, "cross_function"))
     hops = [n for n in graph.nodes.values() if n.contract != "c0"]
     print(f"\nWrote {out_path} ({len(graph.nodes)} nodes, "
           f"{len(graph.edges)} edges, {len(hops)} attacker-side nodes).")
     print("Render with: dot -Tsvg", out_path, "-o graph.svg")
     print("Salmon nodes are call/create entries, palegreen ones are returns;")
-    print("the victim -> attacker -> victim chain is the injected re-entry.")
+    print("the victim -> attacker -> victim chain is the injected re-entry,")
+    print("and the next_tx edges start g after f on the sequential side.")
 
 
 if __name__ == "__main__":

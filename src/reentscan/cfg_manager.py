@@ -84,11 +84,15 @@ class Explorer:
         self._register(block)
         return block
 
-    def fork(self, block: BasicBlock,
-             machine: MachineState | None = None) -> BasicBlock:
+    def fork(self, block: BasicBlock, machine: MachineState | None = None,
+             edge: EdgeKind | None = None) -> BasicBlock:
+        """A successor of ``block`` that runs ``machine`` if given, linked
+        to it by an ``edge`` of that kind if given."""
         out = block.copy_as(self._next_id, machine)
         self._next_id += 1
         self._register(out)
+        if edge is not None:
+            self.ecfg.add_edge(block.id, out.id, edge)
         return out
 
     def push(self, block: BasicBlock) -> None:
@@ -117,11 +121,10 @@ class Explorer:
         (the attacker dummy) runs nothing: it keeps ``block``'s machine,
         and its node reads ``<hop>@0``."""
         self._close(block, EndState.TRANSITED)
-        out = self.fork(block, machine)
+        out = self.fork(block, machine, kind)
         if hop is not None:
             info = self.ecfg.nodes[out.id]
             info.contract, info.start_pc = hop, 0
-        self.ecfg.add_edge(block.id, out.id, kind)
         return out
 
     # -- branching ------------------------------------------------------------
@@ -179,13 +182,11 @@ class Explorer:
 
         if fall_ok and jump_ok:
             self._close(block, EndState.BRANCHED)
-            fall = self.fork(block)
+            fall = self.fork(block, edge=EdgeKind.FALLTHROUGH)
             fall.path_condition = fall_cond
             fall.machine.pc = fall_pc
-            jump = self.fork(block)
+            jump = self.fork(block, edge=EdgeKind.JUMP)
             jump.path_condition = jump_cond
-            self.ecfg.add_edge(block.id, fall.id, EdgeKind.FALLTHROUGH)
-            self.ecfg.add_edge(block.id, jump.id, EdgeKind.JUMP)
             if self._goto(jump, target, jumpdests):
                 self.push(jump)
             return fall

@@ -84,11 +84,11 @@ def _write_cfgs(report: AnalysisReport, out_dir: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for contract in report.contracts:
         for pair in contract.pairs:
-            if pair.scenarios is None or pair.scenarios.ecfg_C is None:
+            if pair.scenarios is None:
                 continue
             name = f"{contract.label}_{pair.f.describe()}_{pair.g.describe()}.dot"
             (directory / name).write_text(
-                export_dot(pair.scenarios.ecfg_C, "reentrant"))
+                export_dot(pair.scenarios.ecfg, "pair"))
 
 
 def _exit_code(report: AnalysisReport) -> int:

@@ -18,9 +18,7 @@ from .terms import (
     ite,
     shl,
     shr,
-    sge,
     sgt,
-    sle,
     slt,
     truthy,
     udiv,
@@ -43,7 +41,7 @@ __all__ = [
     "Term", "const", "var",
     "bv_add", "bv_sub", "bv_mul", "udiv", "urem",
     "bv_and", "bv_or", "bv_xor", "bv_not", "shl", "shr", "ite",
-    "eq", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge",
+    "eq", "ult", "ule", "ugt", "uge", "slt", "sgt",
     "band", "bor", "bnot", "truthy", "evaluate",
     "Solver", "SolverStatus", "SolverVerdict",
     "IndeterminateEquivalence", "UnsupportedTermError",

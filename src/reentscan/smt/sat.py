@@ -101,7 +101,6 @@ class SatSolver:
         self.var_decay = 0.95
         self.qhead = 0
         self.ok = True
-        self.restarts = 0
         # totals over every solve
         self.decisions = 0
         self.conflicts = 0
@@ -562,7 +561,6 @@ class SatSolver:
                 if since_restart >= restart_limit:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
-                    self.restarts += 1
                     self._backtrack(0)
             elif len(trail_lim) < len(assumptions):
                 # the next assumption, on a level of its own even if it holds

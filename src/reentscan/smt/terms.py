@@ -356,14 +356,6 @@ def sgt(a: Term, b: Term) -> Term:
     return slt(b, a)
 
 
-def sle(a: Term, b: Term) -> Term:
-    return bnot(slt(b, a))
-
-
-def sge(a: Term, b: Term) -> Term:
-    return bnot(slt(a, b))
-
-
 def bnot(a: Term) -> Term:
     if not a.is_bool:
         raise ValueError("bnot expects a boolean")

@@ -346,7 +346,10 @@ class BasicBlock:
     has_call: bool = False  # a CALL was reached on this path
     end_state: EndState = EndState.OPEN
     ext_call_target: Term | None = None
-    reentered: bool = False
+    # g's calldata until g runs, re-entered or as the next transaction
+    pending_g: Calldata | None = None
+    reentered: bool = False  # g ran inside f, through the attacker
+    passed: bool = False  # the attacker returned at f's first unknown call
 
     def copy_as(self, new_id: int,
                 machine: MachineState | None = None) -> "BasicBlock":
@@ -362,7 +365,9 @@ class BasicBlock:
             has_call=self.has_call,
             end_state=EndState.OPEN,
             ext_call_target=self.ext_call_target,
+            pending_g=self.pending_g,
             reentered=self.reentered,
+            passed=self.passed,
         )
 
 
@@ -373,6 +378,7 @@ class EdgeKind(enum.Enum):
     CREATE_RETURN = "create_return"
     CALL_ENTER = "call_enter"
     CALL_RETURN = "call_return"
+    NEXT_TX = "next_tx"  # f completed; g starts as the next transaction
 
 
 @dataclass

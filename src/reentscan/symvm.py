@@ -2,12 +2,14 @@
 
 One :class:`SymVM` explores every feasible path of a transaction, forking at
 conditional jumps and crossing contract boundaries at CREATE and CALL. Given
-re-entry calldata, the first external call to unknown code on a path is
-answered by an attacker dummy that immediately calls back into the victim
-with that calldata before reporting success; later calls, and every call
-without re-entry calldata, just succeed. The dummy is behavioral, it has no
-bytecode of its own. The VM adds no solvency terms; the verifier appends
-them to final conditions.
+g's calldata for a pair (f, g), one walk covers both schedules: the first
+external call to unknown code on a path forks it, and an attacker dummy
+either returns success at once or first calls back into the victim with g.
+A path whose f completes with g still pending goes on with g as the next
+transaction, on the same block. Later calls, and every call without g
+pending, just succeed. The dummy is behavioral, it has no bytecode of its
+own. The VM adds no solvency terms; the verifier appends them to final
+conditions.
 
 A path the model cannot finish never vanishes: an unsupported opcode, a
 loop or call-depth bound, or an operand with no model value or more than
@@ -17,8 +19,8 @@ where a number is needed, so a REVERT, and the RETURN that ends the
 transaction, leave their discarded data range free.
 
 Symbol names are fixed by role (``caller``, ``f_callvalue``, ``g_arg0``,
-storage reads keyed by account and slot digest) so that path conditions from
-independently explored scenarios over the same function pair share one symbol
+storage reads keyed by account and slot digest) so that the path conditions
+of both schedules, and of every run over the same contract, share one symbol
 environment.
 """
 
@@ -102,12 +104,15 @@ class SymVM:
                   world: LocalWorldState | None = None,
                   caller: Term | None = None,
                   callvalue: Term | None = None,
-                  path_condition: Term = tm.TRUE,
                   reentry: Calldata | None = None) -> RunResult:
-        """Explore one transaction against the victim contract.
+        """Explore one transaction against the victim contract in one
+        depth-first walk.
 
-        With ``reentry``, the attacker dummy re-enters the victim with that
-        calldata at the first external call to unknown code, once per path.
+        With ``reentry``, g's calldata, the walk covers both schedules of
+        the pair: a path forks at its first call to unknown code, where the
+        attacker dummy either re-enters the victim with g or returns at
+        once, and a path whose f completes with g still pending goes on
+        with g as the next transaction.
         """
         if world is None:
             world = LocalWorldState()
@@ -115,37 +120,30 @@ class SymVM:
             if code is None:
                 raise ValueError("fresh world needs the victim bytecode")
             world.add_account(VICTIM, tm.var(f"address_{VICTIM}"), code=code)
-        victim = world.accounts[VICTIM]
-        caller = caller if caller is not None else tm.var("caller")
-        callvalue = callvalue if callvalue is not None else tm.var("f_callvalue")
-        sender = world.external_account(caller)
-        self._transfer(sender, victim, callvalue)
-        machine = MachineState(
-            code=victim.code,
-            account=VICTIM,
-            caller=caller,
-            callvalue=callvalue,
-            calldata=calldata,
-        )
-        root = BasicBlock(
-            id=0,
-            machine=machine,
-            world=world,
-            path_condition=path_condition,
-        )
-        return self.explore(root, reentry)
-
-    def explore(self, root: BasicBlock, reentry: Calldata | None) -> RunResult:
+        machine = self._transaction(
+            world, caller if caller is not None else tm.var("caller"),
+            callvalue if callvalue is not None else tm.var("f_callvalue"),
+            calldata)
         ex = Explorer(self.solver, self.config.path_cap)
-        ex.push(ex.adopt(root))
+        ex.push(ex.adopt(BasicBlock(id=0, machine=machine, world=world,
+                                    path_condition=tm.TRUE,
+                                    pending_g=reentry)))
         while ex.dfs_stack:
-            block = ex.dfs_stack.pop()
-            cur: BasicBlock | None = block
+            cur: BasicBlock | None = ex.dfs_stack.pop()
             while cur is not None and cur.end_state is EndState.OPEN:
-                cur = self._step(cur, ex, reentry)
+                cur = self._step(cur, ex)
         completed = [b for b in ex.sealed
                      if b.end_state in COMPLETED and not b.call_stack]
         return RunResult(completed, ex.sealed, ex.ecfg, ex.created)
+
+    def _transaction(self, world: LocalWorldState, caller: Term,
+                     callvalue: Term, calldata: Calldata) -> MachineState:
+        """The victim's top-level frame of a transaction from ``caller``,
+        with ``callvalue`` transferred to the victim."""
+        victim = world.accounts[VICTIM]
+        self._transfer(world.external_account(caller), victim, callvalue)
+        return MachineState(code=victim.code, account=VICTIM, caller=caller,
+                            callvalue=callvalue, calldata=calldata)
 
     # -- helpers --------------------------------------------------------------
 
@@ -206,8 +204,18 @@ class SymVM:
         pinned only when a caller frame reads the data. A revert or an
         exceptional halt anywhere abandons the whole path; a STOP or RETURN
         in a callee resumes its caller with the result the entry calls for:
-        the created address, or 1 for a call."""
+        the created address, or 1 for a call. A transaction that completes
+        with g pending goes on with g as the next transaction, from the
+        account of the first call to unknown code, or from the caller."""
         if end not in COMPLETED or not block.call_stack:
+            if end in COMPLETED and block.pending_g is not None:
+                caller = block.ext_call_target
+                machine = self._transaction(
+                    block.world,
+                    caller if caller is not None else tm.var("caller"),
+                    tm.var("g_callvalue"), block.pending_g)
+                block.pending_g = None
+                return ex.transition(block, EdgeKind.NEXT_TX, machine)
             ex.seal(block, end)
             return None
         data = () if span is None else block.machine.mbytes(
@@ -245,7 +253,7 @@ class SymVM:
     # -- call and create ------------------------------------------------------
 
     def _do_call(self, block: BasicBlock, ex: Explorer,
-                 reentry: Calldata | None, next_pc: int) -> BasicBlock:
+                 next_pc: int) -> BasicBlock:
         m = block.machine
         _gas = m.stack.pop()
         to = m.stack.pop()
@@ -272,26 +280,32 @@ class SymVM:
                 caller=caller_acct.address, callvalue=value,
                 calldata=TermCalldata(m.mbytes(in_off_v, in_size_v))), out=out)
         m.grow(in_off_v, in_size_v)
-        if target.code is None:
-            # unknown code behind the target address
-            if block.ext_call_target is None:
-                block.ext_call_target = to
-            if reentry is not None and not block.reentered:
-                # the attacker dummy calls back into the victim
-                block.reentered = True
-                victim = world.accounts[VICTIM]
-                g_value = tm.var("g_callvalue")
-                self._transfer(target, victim, g_value)
-                return self._enter(block, ex, next_pc, MachineState(
-                    code=victim.code, account=victim.label,
-                    caller=target.address, callvalue=g_value,
-                    calldata=reentry), out=out, attacker=target.label)
-        # empty deployed code, or unknown code that is not re-entered:
+        fork = False
+        if target.code is None and block.ext_call_target is None:
+            # the first call to unknown code on this path; with g pending,
+            # the attacker dummy returns at once on one side of a fork and
+            # calls back into the victim with g on the other
+            block.ext_call_target = to
+            fork = block.pending_g is not None
+        # empty deployed code, or unknown code that returns at once:
         # succeeds without running anything
-        m.stack.append(tm.const(1))
-        m.returndata = []
-        m.pc = next_pc
-        return block
+        resumed = m.clone() if fork else m
+        resumed.stack.append(tm.const(1))
+        resumed.returndata = []
+        resumed.pc = next_pc
+        if not fork:
+            return block
+        passed = ex.fork(block, resumed, EdgeKind.FALLTHROUGH)
+        passed.passed = True
+        g, block.pending_g = block.pending_g, None
+        block.reentered = True
+        victim = world.accounts[VICTIM]
+        g_value = tm.var("g_callvalue")
+        self._transfer(target, victim, g_value)
+        ex.push(passed)
+        return self._enter(block, ex, next_pc, MachineState(
+            code=victim.code, account=victim.label, caller=target.address,
+            callvalue=g_value, calldata=g), out=out, attacker=target.label)
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
                    next_pc: int) -> BasicBlock:
@@ -314,8 +328,7 @@ class SymVM:
 
     # -- single instruction ---------------------------------------------------
 
-    def _step(self, block: BasicBlock, ex: Explorer,
-              reentry: Calldata | None) -> BasicBlock | None:
+    def _step(self, block: BasicBlock, ex: Explorer) -> BasicBlock | None:
         m = block.machine
         table, jumpdests = self._decoded(m.code)
         ins = table.get(m.pc)
@@ -450,7 +463,7 @@ class SymVM:
             end = EndState.RETURN if name == "RETURN" else EndState.REVERT
             return self._halt(block, ex, end, [stack.pop(), stack.pop()])
         elif name == "CALL":
-            return self._do_call(block, ex, reentry, next_pc)
+            return self._do_call(block, ex, next_pc)
         elif name == "CREATE":
             return self._do_create(block, ex, next_pc)
         else:

@@ -1,14 +1,18 @@
 """Re-entrancy verdicts by path-condition equivalence.
 
-For a function pair (f, g) two scenario sets are collected over the same
-symbol environment:
+For a function pair (f, g) one walk of f with g pending (see
+:meth:`~reentscan.symvm.SymVM.run_entry`) forks each path at f's first
+external call to unknown code, and its completed ends form two scenario sets
+over one symbol environment:
 
 * I: f runs to completion, then g runs as a fresh transaction from the
-  account f paid out to (sequential baseline).
-* C: g is injected through the attacker dummy while f is still executing,
-  at f's first external call to unknown code, once per path (re-entrant
-  candidate). Paths where no re-entry happened get the sequential g
-  appended so both sets describe f-then-g executions.
+  account f paid out to (sequential baseline): the ends where the attacker
+  returned at once.
+* C: g is injected through the attacker dummy while f is still executing
+  (re-entrant candidate): the ends where the attacker re-entered.
+
+An end whose f met no call to unknown code ran f then g either way, and
+belongs to both sets.
 
 The pair is vulnerable when some feasible re-entrant condition is equivalent
 to no sequential condition: the attack reaches a final state the sequential
@@ -28,7 +32,7 @@ from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt import terms as tm
 from .smt.terms import Term
-from .symdomain import BasicBlock, ECFG
+from .symdomain import ECFG
 from .symvm import (
     AbiCalldata,
     AnalyzerConfig,
@@ -46,15 +50,15 @@ class Status(enum.Enum):
 
 @dataclass
 class ScenarioSet:
-    """All end-path conditions for one pair, plus the graphs behind them."""
+    """All end-path conditions for one pair, plus the graph of the walk
+    that gave both schedules."""
 
     f: FunctionEntry
     g: FunctionEntry
+    ecfg: ECFG
+    created: list[Bytecode]
     I: list[Term] = field(default_factory=list)
     C: list[Term] = field(default_factory=list)
-    ecfg_I: ECFG | None = None
-    ecfg_C: ECFG | None = None
-    created: list[Bytecode] = field(default_factory=list)
 
 
 @dataclass
@@ -133,44 +137,20 @@ def _aggregate(statuses) -> Status:
 
 # -- scenario collection ------------------------------------------------------
 
-def _sequential_g(vm: SymVM, end: BasicBlock, g: FunctionEntry,
-                  out: ScenarioSet, into: list[Term]) -> None:
-    """Continue a finished f path with g as its own transaction."""
-    caller = end.ext_call_target if end.ext_call_target is not None \
-        else tm.var("caller")
-    res = vm.run_entry(
-        None, AbiCalldata(g.selector, "g"),
-        world=end.world.clone(),
-        caller=caller,
-        callvalue=tm.var("g_callvalue"),
-        path_condition=end.path_condition)
-    into.extend(b.world.with_solvency(b.path_condition) for b in res.completed)
-    out.created.extend(res.created)
-
-
 def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
                       config: AnalyzerConfig, solver: Solver) -> ScenarioSet:
-    vm = SymVM(solver, config)
-    out = ScenarioSet(f=f, g=g)
-
-    # I: strictly sequential f then g
-    seq = vm.run_entry(code, AbiCalldata(f.selector, "f"))
-    out.ecfg_I = seq.ecfg
-    out.created.extend(seq.created)
-    for end in seq.completed:
-        _sequential_g(vm, end, g, out, out.I)
-
-    # C: g injected mid-f through the attacker dummy
-    ree = vm.run_entry(code, AbiCalldata(f.selector, "f"),
-                       reentry=AbiCalldata(g.selector, "g"))
-    out.ecfg_C = ree.ecfg
-    out.created.extend(ree.created)
-    for end in ree.completed:
-        if end.reentered:
-            out.C.append(end.world.with_solvency(end.path_condition))
-        else:
-            # no external call was reached; the schedules coincide
-            _sequential_g(vm, end, g, out, out.C)
+    """Sort the ends of one walk of f with g pending (see
+    :meth:`~reentscan.symvm.SymVM.run_entry`): a re-entered end goes to C,
+    an end that passed a call to I, and an end that met none to both."""
+    run = SymVM(solver, config).run_entry(
+        code, AbiCalldata(f.selector, "f"), reentry=AbiCalldata(g.selector, "g"))
+    out = ScenarioSet(f=f, g=g, ecfg=run.ecfg, created=run.created)
+    for end in run.completed:
+        c = end.world.with_solvency(end.path_condition)
+        if not end.passed:
+            out.C.append(c)
+        if not end.reentered:
+            out.I.append(c)
     return out
 
 

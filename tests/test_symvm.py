@@ -252,6 +252,31 @@ def test_dummy_reenters_once_and_marks_path():
     assert len(victim.debits) == 2
 
 
+def _path_edges(ecfg, block_id):
+    parent = {dst: (src, kind) for src, dst, kind in ecfg.edges}
+    kinds = []
+    while block_id in parent:
+        block_id, kind = parent[block_id]
+        kinds.append(kind)
+    return kinds
+
+
+def test_one_walk_forks_at_the_first_unknown_call():
+    code = load_fixture("fund.hex")
+    w = selector_of("withdraw()")
+    res = SymVM().run_entry(code, AbiCalldata(w, "f"),
+                            reentry=AbiCalldata(w, "g"))
+    (reentered,) = [b for b in res.completed if b.reentered]
+    (passed,) = [b for b in res.completed if b.passed]
+    assert EdgeKind.NEXT_TX not in _path_edges(res.ecfg, reentered.id)
+    # on the passed path g ran after f, as the next transaction from the
+    # account f paid
+    assert EdgeKind.NEXT_TX in _path_edges(res.ecfg, passed.id)
+    assert passed.machine.calldata.tag == "g"
+    assert passed.machine.caller is passed.ext_call_target
+    assert passed.pending_g is None
+
+
 def test_sequential_run_never_reenters():
     # without re-entry calldata the unknown callee just succeeds
     code = load_fixture("fund.hex")
@@ -267,6 +292,9 @@ def test_revert_kills_whole_reentrant_path():
     w = selector_of("withdraw()")
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
                             reentry=AbiCalldata(w, "g"))
-    # the lock makes every re-entering path revert; none complete
-    assert res.completed == []
-    assert any(b.end_state is EndState.REVERT for b in res.sealed)
+    # the lock makes every re-entering path revert; none complete, while
+    # the path on which the attacker returns at once does
+    assert res.completed
+    assert all(b.passed and not b.reentered for b in res.completed)
+    assert any(b.reentered and b.end_state is EndState.REVERT
+               for b in res.sealed)

@@ -32,3 +32,5 @@ def test_tracer_patches_resolve_and_count(monkeypatch):
     for name in ("sat.solve.calls", "bitblast.calls", "bitblast.cnf_vars",
                  "bitblast.cnf_clauses", "solver.queries"):
         assert summary[name] > 0, name
+    # one walk for function discovery and one for the one pair
+    assert summary["symvm.run_entry.calls"] == 2

@@ -481,8 +481,8 @@ def test_shared_solver_memo_matches_fresh_solvers():
 
 def test_reports_do_not_depend_on_hash_seed():
     # str hashes, and with them set and dict orders, differ between processes;
-    # token's twelve pairs put the most queries through the solver's memo,
-    # status set and model ring
+    # token's twelve pairs put the most queries through the solver's memo
+    # and model ring
     src = str(FIXTURES.parent / "src")
     script = """
 import json, sys
