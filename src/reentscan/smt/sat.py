@@ -17,8 +17,11 @@ conflict-free solve ends at the least assignment to the order, read as a
 binary number whose first variable is the highest bit: each decision takes
 the least value the variables before it allow, and each implied value holds
 in every model that agrees on those variables. At the first conflict, the
-variables the cursor has not passed go into a lazy binary max-heap ordered
-by VSIDS activity, ties going to the lower index (MiniSat's order heap).
+variables the cursor has not passed go into MiniSat's order heap: a
+``heapq`` of ``(-activity, var)`` entries, so the highest VSIDS activity
+pops first and ties go to the lower index. Raising a variable's activity
+pushes a fresh entry and leaves the old one, which pops after it and is
+skipped; a heap that grows past twice the variable count is rebuilt.
 Every later decision pops it, taking the variable's saved phase. A variable
 that conflict analysis bumps becomes decidable too, for the rest of the
 solve: on the order's variables alone, VSIDS leaves ``(x + y) - y != x`` at
@@ -39,6 +42,7 @@ list indexed by literal, ``2v`` for ``+v`` and ``2v + 1`` for ``-v``, with
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -95,8 +99,10 @@ class SatSolver:
         self.order: Sequence[int] = ()
         self.extra: list[int] = []
         self.cursor: int | None = 0  # next order index, None once on the heap
-        self.heap: list[int] = []  # decision order after the first conflict
-        self.heap_pos: list[int] = [-1]  # var -> index in heap, -1 if absent
+        # decision order after the first conflict: (-activity, var) entries,
+        # stale ones among them (see _bump)
+        self.heap: list[tuple[float, int]] = []
+        self.in_heap = bytearray(1)  # var -> 1 if it has a live heap entry
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.qhead = 0
@@ -121,7 +127,7 @@ class SatSolver:
         self.reason += [0] * k
         self.activity += [0.0] * k
         self.phase += [-1] * k
-        self.heap_pos += [-1] * k
+        self.in_heap += bytes(k)
         self.seen += bytes(k)
         self.decidable += bytes(k)
         self.watches += [()] * (2 * k)
@@ -329,58 +335,24 @@ class SatSolver:
 
     def _unflatten(self) -> None:
         """Hand the order over to the heap: what the cursor has not passed."""
-        heap = self.heap = list(self.order[self.cursor:])
-        pos = self.heap_pos
-        for i, var in enumerate(heap):
-            pos[var] = i
-        for i in range(len(heap) // 2 - 1, -1, -1):
-            self._sift_down(i)
+        act, in_heap = self.activity, self.in_heap
+        rest = self.order[self.cursor:]
+        for var in rest:
+            in_heap[var] = 1
+        self.heap = [(-act[var], var) for var in rest]
+        heapify(self.heap)
         self.cursor = None
 
     def _heap_insert(self, var: int) -> None:
-        self.heap_pos[var] = len(self.heap)
-        self.heap.append(var)
-        self._sift_up(len(self.heap) - 1)
+        self.in_heap[var] = 1
+        heappush(self.heap, (-self.activity[var], var))
 
-    def _sift_up(self, i: int) -> None:
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        var = heap[i]
-        a = act[var]
-        while i > 0:
-            p = (i - 1) >> 1
-            parent = heap[p]
-            pa = act[parent]
-            if pa > a or (pa == a and parent < var):
-                break
-            heap[i] = parent
-            pos[parent] = i
-            i = p
-        heap[i] = var
-        pos[var] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        n = len(heap)
-        var = heap[i]
-        a = act[var]
-        while True:
-            c = 2 * i + 1
-            if c >= n:
-                break
-            child = heap[c]
-            ca = act[child]
-            if c + 1 < n:
-                right = heap[c + 1]
-                ra = act[right]
-                if ra > ca or (ra == ca and right < child):
-                    c, child, ca = c + 1, right, ra
-            if a > ca or (a == ca and var < child):
-                break
-            heap[i] = child
-            pos[child] = i
-            i = c
-        heap[i] = var
-        pos[var] = i
+    def _rebuild_heap(self) -> None:
+        """One entry per variable in the heap, at its current activity."""
+        act, in_heap = self.activity, self.in_heap
+        self.heap = [(-act[var], var) for var in range(1, self.num_vars + 1)
+                     if in_heap[var]]
+        heapify(self.heap)
 
     def _bump(self, var: int) -> None:
         if not self.decidable[var]:  # decided on from its next unassignment
@@ -391,12 +363,13 @@ class SatSolver:
             for i in range(1, self.num_vars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            # rescaling may round distinct activities to equal ones, whose
-            # order then falls to the index: rebuild rather than sift
-            for i in range(len(self.heap) // 2 - 1, -1, -1):
-                self._sift_down(i)
-        elif self.heap_pos[var] >= 0:
-            self._sift_up(self.heap_pos[var])
+            self._rebuild_heap()  # its entries hold the old activities
+        elif self.in_heap[var]:
+            # the old entry stays behind: its activity is lower, so it pops
+            # after this one, and _decide skips it
+            heappush(self.heap, (-self.activity[var], var))
+            if len(self.heap) > 2 * self.num_vars:
+                self._rebuild_heap()
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         learnt = [0]
@@ -454,11 +427,11 @@ class SatSolver:
         limit = self.trail_lim[level]
         trail, assign = self.trail, self.assign
         if self.cursor is None:
-            mark, pos = self.decidable, self.heap_pos
+            mark, in_heap = self.decidable, self.in_heap
             for k in range(len(trail) - 1, limit - 1, -1):
                 var = abs(trail[k])
                 assign[var] = 0
-                if mark[var] and pos[var] < 0:
+                if mark[var] and not in_heap[var]:
                     self._heap_insert(var)
         else:
             for lit in trail[limit:]:
@@ -481,16 +454,13 @@ class SatSolver:
                     return -var
             self.cursor = i
             return 0
-        heap, pos = self.heap, self.heap_pos
+        heap, in_heap = self.heap, self.in_heap
         while heap:
-            var = heap[0]
-            pos[var] = -1
-            last = heap.pop()
-            if heap:
-                heap[0] = last
-                self._sift_down(0)
-            if assign[var] == 0:
-                return var if self.phase[var] >= 0 else -var
+            var = heappop(heap)[1]
+            if in_heap[var]:  # else a stale entry
+                in_heap[var] = 0
+                if assign[var] == 0:
+                    return var if self.phase[var] >= 0 else -var
         return 0
 
     # -- solving --------------------------------------------------------------
@@ -524,9 +494,9 @@ class SatSolver:
             for var in self.extra:
                 mark[var] = 0
             self.extra = []
-            pos = self.heap_pos
-            for var in self.heap:
-                pos[var] = -1
+            in_heap = self.in_heap
+            for _, var in self.heap:
+                in_heap[var] = 0
             self.heap = []
             self.order, self.cursor = (), 0
             self.search_s += time.perf_counter() - start

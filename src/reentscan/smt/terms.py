@@ -76,8 +76,9 @@ class Term:
     def is_bool(self) -> bool:
         return self.width == BOOL
 
-    def digest(self, length: int = 10) -> str:
-        """Stable short hex digest of the term structure (for memo symbol names).
+    def digest(self) -> str:
+        """Stable 10-character hex digest of the term structure (for memo
+        symbol names).
 
         Each node's sha256 covers its header ``op:width:value:name;`` and the
         32-byte digests of its arguments, computed once per node, bottom-up
@@ -98,21 +99,7 @@ class Term:
                     for a in t.args:
                         h.update(a._digest)
                     t._digest = h.digest()
-        return self._digest.hex()[:length]
-
-    def variables(self) -> set["Term"]:
-        out: set[Term] = set()
-        seen: set[int] = set()
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            if t.op == "var":
-                out.add(t)
-            stack.extend(t.args)
-        return out
+        return self._digest.hex()[:10]
 
     def __repr__(self) -> str:
         if self.op == "const":

@@ -168,19 +168,10 @@ def _dedupe(conditions: list[Term]) -> list[Term]:
     return out
 
 
-def _feasible_only(conditions: list[Term],
-                   solver: Solver) -> tuple[list[Term], bool]:
-    """Drop provably-unsatisfiable conditions; report if any were undecided."""
-    out = []
-    undecided = False
-    for c in conditions:
-        status = solver.status([c])
-        if status is SolverStatus.UNSAT:
-            continue
-        if status is SolverStatus.UNKNOWN:
-            undecided = True
-        out.append(c)
-    return out, undecided
+def _feasible_only(conditions: list[Term], solver: Solver) -> list[Term]:
+    """Drop provably-unsatisfiable conditions; undecided ones stay."""
+    return [c for c in conditions
+            if solver.status([c]) is not SolverStatus.UNSAT]
 
 
 def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
@@ -217,15 +208,11 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     except CannotFinish as exc:
         return done(Status.INCONCLUSIVE, note=str(exc))
 
-    I = _dedupe(scenarios.I)
-    C = _dedupe(scenarios.C)
-    I, i_undecided = _feasible_only(I, solver)
-    C, _ = _feasible_only(C, solver)
+    I = _feasible_only(_dedupe(scenarios.I), solver)
+    C = _feasible_only(_dedupe(scenarios.C), solver)
     scenarios.I, scenarios.C = I, C
     # only an empty C is settled here: an empty I leaves every c unmatched
     if not C:
-        if i_undecided:
-            return done(Status.INCONCLUSIVE, scenarios, note="undecided baseline")
         return done(Status.BENIGN, scenarios,
                     note=None if I else "empty scenario set")
 
@@ -242,7 +229,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
                 undecided = True
         if matched:
             continue
-        if undecided or i_undecided:
+        if undecided:
             inconclusive = True
             continue
         sat, least = solver.least_model([c])

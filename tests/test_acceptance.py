@@ -23,6 +23,7 @@ import pytest
 from asm import assemble
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import Solver, terms as tm
+from reentscan.smt.bitblast import BitBlaster
 from reentscan.symdomain import (
     COMPLETED,
     ConcreteCalldata,
@@ -240,7 +241,7 @@ def test_criterion7_revert_blocks_have_no_descendants(runs):
 
 def _reads_balance(term: tm.Term, label: str | None = None) -> bool:
     return any(v.name.startswith(f"balance_{label or ''}")
-               for v in term.variables())
+               for v in BitBlaster().variables([term]))
 
 
 def test_criterion7_balance_terms_only_at_end(runs):

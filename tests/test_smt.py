@@ -148,11 +148,16 @@ def test_digest_tells_apart_order_and_width():
 
 
 def test_digest_definition_is_pinned():
-    # symbol names built from digests end up in report.json
-    assert var("x").digest(64) == (
+    # symbol names built from digests end up in report.json: a digest is
+    # the head of a sha256 over the node's header and its arguments' sha256s
+    sha = terms.hashlib.sha256
+    x = sha(b"var:256:None:x;").digest()
+    one = sha(b"const:256:1:None;").digest()
+    assert x.hex() == (
         "6e78265c7a0391ff5f26663459c1ee3e0d712be1683f457a494b0947a992f8b0")
-    assert bv_add(var("x"), const(1)).digest(64) == (
+    assert sha(b"add:256:None:None;" + x + one).hexdigest() == (
         "7707da6ee8b4910c0d40ea4d3c067d75c96d92d11da438bdf704146401f7e757")
+    assert var("x").digest() == "6e78265c7a"
     assert bv_add(var("x"), const(1)).digest() == "7707da6ee8"
 
 
@@ -164,7 +169,7 @@ x = var("x")
 for _ in range(30):
     x = bv_add(x, x)
 c = band([eq(x, const(7)), ult(var("y"), x)])
-print(x.digest(64), c.digest(64))
+print(x.digest(), c.digest())
 """
     outs = [subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -381,6 +386,33 @@ def test_heap_decisions_match_linear_scan():
     assert live.decisions > decided
 
 
+def test_heap_stays_within_a_multiple_of_the_variables(monkeypatch):
+    # a bump leaves the variable's old entry behind, and a heap past twice
+    # the variable count is rebuilt; entries pushed back on backtracking,
+    # one per variable at most, bring the bound to three times
+    peak = Counter()
+
+    def watched(method):
+        def wrapper(self, var):
+            method(self, var)
+            peak[self] = max(peak[self], len(self.heap))
+        return wrapper
+
+    for name in ("_bump", "_heap_insert"):
+        monkeypatch.setattr(SatSolver, name, watched(getattr(SatSolver, name)))
+    pigeons = _load(SatSolver(), *_pigeonhole(8, 7))
+    assert pigeons.solve() is False and pigeons.conflicts > 1000
+    # stale entries were kept: more entries than variables at the peak
+    assert pigeons.num_vars < peak[pigeons] <= 3 * pigeons.num_vars
+    x, y, z = var("x"), var("y"), var("z")
+    solver = Solver()
+    assert solver.check_sat([ult(x, y), ult(y, z), ult(bv_sub(z, x), const(7)),
+                             bnot(eq(bv_add(x, y), z))]).is_sat
+    sat = solver._blaster.sat
+    assert sat.conflicts > 100
+    assert 0 < peak[sat] <= 3 * sat.num_vars
+
+
 def test_one_instance_solves_many_queries_under_assumptions():
     # one instance, many queries: each is the clauses plus its assumptions,
     # decided over a random order of all variables, learnt clauses kept
@@ -457,7 +489,7 @@ def _gates(draw):
 def _solver_state(sat):
     return (sat.num_vars, sat.clauses, sat.watches, sat.binaries,
             sat.num_binaries, sat.trail, sat.assign, sat.level, sat.reason,
-            sat.phase, sat.heap, sat.heap_pos, sat.ok)
+            sat.phase, sat.heap, sat.in_heap, sat.ok)
 
 
 @settings(max_examples=300, deadline=None)

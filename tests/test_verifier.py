@@ -11,10 +11,13 @@ from asm import assemble
 from reentscan import verifier
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import Solver, SolverStatus, SolverVerdict
+from reentscan.smt import terms as tm
 from reentscan.smt.terms import evaluate
+from reentscan.symdomain import ECFG
 from reentscan.symvm import FunctionEntry, UndecidedDispatch, extract_function_ids
 from reentscan.verifier import (
     AnalyzerConfig,
+    ScenarioSet,
     Status,
     analyze,
     enumerate_pairs,
@@ -302,6 +305,27 @@ def test_empty_sequential_side_leaves_verdict_to_reentrant_side():
     assert result.status is Status.VULNERABLE
     (cond,) = result.scenarios.C
     assert evaluate(cond, result.witness) == 1
+
+
+@pytest.mark.parametrize("C, status", [
+    ([], Status.BENIGN),
+    ([tm.ult(tm.var("x"), tm.const(5))], Status.VULNERABLE),
+])
+def test_undecided_sequential_condition_does_not_block_a_verdict(
+        monkeypatch, C, status):
+    # the solver cannot lower a symbolic product, so whether I's one
+    # condition is feasible stays Unknown; it stays in I. An empty C is
+    # benign whatever I holds, and a c that I's condition provably does not
+    # match is a re-entrant run the sequential ones miss.
+    x, y = tm.var("x"), tm.var("y")
+    I = [tm.eq(tm.bv_mul(x, y), tm.const(6))]
+    assert Solver().status(I) is SolverStatus.UNKNOWN
+    f = g = _fn(bytes(4), True)
+    monkeypatch.setattr(verifier, "collect_scenarios", lambda *args: ScenarioSet(
+        f, g, ECFG(), [], I=list(I), C=list(C)))
+    result = verify_pair(Bytecode(b""), f, g)
+    assert result.status is status
+    assert result.scenarios.I == I
 
 
 def test_dag_shaped_balance_slot_is_analyzed():
