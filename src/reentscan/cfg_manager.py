@@ -48,9 +48,10 @@ class BoundReached(CannotFinish):
 
 
 class CannotConcretize(CannotFinish):
-    """An operand the model needs as a number has no model value (the
-    solver cannot decide the path condition) or more than one feasible
-    value, or init code or the code a CREATE returns is symbolic."""
+    """An operand the model needs as a number has no model value, or the
+    solver cannot tell whether it has only one (``cannot concretize``); it
+    has more than one feasible value (``symbolic``); or init code or the
+    code a CREATE returns is symbolic."""
 
 
 def where(block: BasicBlock) -> str:
@@ -131,13 +132,14 @@ class Explorer:
 
     def _feasible(self, pc: Term) -> bool:
         # an undecided branch is still explored; its condition rides along
-        return self.solver.status([pc]) is not SolverStatus.UNSAT
+        return self.solver.check_sat([pc]).status is not SolverStatus.UNSAT
 
     def concretize(self, block: BasicBlock, term: Term, what: str) -> int:
         """Pin a word to its one value under the path condition, recorded on
         the path. Raises :class:`CannotConcretize` when the path condition
-        has no model, or leaves the word more than one value: pinning one
-        of several would drop the paths to the others."""
+        has no model or the solver cannot tell whether the word has another
+        value (``cannot concretize``), or when it has one (``symbolic``):
+        pinning one of several would drop the paths to the others."""
         if term.is_const:
             return term.value
         pc = block.path_condition
@@ -146,7 +148,10 @@ class Explorer:
             raise CannotConcretize(f"cannot concretize {what} at {where(block)}")
         value = tm.evaluate(term, verdict.model)
         pinned = tm.eq(term, tm.const(value))
-        if self.solver.status([pc, tm.bnot(pinned)]) is not SolverStatus.UNSAT:
+        other = self.solver.check_sat([pc, tm.bnot(pinned)]).status
+        if other is SolverStatus.UNKNOWN:
+            raise CannotConcretize(f"cannot concretize {what} at {where(block)}")
+        if other is SolverStatus.SAT:
             raise CannotConcretize(f"symbolic {what} at {where(block)}")
         block.path_condition = tm.band((pc, pinned))
         return value

@@ -41,55 +41,53 @@ class IndeterminateEquivalence(Exception):
     """The solver could not decide an equivalence query within budget."""
 
 
-RECENT_MODELS = 64  # models of recent solves that status queries try first
+RECENT_MODELS = 64  # models of the last searches, tried before a search
 
 
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
 
-    Every query takes one path. Its constraints are joined into their
-    interned conjunction by :func:`~reentscan.smt.terms.band`, which folds
-    the query to ``FALSE`` as soon as one conjunct is false. A query
-    missing from the memo has each conjunct lowered in the solver's gate
-    store (see ``bitblast``). If one lowers to constant false, or two to
-    complementary literals, the query is UNSAT without a search. Otherwise
-    it is solved in the store's one SAT instance, under its conjuncts'
-    literals as assumptions (see ``sat``). The empty query is solved this
-    way too.
+    Every query takes one path through :meth:`check_sat`. Its constraints
+    are joined into their interned conjunction by
+    :func:`~reentscan.smt.terms.band`, which folds the query to ``FALSE``
+    as soon as one conjunct is false. The query is answered from the memo,
+    else from a recent model, else by lowering each conjunct in the
+    solver's gate store (see ``bitblast``): if one lowers to constant
+    false, or two to complementary literals, it is UNSAT without a search;
+    otherwise it is solved in the store's one SAT instance, under its
+    conjuncts' literals as assumptions (see ``sat``). The empty query is
+    solved this way too.
 
-    A SAT answer carries the model its search ended at, checked against
-    the constraints. Decided answers are memoized by the interned
-    conjunction, which keeps its conjuncts in order: the same constraints
-    in another order may solve to another model, so a set would not do as
-    the key. Unknown is never memoized, and every model handed out is a
-    fresh copy. One instance serves one contract, so the memo, the gate
-    store and the SAT instance with its learnt clauses live as long as
-    that contract's analysis.
+    The ring holds the models of the last :data:`RECENT_MODELS` searches,
+    KLEE's counterexample cache. A model that satisfies the query, unbound
+    variables read as 0, proves it SAT without blasting it, also where
+    solving it would give Unknown (an operation the store cannot lower).
+    A model is tried constraint by constraint, up to the first false one,
+    and keeps the values of the terms evaluated under it until it leaves
+    the ring: a query that adds a constraint to one tried before, as the
+    next branch on a path does, evaluates only that constraint. A hit
+    hands out a copy of that model and is not memoized, so the key asked
+    again is tried on the ring again.
 
-    Callers that read only the status (branch feasibility, the verifier's
-    feasibility filter, selector uniqueness, both directed equivalence
-    queries) use :meth:`status`, which first tries the models of the last
-    :data:`RECENT_MODELS` solves, KLEE's counterexample cache: a model that
-    satisfies the query proves it SAT without blasting it. A model is tried
-    constraint by constraint, up to the first false one, and keeps the
-    values of the terms evaluated under it until it leaves the ring, so no
-    term is evaluated twice under one model: a query that adds a constraint
-    to one tried before, as the next branch on a path does, evaluates only
-    that constraint under the models already tried. A hit is not kept: the
-    key asked again is tried on the ring again, and solved once its model
-    has left the ring. The callers that read a model but keep a value only
-    once a uniqueness query shows it is the one value (concretized
-    operands, the selector of a dispatch arm) use :meth:`check_sat`.
+    A search's SAT answer carries the model it ended at, checked against
+    the constraints. Decided answers of a search or the store are memoized
+    by the interned conjunction, which keeps its conjuncts in order: the
+    same constraints in another order may solve to another model, so a set
+    would not do as the key. Unknown is never memoized, and every model
+    handed out is a fresh copy. One instance serves one contract, so the
+    memo, the gate store and the SAT instance with its learnt clauses live
+    as long as that contract's analysis.
 
     Only a witness needs a canonical model, and :meth:`least_model` gives
     it: the least assignment to the bits of the query's variables, read in
     the order the query first reaches them (the roots in turn, each term's
     arguments in order), each variable LSB first, with the first bit
-    highest. A search without a conflict ends at it; after one that
-    conflicted, further solves find it (``SatSolver.minimize``) within a
-    deadline of their own. So a witness depends only on the query, and not
-    on what the contract asked before it. If minimizing runs out of time,
-    the search's model is kept: a decided SAT never becomes Unknown.
+    highest. A search without a conflict ends at it. A ring model is never
+    taken for it, and after a search that conflicted, further solves find
+    it (``SatSolver.minimize``) within a deadline of their own. So a
+    witness depends only on the query, and not on what the contract asked
+    before it. If minimizing runs out of time, the model :meth:`check_sat`
+    gave is kept: a decided SAT never becomes Unknown.
 
     :attr:`answers` counts each query asked by the place that answered it:
     ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
@@ -104,9 +102,8 @@ class Solver:
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
-        # memoized SAT keys whose model came from a search that conflicted,
-        # and so may not be the least one
-        self._unminimized: set[Term] = set()
+        # memoized SAT keys whose model is the least one
+        self._least: set[Term] = set()
         self._blaster = BitBlaster()
         # how each query was answered; the counts sum to the queries asked
         self.answers: Counter[str] = Counter()
@@ -115,27 +112,15 @@ class Solver:
         start = time.monotonic()
         key = band(constraints)
         known = self._memo.get(key)
-        if known is None:
-            known = self._settle(key, start)
-            if known.status is SolverStatus.UNKNOWN:
-                return known
-        else:
+        if known is not None:
             self.answers["memo"] += 1
+        else:
+            known = self._recent(key) or self._settle(key, start)
         model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
 
-    def status(self, constraints: Iterable[Term]) -> SolverStatus:
-        """The status of the query without its model.
-
-        Answered from a recent model when one satisfies the query, unbound
-        variables read as 0; such a model proves SAT also where solving the
-        query would give Unknown (an operation the bit-blaster cannot lower).
-        """
-        key = band(constraints)
-        known = self._memo.get(key)
-        if known is not None:
-            self.answers["memo"] += 1
-            return known.status
+    def _recent(self, key: Term) -> SolverVerdict | None:
+        """SAT with the most recent ring model that satisfies ``key``, if any."""
         flat = conjuncts(key)
         for model, values in zip(self._models, self._values):
             for c in flat:
@@ -146,21 +131,21 @@ class Solver:
                     break
             else:
                 self.answers["ring"] += 1
-                return SolverStatus.SAT
-        return self._settle(key, time.monotonic()).status
+                return SolverVerdict(SolverStatus.SAT, model)
+        return None
 
     def least_model(self, constraints: Iterable[Term]) -> tuple[SolverVerdict, bool]:
         """:meth:`check_sat` with the least model, for a witness, and
         whether the model handed out is the least one.
 
-        A memoized model is taken as it is when its search met no conflict
-        or it was minimized. Any other is minimized within a deadline of
-        its own (see :meth:`_minimize`); when that runs out, the search's
-        model is handed out and the flag is False.
+        A SAT model not known to be least (one from a ring model or a
+        search that conflicted) is minimized within a deadline of its own
+        (see :meth:`_minimize`); when that runs out, the model
+        :meth:`check_sat` gave is handed out and the flag is False.
         """
         key = band(constraints)
         verdict = self.check_sat([key])
-        if key in self._unminimized:
+        if verdict.is_sat and key not in self._least:
             least = self._minimize(key)
             if least is None:
                 return verdict, False
@@ -173,8 +158,8 @@ class Solver:
         verdict = self._solve(conjuncts(key), start)
         if verdict.status is not SolverStatus.UNKNOWN:
             self._memo[key] = verdict
-            if verdict.is_sat and self._blaster.sat.conflicts != conflicts:
-                self._unminimized.add(key)
+            if verdict.is_sat and self._blaster.sat.conflicts == conflicts:
+                self._least.add(key)
         return verdict
 
     def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
@@ -204,11 +189,11 @@ class Solver:
 
     def _minimize(self, key: Term) -> dict[str, int] | None:
         """Memoize and return the least model of ``key``, a SAT query whose
-        memoized model came from a search that conflicted; None when the
-        deadline of its own runs out first.
+        model is not known to be least; None when the deadline of its own
+        runs out first.
 
-        The query is solved again in the instance. A search that now meets
-        no conflict ends at the least model; after one that does, further
+        The query is solved in the instance. A search that meets no
+        conflict ends at the least model; after one that does, further
         solves find it.
         """
         flat = conjuncts(key)
@@ -223,7 +208,7 @@ class Solver:
             return None
         model = self._model(flat, variables)
         self._memo[key] = SolverVerdict(SolverStatus.SAT, model)
-        self._unminimized.discard(key)
+        self._least.add(key)
         return model
 
     def _lower(self, flat: tuple[Term, ...]) -> tuple[list[int], list[Term], list[int]]:
@@ -268,12 +253,12 @@ class Solver:
         b = band(right)
         if frozenset(conjuncts(a)) == frozenset(conjuncts(b)):
             return True
-        forward = self.status([a, bnot(b)])
+        forward = self.check_sat([a, bnot(b)]).status
         if forward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("left minus right undecided")
         if forward is SolverStatus.SAT:
             return False
-        backward = self.status([b, bnot(a)])
+        backward = self.check_sat([b, bnot(a)]).status
         if backward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("right minus left undecided")
         return backward is SolverStatus.UNSAT

@@ -575,8 +575,8 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
         if verdict.status is SolverStatus.UNSAT:
             continue  # unreachable dispatch arm
         value = verdict.model.get("function_id", 0) & 0xFFFFFFFF
-        unique = vm.solver.status(
-            [pc, tm.bnot(tm.eq(fid_low, tm.const(value)))])
+        unique = vm.solver.check_sat(
+            [pc, tm.bnot(tm.eq(fid_low, tm.const(value)))]).status
         if unique is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 "undecided dispatch: cannot tell whether a model's selector "

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from .cfg_manager import CannotFinish
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
-from .smt import terms as tm
 from .smt.terms import Term
 from .symdomain import ECFG
 from .symvm import (
@@ -156,22 +155,10 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
 # -- verdicts -----------------------------------------------------------------
 
-def _dedupe(conditions: list[Term]) -> list[Term]:
-    """Drop conditions with the conjuncts of an earlier one in another order."""
-    seen: set[frozenset] = set()
-    out = []
-    for c in conditions:
-        k = frozenset(tm.conjuncts(c))
-        if k not in seen:
-            seen.add(k)
-            out.append(c)
-    return out
-
-
 def _feasible_only(conditions: list[Term], solver: Solver) -> list[Term]:
     """Drop provably-unsatisfiable conditions; undecided ones stay."""
     return [c for c in conditions
-            if solver.status([c]) is not SolverStatus.UNSAT]
+            if solver.check_sat([c]).status is not SolverStatus.UNSAT]
 
 
 def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
@@ -208,8 +195,8 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     except CannotFinish as exc:
         return done(Status.INCONCLUSIVE, note=str(exc))
 
-    I = _feasible_only(_dedupe(scenarios.I), solver)
-    C = _feasible_only(_dedupe(scenarios.C), solver)
+    I = _feasible_only(scenarios.I, solver)
+    C = _feasible_only(scenarios.C, solver)
     scenarios.I, scenarios.C = I, C
     # only an empty C is settled here: an empty I leaves every c unmatched
     if not C:

@@ -11,7 +11,7 @@ from reentscan.cfg_manager import (
     export_dot,
 )
 from reentscan.evm_core import Bytecode
-from reentscan.smt import Solver
+from reentscan.smt import Solver, SolverStatus, SolverVerdict
 from reentscan.smt import terms as tm
 from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
 from reentscan.symvm import AbiCalldata, AnalyzerConfig, SymVM
@@ -91,6 +91,26 @@ def test_undecided_jump_target_raises():
             PUSHL next JUMPI next: JUMPDEST
             PUSH1 4 CALLDATALOAD JUMP
         """)), AbiCalldata(None, "f"))
+
+
+class _UndecidedOtherValueSolver(Solver):
+    """Answers a path condition SAT with the empty model, and whether a word
+    has another value Unknown."""
+
+    def check_sat(self, constraints):
+        if len(list(constraints)) == 1:
+            return SolverVerdict(SolverStatus.SAT, {})
+        return SolverVerdict(SolverStatus.UNKNOWN, None)
+
+
+def test_undecided_other_value_cannot_concretize():
+    # the path condition has a model, but nothing showed the target a second
+    # value: the note says it cannot be pinned, not that it is symbolic
+    vm = SymVM(_UndecidedOtherValueSolver())
+    with pytest.raises(CannotConcretize,
+                       match=r"^cannot concretize jump target at c0@\d+$"):
+        vm.run_entry(Bytecode(assemble("PUSH1 4 CALLDATALOAD JUMP")),
+                     AbiCalldata(None, "f"))
 
 
 def test_double_seal_raises():

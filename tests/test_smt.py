@@ -645,14 +645,11 @@ def test_solver_against_enumeration():
         brute_sat = any(
             all(evaluate(c, {"x": x, "y": y}) == 1 for c in constraints)
             for x in range(256) for y in range(256))
-        # status first, so that earlier iterations' models can answer it
-        status = solver.status(constraints)
-        assert status is (SolverStatus.SAT if brute_sat else SolverStatus.UNSAT)
+        # earlier iterations' models may answer it from the ring
         verdict = solver.check_sat(constraints)
-        assert verdict.status is status
+        assert verdict.status is (SolverStatus.SAT if brute_sat else SolverStatus.UNSAT)
         if verdict.is_sat:
-            model = verdict.model or {}
-            assert all(evaluate(c, model) == 1 for c in constraints)
+            assert all(evaluate(c, verdict.model) == 1 for c in constraints)
 
 
 def test_equivalence_against_enumeration():
@@ -700,71 +697,64 @@ def test_repeated_query_is_solved_once(solve_calls):
     assert len(solve_calls) == 1
 
 
-def test_memo_key_keeps_constraint_order(solve_calls):
+def test_memo_key_keeps_constraint_order():
     solver = Solver()
     a, b = ult(const(5), var("x")), ult(var("y"), const(9))
-    solver.check_sat([a, b])
-    solver.check_sat([b, a])
-    assert len(solve_calls) == 2
+    # the second is a ring hit, memoized once minimized
+    solver.least_model([a, b])
+    solver.least_model([b, a])
+    assert list(solver._memo) == [band([a, b]), band([b, a])]
 
 
-def test_unknown_is_not_memoized():
+def test_unknown_is_not_memoized(solve_calls):
     solver = Solver(timeout=0)
     query = [ult(const(5), var("x"))]
     assert solver.check_sat(query).status is SolverStatus.UNKNOWN
+    assert not solver._memo and not solver._models
     solver.timeout = 30.0
     assert solver.check_sat(query).status is SolverStatus.SAT
+    assert len(solve_calls) == 2
 
 
-# -- status queries and the recent-model ring ---------------------------------
+# -- the recent-model ring ----------------------------------------------------
 
-def test_status_is_answered_from_a_recent_model(solve_calls):
+def test_query_is_answered_from_a_recent_model(solve_calls):
     solver = Solver()
     x, y = var("x"), var("y")
-    assert solver.check_sat([ult(const(5), x)]).is_sat
+    first = solver.check_sat([ult(const(5), x)])
+    assert first.is_sat
     assert len(solve_calls) == 1
     # y is unbound in the stored model and reads as 0
     query = [ult(const(5), x), eq(y, const(0))]
-    assert solver.status(query) is SolverStatus.SAT
-    assert solver.status(query) is SolverStatus.SAT
+    hit = solver.check_sat(query)
+    assert hit == first and hit.model is not first.model
+    hit.model["x"] = 0
+    assert solver.check_sat(query) == first
     assert len(solve_calls) == 1
+    assert solver.answers == Counter(solved=1, ring=2)
 
 
-def test_status_hit_leaves_models_exact(solve_calls):
+def test_ring_hit_is_not_solved(solve_calls):
     solver = Solver()
     x = var("x")
     solver.check_sat([ult(const(5), x)])
     query = [ult(const(5), x), ult(x, bv_not(const(0)))]
-    assert solver.status(query) is SolverStatus.SAT
+    assert solver.check_sat(query).is_sat
     assert len(solve_calls) == 1
-    # the model reader solves the key afresh rather than taking the hit's model
-    assert solver.check_sat(query).model == Solver().check_sat(query).model
-    assert len(solve_calls) == 3
 
 
-def test_status_miss_is_solved(solve_calls):
+def test_ring_miss_is_solved(solve_calls):
     solver = Solver()
     x = var("x")
     solver.check_sat([ult(x, const(5))])
-    assert solver.status([ult(const(9), x)]) is SolverStatus.SAT
+    assert solver.check_sat([ult(const(9), x)]).is_sat
     assert len(solve_calls) == 2
-    assert solver.status([ult(x, const(5)), ult(const(9), x)]) \
+    assert solver.check_sat([ult(x, const(5)), ult(const(9), x)]).status \
         is SolverStatus.UNSAT
     assert len(solve_calls) == 3
     # the miss's model now answers queries it satisfies
-    assert solver.status([ult(const(9), x), ult(const(7), x)]) \
-        is SolverStatus.SAT
+    assert solver.check_sat([ult(const(9), x), ult(const(7), x)]).is_sat
     assert len(solve_calls) == 3
-
-
-def test_status_never_caches_unknown(solve_calls):
-    solver = Solver(timeout=0)
-    query = [ult(const(5), var("x"))]
-    assert solver.status(query) is SolverStatus.UNKNOWN
-    assert not solver._models
-    solver.timeout = 30.0
-    assert solver.status(query) is SolverStatus.SAT
-    assert len(solve_calls) == 2
 
 
 def test_model_ring_keeps_the_most_recent():
@@ -777,14 +767,17 @@ def test_model_ring_keeps_the_most_recent():
         range(RECENT_MODELS + 5, 5, -1))
 
 
-def test_status_evaluates_only_the_added_constraint(monkeypatch):
+def test_ring_evaluates_only_the_added_constraint(monkeypatch):
     solver = Solver()
     x = var("x", 8)
-    for v in (0, 1, 2):  # the ring holds x = 2, x = 1, x = 0, in that order
-        solver.check_sat([eq(x, const(v, 8))])
+    # the ring holds x = 2, x = 1, x = 0, in that order; each query misses
+    # the ring, and pins x by a term the checks below do not evaluate
+    for v in (0, 1, 2):
+        solver.check_sat([eq(bv_add(x, const(1, 8)), const(v + 1, 8))])
+    assert solver.answers == Counter(solved=3)
     below = ult(x, const(3, 8))
     # tried under every ring model: x = 2 and x = 1 fail, x = 0 holds
-    assert solver.status([below, eq(x, const(0, 8))]) is SolverStatus.SAT
+    assert solver.check_sat([below, eq(x, const(0, 8))]).is_sat
     calls = []
     evaluate_ = solver_mod.evaluate
 
@@ -794,12 +787,13 @@ def test_status_evaluates_only_the_added_constraint(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "evaluate", counted)
     added = eq(x, const(1, 8))
-    assert solver.status([below, added]) is SolverStatus.SAT
+    assert solver.check_sat([below, added]).is_sat
     assert calls == [added, added]  # false under x = 2, true under x = 1
     calls.clear()
     # a constraint already false under a model rules it out unevaluated:
     # x = 2 fails on added, x = 1 on x == 0, and only x = 0 evaluates added
-    assert solver.status([added, eq(x, const(0, 8))]) is SolverStatus.UNSAT
+    assert solver.check_sat([added, eq(x, const(0, 8))]).status \
+        is SolverStatus.UNSAT
     assert calls == [added]
 
 
@@ -946,8 +940,8 @@ def test_complementary_roots_are_refuted_without_sat(no_sat):
     query = [ult(const(3, 8), x), eq(bv_add(x, y), const(6, 8)),
              bnot(eq(bv_add(y, x), const(6, 8)))]
     solver = Solver()
-    assert solver.check_sat(query) == SolverVerdict(SolverStatus.UNSAT, None)
-    assert solver.status(query) is SolverStatus.UNSAT
+    for _ in range(2):
+        assert solver.check_sat(query) == SolverVerdict(SolverStatus.UNSAT, None)
     assert solver.answers == Counter(refuted=1, memo=1)
 
 
@@ -956,7 +950,7 @@ def test_constant_false_root_is_refuted_without_sat(no_sat):
     # no term folding sees it, but it blasts to the constant false literal
     query = [ult(const(3, 8), x), bnot(eq(bv_add(x, y), bv_add(y, x)))]
     solver = Solver()
-    assert solver.status(query) is SolverStatus.UNSAT
+    assert solver.check_sat(query).status is SolverStatus.UNSAT
     assert solver.answers == Counter(refuted=1)
 
 
@@ -965,9 +959,8 @@ def test_unsupported_root_beside_a_refutation_is_unknown(no_sat):
     c = eq(bv_add(x, y), const(6, 8))
     product = eq(bv_mul(x, y), const(6, 8))
     solver = Solver()
-    for query in ([c, bnot(c), product], [product, c, bnot(c)]):
+    for query in ([c, bnot(c), product], [product, c, bnot(c)]) * 2:
         assert solver.check_sat(query).status is SolverStatus.UNKNOWN
-        assert solver.status(query) is SolverStatus.UNKNOWN
     assert solver.answers == Counter(unsupported=4)
 
 
@@ -975,7 +968,7 @@ def test_false_conjunct_refutes_beside_an_unsupported_one(no_sat):
     x, y = var("x", 8), var("y", 8)
     solver = Solver()
     query = [FALSE, eq(bv_mul(x, y), const(6, 8))]
-    assert solver.status(query) is SolverStatus.UNSAT
+    assert solver.check_sat(query).status is SolverStatus.UNSAT
     assert solver.answers == Counter(refuted=1)
 
 
@@ -1062,7 +1055,8 @@ def _small_query(draw, names, width):
 def _small_queries(draw):
     """2-4 variables of 3-4 bits, at most 12 bits in all; random queries
     over them with the conflicting ones among them, each with a function
-    that tells a model, and whether its status is asked first."""
+    that tells a model, and whether it is asked first without its least
+    model."""
     count = draw(st.integers(2, 4))
     width = draw(st.sampled_from([3] if count == 4 else [3, 4]))
     names = [f"v{i}" for i in range(count)]
@@ -1079,31 +1073,30 @@ def _small_queries(draw):
 @given(_small_queries())
 def test_models_are_the_least_assignment_in_first_touch_order(queries):
     solver = Solver()
-    for query, holds, status_first in queries:
+    for query, holds, asked_first in queries:
         expected = _least_model(query, holds)
         status = SolverStatus.UNSAT if expected is None else SolverStatus.SAT
-        if status_first:
-            assert solver.status(query) is status
+        if asked_first:
+            assert solver.check_sat(query).status is status
         verdict = solver.least_model(query)
         assert verdict == (SolverVerdict(status, expected), True)
     assert solver.sat_stats["conflicts"] > 0
 
 
-def test_conflicted_status_then_least_model_gives_the_least_model():
+def test_conflicted_search_then_least_model_gives_the_least_model():
     p = var("p", 4)
     query = [bnot(eq(p, bv_sub(const(0, 4), p)))]
     solver = Solver()
-    assert solver.status(query) is SolverStatus.SAT
+    # the search's own model is handed out, memoized and enters the ring
+    searched = SolverVerdict(SolverStatus.SAT, {"p": 12})
+    assert solver.check_sat(query) == searched
     stats = solver.sat_stats
     assert stats["conflicts"] > 0 and stats["minimize_solves"] == 0
     assert solver.answers == Counter(solved=1)
-    # the search's own model is memoized and enters the ring
-    searched = SolverVerdict(SolverStatus.SAT, {"p": 12})
     assert list(solver._models) == [searched.model]
-    assert solver.check_sat(query) == searched
     least = SolverVerdict(SolverStatus.SAT, {"p": 4})
     assert solver.least_model(query) == (least, True)
-    assert solver.answers == Counter(solved=1, memo=2)
+    assert solver.answers == Counter(solved=1, memo=1)
     # the least model replaces the memoized one, and is not minimized again
     decisions = solver.sat_stats["decisions"]
     assert solver.least_model(query) == (least, True)
@@ -1139,13 +1132,12 @@ def _raise(*args, **kwargs):
     raise AssertionError("minimized")
 
 
-def test_status_and_check_sat_never_minimize(monkeypatch):
+def test_check_sat_never_minimizes(monkeypatch):
     monkeypatch.setattr(SatSolver, "minimize", _raise)
     for query in _conflicting_queries():
         solver = Solver()
-        assert solver.status(query) is SolverStatus.SAT
-        assert solver.sat_stats["conflicts"] > 0
         verdict = solver.check_sat(query)
+        assert solver.sat_stats["conflicts"] > 0
         assert verdict.is_sat
         assert all(evaluate(c, verdict.model) == 1 for c in query)
 
@@ -1166,6 +1158,19 @@ def test_least_model_out_of_time_keeps_the_search_model(monkeypatch):
     monkeypatch.undo()
     assert solver.least_model(query) == Solver().least_model(query)
     assert solver.least_model(query)[1]
+
+
+def test_ring_model_is_never_a_witness():
+    solver = Solver()
+    x = var("x")
+    solver.check_sat([eq(x, const(9))])
+    # x = 9 satisfies the query, but the least model sets the lowest bits
+    # clear: only bit 255 is set
+    least = SolverVerdict(SolverStatus.SAT, {"x": 1 << 255})
+    assert solver.least_model([ult(const(5), x)]) == (least, True)
+    assert solver.answers == Counter(solved=1, ring=1)
+    assert solver.least_model([ult(const(5), x)]) == (least, True)
+    assert solver.answers == Counter(solved=1, ring=1, memo=1)
 
 
 def test_unsat_query_between_sat_ones_leaves_the_instance_usable():
@@ -1202,50 +1207,36 @@ def test_add_then_sub_is_identity_within_the_default_timeout():
 def test_empty_query_is_sat_with_empty_model():
     solver = Solver()
     assert solver.check_sat([]) == SolverVerdict(SolverStatus.SAT, {})
-    assert solver.status([]) is SolverStatus.SAT
+    assert solver.check_sat([]) == SolverVerdict(SolverStatus.SAT, {})
     assert solver.check_sat([TRUE]) == SolverVerdict(SolverStatus.SAT, {})
     assert solver.answers == Counter(solved=1, memo=2)
 
 
 class AskCountingSolver(Solver):
-    """Counts the queries asked from outside: status answers a miss through
-    check_sat, which is still one query."""
+    """Counts the queries asked: every one goes through check_sat."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.asked = 0
-        self._inside = False
-
-    def _ask(self, method, constraints):
-        if self._inside:
-            return method(self, constraints)
-        self.asked += 1
-        self._inside = True
-        try:
-            return method(self, constraints)
-        finally:
-            self._inside = False
 
     def check_sat(self, constraints):
-        return self._ask(Solver.check_sat, constraints)
-
-    def status(self, constraints):
-        return self._ask(Solver.status, constraints)
+        self.asked += 1
+        return super().check_sat(constraints)
 
 
 def test_answer_sources_sum_to_queries_asked(monkeypatch):
     x, y = var("x", 8), var("y", 8)
     c = ult(const(3, 8), x)
     solver = AskCountingSolver()
-    solver.status([])                                           # solved
+    solver.check_sat([])                                        # solved
     solver.check_sat([c])                                       # solved
     solver.check_sat([c])                                       # memo
-    solver.status([c, ult(x, const(250, 8))])                   # ring
-    solver.status([c, ult(x, const(250, 8))])                   # ring
-    solver.status([c, bnot(c)])                                 # refuted
-    solver.status([c, eq(bv_mul(x, y), const(6, 8))])           # unsupported
+    solver.check_sat([c, ult(x, const(250, 8))])                # ring
+    solver.check_sat([c, ult(x, const(250, 8))])                # ring
+    solver.check_sat([c, bnot(c)])                              # refuted
+    solver.check_sat([c, eq(bv_mul(x, y), const(6, 8))])        # unsupported
     solver.timeout = 0
-    solver.status([ult(x, y)])                                  # timeout
+    solver.check_sat([ult(x, y)])                               # timeout
     assert solver.answers == Counter(solved=2, memo=1, ring=2, refuted=1,
                                      unsupported=1, timeout=1)
     assert solver.asked == 8

@@ -6,18 +6,23 @@ rename there would only show as a failing ``--trace 1`` run.
 
 from pathlib import Path
 
+from reentscan import verifier
 from reentscan.evm_core import Bytecode
+from reentscan.smt import Solver
 from reentscan.verifier import Status, analyze
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fund() -> Bytecode:
+    return Bytecode(bytes.fromhex((ROOT / "fixtures" / "fund.hex").read_text().strip()))
 
 
 def test_tracer_patches_resolve_and_count(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from tracer import Tracer
 
-    hex_code = (ROOT / "fixtures" / "fund.hex").read_text().strip()
-    code = Bytecode(bytes.fromhex(hex_code))
+    code = _fund()
     tracer = Tracer()
     with tracer:  # every name it patches must resolve
         patches = list(tracer._patches)
@@ -34,3 +39,22 @@ def test_tracer_patches_resolve_and_count(monkeypatch):
         assert summary[name] > 0, name
     # one walk for function discovery and one for the one pair
     assert summary["symvm.run_entry.calls"] == 2
+
+
+def test_tracer_counts_every_solver_query(monkeypatch):
+    # the tracer counts at Solver.check_sat, the one way a query is asked
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracer import Tracer
+
+    solvers = []
+
+    def recording(*args, **kwargs):
+        solvers.append(Solver(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(verifier, "Solver", recording)
+    tracer = Tracer()
+    with tracer:
+        analyze([("fund", _fund(), "fixture")])
+    (solver,) = solvers
+    assert tracer.summary()["solver.queries"] == sum(solver.answers.values()) > 0

@@ -319,7 +319,7 @@ def test_undecided_sequential_condition_does_not_block_a_verdict(
     # match is a re-entrant run the sequential ones miss.
     x, y = tm.var("x"), tm.var("y")
     I = [tm.eq(tm.bv_mul(x, y), tm.const(6))]
-    assert Solver().status(I) is SolverStatus.UNKNOWN
+    assert Solver().check_sat(I).status is SolverStatus.UNKNOWN
     f = g = _fn(bytes(4), True)
     monkeypatch.setattr(verifier, "collect_scenarios", lambda *args: ScenarioSet(
         f, g, ECFG(), [], I=list(I), C=list(C)))
@@ -365,13 +365,12 @@ def test_vulnerable_witness_satisfies_a_candidate_condition():
 
 
 class _UnminimizedSolver(Solver):
-    """Takes every model for one whose search conflicted, and runs out of
-    time whenever it minimizes one."""
+    """Takes no model for the least one, and runs out of time whenever it
+    minimizes one."""
 
     def _settle(self, key, start):
         verdict = super()._settle(key, start)
-        if verdict.is_sat:
-            self._unminimized.add(key)
+        self._least.discard(key)
         return verdict
 
     def _minimize(self, key):
