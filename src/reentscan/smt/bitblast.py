@@ -364,7 +364,8 @@ class BitBlaster:
         return [bit for v in variables for bit in memo[v]]
 
     def var_value(self, var: Term) -> int:
-        """The value of a lowered variable in the instance's current model."""
+        """The value of a lowered variable in the instance's current model,
+        an unassigned bit read as 0."""
         assign = self.sat.assign
         value = 0
         for i, bit in enumerate(self._memo[var]):

@@ -16,12 +16,20 @@ a cursor walks the order and sets each unassigned variable false. So a
 conflict-free solve ends at the least assignment to the order, read as a
 binary number whose first variable is the highest bit: each decision takes
 the least value the variables before it allow, and each implied value holds
-in every model that agrees on those variables. At the first conflict, the
-variables the cursor has not passed go into MiniSat's order heap: a
-``heapq`` of ``(-activity, var)`` entries, so the highest VSIDS activity
-pops first and ties go to the lower index. Raising a variable's activity
-pushes a fresh entry and leaves the old one, which pops after it and is
-skipped; a heap that grows past twice the variable count is rebuilt.
+in every model that agrees on those variables. The caller may name stops in
+the order, and a check: when the cursor is about to decide at or past a
+stop, the check is asked whether the assignment so far, with every order
+variable still unassigned read false, is a model. If it is, the solve ends
+SAT there and leaves those variables unassigned. That is where the walk
+would end anyway: every value it could still imply holds in that model,
+so it meets no conflict and decides the rest false.
+
+At the first conflict, the variables the cursor has not passed go into
+MiniSat's order heap: a ``heapq`` of ``(-activity, var)`` entries, so the
+highest VSIDS activity pops first and ties go to the lower index. Raising
+a variable's activity pushes a fresh entry and leaves the old one, which
+pops after it and is skipped; a heap that grows past twice the variable
+count is rebuilt.
 Every later decision pops it, taking the variable's saved phase. A variable
 that conflict analysis bumps becomes decidable too, for the rest of the
 solve: on the order's variables alone, VSIDS leaves ``(x + y) - y != x`` at
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def _index(lit: int) -> int:
@@ -112,6 +120,7 @@ class SatSolver:
         self.conflicts = 0
         self.learnts = 0
         self.minimize_solves = 0
+        self.completions = 0  # solves the check ended (see solve)
         self.search_s = 0.0
 
     # -- construction ---------------------------------------------------------
@@ -467,12 +476,18 @@ class SatSolver:
 
     def solve(self, assumptions: Sequence[int] = (),
               order: Sequence[int] | None = None,
-              deadline: float | None = None) -> bool | None:
+              deadline: float | None = None, stops: Sequence[int] = (),
+              complete: Callable[[], bool] | None = None) -> bool | None:
         """Satisfiability under ``assumptions``, deciding over ``order``
         (every variable when None) besides them.
 
         The order must hold every variable the clauses leave free once the
         assumptions and the order are set: a Tseitin encoding's inputs.
+        ``stops`` are ascending order indices; while no conflict has
+        happened and time is left, ``complete`` is asked once per stop the
+        cursor reaches whether the order's unassigned variables may all be
+        read false, and a True ends the solve SAT (see the module
+        docstring).
         """
         start = time.perf_counter()
         if self.trail_lim:
@@ -487,7 +502,7 @@ class SatSolver:
             mark[var] = 1
         self.order, self.cursor = order, 0
         try:
-            return self._search(assumptions, deadline)
+            return self._search(assumptions, deadline, iter(stops), complete)
         finally:
             for var in order:
                 mark[var] = 0
@@ -501,10 +516,12 @@ class SatSolver:
             self.order, self.cursor = (), 0
             self.search_s += time.perf_counter() - start
 
-    def _search(self, assumptions: Sequence[int],
-                deadline: float | None) -> bool | None:
+    def _search(self, assumptions: Sequence[int], deadline: float | None,
+                stops: Iterable[int],
+                complete: Callable[[], bool] | None) -> bool | None:
         trail, trail_lim = self.trail, self.trail_lim
         assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
+        stop = next(stops, None) if complete is not None else None
         conflicts = 0
         restart_limit = 100
         since_restart = 0
@@ -519,6 +536,7 @@ class SatSolver:
                     return False
                 if self.cursor is not None:
                     self._unflatten()
+                    stop = None  # no completion after a conflict
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
                 self._enqueue(learnt[0],
@@ -547,6 +565,13 @@ class SatSolver:
                     return True
                 if deadline is not None and time.monotonic() > deadline:
                     return None
+                # lit's variable is at order index cursor - 1
+                if stop is not None and self.cursor > stop:
+                    while stop is not None and stop < self.cursor:
+                        stop = next(stops, None)
+                    if complete():
+                        self.completions += 1
+                        return True
                 self.decisions += 1
                 trail_lim.append(len(trail))
                 # _enqueue inlined: the variable is unassigned
@@ -571,7 +596,7 @@ class SatSolver:
         fixed = list(assumptions)
         values = [self.assign[var] for var in order]
         for i, var in enumerate(order):
-            if values[i] < 0:
+            if values[i] <= 0:  # an unassigned variable reads false
                 fixed.append(-var)
                 continue
             conflicts = self.conflicts
@@ -590,4 +615,7 @@ class SatSolver:
         return self.solve(fixed, (), deadline)
 
     def model_value(self, var: int) -> bool:
+        """The variable's value in the last SAT solve's model: a variable
+        the solve left unassigned (one a completed solve never reached)
+        reads false."""
         return self.assign[var] == 1

@@ -15,7 +15,8 @@ import enum
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitblast import BitBlaster, UnsupportedTermError
 from .terms import Term, band, bnot, conjuncts, evaluate
@@ -82,18 +83,23 @@ class Solver:
     it: the least assignment to the bits of the query's variables, read in
     the order the query first reaches them (the roots in turn, each term's
     arguments in order), each variable LSB first, with the first bit
-    highest. A search without a conflict ends at it. A ring model is never
-    taken for it, and after a search that conflicted, further solves find
-    it (``SatSolver.minimize``) within a deadline of their own. So a
-    witness depends only on the query, and not on what the contract asked
-    before it. If minimizing runs out of time, the model :meth:`check_sat`
-    gave is kept: a decided SAT never becomes Unknown.
+    highest. A search without a conflict ends at it, and often early: at
+    each variable's first bit in that order, the conjuncts are evaluated on
+    the bits the search has assigned, every other bit read as 0, and if
+    they hold, that is the model the rest of the walk would reach (see
+    ``sat``). A ring model is never taken for it, and after a search that
+    conflicted, further solves find it (``SatSolver.minimize``) within a
+    deadline of their own. So a witness depends only on the query, and not
+    on what the contract asked before it. If minimizing runs out of time,
+    the model :meth:`check_sat` gave is kept: a decided SAT never becomes
+    Unknown.
 
     :attr:`answers` counts each query asked by the place that answered it:
     ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
     (decided by a search), ``timeout`` (out of time) or ``unsupported`` (a
     constraint the store cannot lower).
-    :attr:`sat_stats` gives the totals of the SAT instance.
+    :attr:`sat_stats` gives the totals of the SAT instance; its
+    ``completions`` are the searches that the check above ended.
     """
 
     def __init__(self, timeout: float = 60.0) -> None:
@@ -175,7 +181,9 @@ class Solver:
             return SolverVerdict(SolverStatus.UNSAT, None)
 
         assumptions, variables, order = self._lower(flat)
-        result = self._blaster.sat.solve(assumptions, order, start + self.timeout)
+        result = self._blaster.sat.solve(
+            assumptions, order, start + self.timeout,
+            *self._completion(flat, variables))
         if result is None:
             self.answers["timeout"] += 1
             return unknown
@@ -201,7 +209,8 @@ class Solver:
         deadline = time.monotonic() + self.timeout
         assumptions, variables, order = self._lower(flat)
         conflicts = sat.conflicts
-        result = sat.solve(assumptions, order, deadline)
+        result = sat.solve(assumptions, order, deadline,
+                           *self._completion(flat, variables))
         if result and sat.conflicts != conflicts:
             result = sat.minimize(assumptions, order, deadline)
         if not result:
@@ -219,6 +228,22 @@ class Solver:
         variables = blaster.variables(flat)
         return assumptions, variables, blaster.input_bits(variables)
 
+    def _completion(self, flat: tuple[Term, ...], variables: list[Term]
+                    ) -> tuple[list[int], Callable[[], bool]]:
+        """The stops and check that end a search of ``flat`` early (see
+        ``sat``): a stop at each variable's first bit, and whether the
+        variables read from the instance, unassigned bits as 0, satisfy
+        every conjunct."""
+        blaster = self._blaster
+
+        def complete() -> bool:
+            model = {v.name: blaster.var_value(v) for v in variables}
+            values: dict[Term, int] = {}
+            return all(evaluate(c, model, values) == 1 for c in flat)
+
+        stops = list(accumulate([v.width for v in variables[:-1]], initial=0))
+        return stops, complete
+
     def _model(self, flat: tuple[Term, ...], variables: list[Term]) -> dict[str, int]:
         """The instance's values of ``variables``, checked against ``flat``."""
         model = {v.name: self._blaster.var_value(v) for v in variables}
@@ -232,6 +257,7 @@ class Solver:
         return {
             "decisions": sat.decisions, "conflicts": sat.conflicts,
             "learnt": sat.learnts, "minimize_solves": sat.minimize_solves,
+            "completions": sat.completions,
             "vars": sat.num_vars,
             "clauses": len(sat.clauses) + sat.num_binaries,
             "attach_s": self._blaster.attach_s, "search_s": sat.search_s,

@@ -34,9 +34,9 @@ from .evm_core import (
     Bytecode,
     FunctionId,
     Instruction,
+    JUMPDEST,
     OPCODES,
     disassemble,
-    valid_jump_targets,
 )
 from .keccak import keccak256
 from .smt import Solver, SolverStatus
@@ -151,7 +151,8 @@ class SymVM:
         cached = self._code_cache.get(code.data)
         if cached is None:
             table = {ins.offset: ins for ins in disassemble(code)}
-            cached = (table, valid_jump_targets(code))
+            cached = (table, {pc for pc, ins in table.items()
+                              if ins.opcode == JUMPDEST})
             self._code_cache[code.data] = cached
         return cached
 

@@ -1069,18 +1069,83 @@ def _small_queries(draw):
     return queries
 
 
+class _FullSearchTwin:
+    """While entered, every solve given a completion check is also made
+    without it, in a copy of the instance, and the two must agree: the same
+    result, model over the order and conflicts, and no more decisions with
+    the check."""
+
+    def __enter__(self):
+        solve = self.solve = SatSolver.solve
+
+        def twinned(sat, assumptions=(), order=None, deadline=None, stops=(),
+                    complete=None):
+            if complete is None:
+                return solve(sat, assumptions, order, deadline)
+            full = copy.deepcopy(sat)
+            before = sat.decisions, sat.conflicts
+            expected = solve(full, assumptions, order, deadline)
+            result = solve(sat, assumptions, order, deadline, stops, complete)
+            assert result is expected
+            assert sat.conflicts - before[1] == full.conflicts - before[1]
+            assert sat.decisions - before[0] <= full.decisions - before[0]
+            if result:
+                assert [sat.model_value(v) for v in order] == \
+                    [full.model_value(v) for v in order]
+            return result
+
+        SatSolver.solve = twinned
+        return self
+
+    def __exit__(self, *exc):
+        SatSolver.solve = self.solve
+
+
 @settings(max_examples=40, deadline=None)
 @given(_small_queries())
 def test_models_are_the_least_assignment_in_first_touch_order(queries):
     solver = Solver()
-    for query, holds, asked_first in queries:
-        expected = _least_model(query, holds)
-        status = SolverStatus.UNSAT if expected is None else SolverStatus.SAT
-        if asked_first:
-            assert solver.check_sat(query).status is status
-        verdict = solver.least_model(query)
-        assert verdict == (SolverVerdict(status, expected), True)
+    with _FullSearchTwin():
+        for query, holds, asked_first in queries:
+            expected = _least_model(query, holds)
+            status = SolverStatus.UNSAT if expected is None else SolverStatus.SAT
+            if asked_first:
+                assert solver.check_sat(query).status is status
+            verdict = solver.least_model(query)
+            assert verdict == (SolverVerdict(status, expected), True)
     assert solver.sat_stats["conflicts"] > 0
+
+
+def test_all_zero_least_model_is_completed_without_a_decision():
+    x = var("x")
+    solver = Solver()
+    assert solver.least_model([ule(x, const(1000))]) == \
+        (SolverVerdict(SolverStatus.SAT, {"x": 0}), True)
+    stats = solver.sat_stats
+    assert stats["completions"] == 1
+    assert stats["decisions"] == 0 and stats["minimize_solves"] == 0
+
+
+def test_completion_waits_for_the_deadline_check():
+    # at timeout 0 the search stops before its first decision, so the
+    # completion at cursor 0 never runs
+    x = var("x")
+    solver = Solver(timeout=0)
+    assert solver.check_sat([ule(x, const(1000))]) == \
+        SolverVerdict(SolverStatus.UNKNOWN, None)
+    assert solver.sat_stats["completions"] == 0
+    assert solver.answers == Counter(timeout=1)
+
+
+def test_bits_a_completed_solve_leaves_unassigned_read_false():
+    sat = _load(SatSolver(), 3, [[-1, 2], [-2, 3]])
+    assert sat.solve((), [1, 2, 3], stops=[0], complete=lambda: True) is True
+    assert sat.completions == 1 and sat.decisions == 0
+    assert not any(sat.model_value(v) for v in (1, 2, 3))
+    # minimizing takes the unassigned bits as false: one solve, no decision
+    assert sat.minimize((), [1, 2, 3]) is True
+    assert sat.minimize_solves == 1 and sat.decisions == 0
+    assert not any(sat.model_value(v) for v in (1, 2, 3))
 
 
 def test_conflicted_search_then_least_model_gives_the_least_model():

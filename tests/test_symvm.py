@@ -298,3 +298,23 @@ def test_revert_kills_whole_reentrant_path():
     assert all(b.passed and not b.reentered for b in res.completed)
     assert any(b.reentered and b.end_state is EndState.REVERT
                for b in res.sealed)
+
+
+def test_code_is_decoded_once_per_vm(monkeypatch):
+    from reentscan import evm_core, symvm
+
+    decoded = []
+
+    def counted(code, real=evm_core.disassemble):
+        decoded.append(code.data)
+        return real(code)
+
+    monkeypatch.setattr(symvm, "disassemble", counted)
+    monkeypatch.setattr(evm_core, "disassemble", counted)
+    code = load_fixture("fund.hex")
+    vm = SymVM()
+    for _ in range(2):
+        vm.run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"))
+    assert decoded.count(code.data) == 1
+    _, jumpdests = vm._decoded(code)
+    assert jumpdests == evm_core.valid_jump_targets(code)
