@@ -156,7 +156,7 @@ class Explorer:
         block.path_condition = tm.band((pc, pinned))
         return value
 
-    def _goto(self, block: BasicBlock, target: Term, jumpdests: set[int]) -> bool:
+    def _goto(self, block: BasicBlock, target: Term, jumpdests: frozenset[int]) -> bool:
         """Move ``block`` to the jump target, or seal it if that is no
         JUMPDEST (an exceptional halt)."""
         value = self.concretize(block, target, "jump target")
@@ -167,11 +167,11 @@ class Explorer:
         return True
 
     def jump(self, block: BasicBlock, target: Term,
-             jumpdests: set[int]) -> BasicBlock | None:
+             jumpdests: frozenset[int]) -> BasicBlock | None:
         return block if self._goto(block, target, jumpdests) else None
 
     def branch_on_jumpi(self, block: BasicBlock, target: Term, cond: Term,
-                        jumpdests: set[int], fall_pc: int) -> BasicBlock | None:
+                        jumpdests: frozenset[int], fall_pc: int) -> BasicBlock | None:
         """Split (or continue) at a conditional jump; returns the block to keep
         executing, with any second successor pushed onto the worklist."""
         if cond.is_const:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .keccak import keccak256
 
@@ -12,6 +13,15 @@ class Bytecode:
     """Raw runtime (or init) code."""
 
     data: bytes
+
+    @cached_property
+    def decoded(self) -> tuple[dict[int, Instruction], frozenset[int]]:
+        """The instructions by offset, and the offsets of the JUMPDESTs
+        that are not inside a PUSH immediate: decoded once per object, so
+        every walk of a contract shares them."""
+        table = {ins.offset: ins for ins in disassemble(self)}
+        return table, frozenset(pc for pc, ins in table.items()
+                                if ins.opcode == JUMPDEST)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -195,11 +205,6 @@ def disassemble(code: Bytecode) -> list[Instruction]:
             out.append(Instruction(pc, op))
             pc += 1
     return out
-
-
-def valid_jump_targets(code: Bytecode) -> set[int]:
-    """Offsets of JUMPDEST opcodes that are not shadowed by a PUSH immediate."""
-    return {ins.offset for ins in disassemble(code) if ins.opcode == JUMPDEST}
 
 
 def selector_of(signature: str) -> FunctionId:

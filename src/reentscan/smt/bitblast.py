@@ -3,15 +3,22 @@
 A :class:`BitBlaster` is a gate store with one :class:`SatSolver` instance.
 The :class:`~reentscan.smt.solver.Solver` owns one, so there is one of each
 per contract. The store lowers each term once: it numbers CNF variables
-itself, its And/Xor gate cache and term memos last as long as it does, and
-each gate's clauses go into the instance once, at the end of the lowering
-that made the gate. A query is solved in that instance: its roots'
-literals (:meth:`BitBlaster.assert_true`) are the assumptions, and the bits
-of the variables in their cone (:meth:`BitBlaster.variables`) are the order
-the search decides on, in the order a walk of the cone first reaches them.
+itself, its gate caches and term memos last as long as it does, and each
+gate's clauses go into the instance once, at the end of the lowering that
+made the gate. A query is solved in that instance: its roots' literals
+(:meth:`BitBlaster.assert_true`) are the assumptions, and the bits of the
+variables in their cone (:meth:`BitBlaster.variables`) are the order the
+search decides on, in the order a walk of the cone first reaches them.
 Every gate in the cone is a function of those bits, so once they are set,
 propagation sets the cone: until its first conflict, the search decides on
 nothing else (see ``sat``).
+
+The gates are And, Xor and Maj, the majority of three. An adder's carry is
+one Maj gate, as in MiniSat+'s adders (Eén and Sörensson, JSAT 2006), and
+so is each bit of an unsigned comparison, the borrow of a subtraction. So a
+256-bit add, sub or ``ult`` lowers to 3, 3 and 1 CNF variables per bit, and
+propagation sets a carry or borrow as soon as two of its operands agree,
+whatever the third.
 
 The store's gate cache is structural hashing: the same gate over the same
 operands is one literal, and a root's negation lowers to its literal negated.
@@ -42,8 +49,9 @@ class BitBlaster:
     """Lowers Terms to gates once and attaches their clauses to one instance.
 
     Bitvectors become LSB-first literal lists. The gates a lowering makes
-    wait in a flat ``array("i")`` of ``(a, b, out)`` triples, with ``out``
-    negated for an Xor gate, until the lowering ends.
+    wait until the lowering ends, in one flat ``array("i")`` per shape:
+    ``(a, b, out)`` triples, with ``out`` negated for an Xor gate, and
+    ``(a, b, c, out)`` quadruples for a Maj gate.
     """
 
     def __init__(self) -> None:
@@ -52,7 +60,10 @@ class BitBlaster:
         self._memo: dict[Term, int | array] = {}
         self._and_gates: dict[int, int] = {}
         self._xor_gates: dict[int, int] = {}
-        self._pending = array("i")  # gates made since the last attach
+        self._maj_gates: dict[int, int] = {}
+        # gates made since the last attach: And/Xor triples, Maj quadruples
+        self._pending = array("i")
+        self._pending_maj = array("i")
         self._cone_vars: dict[Term, tuple[Term, ...]] = {}  # by root
         self.sat = SatSolver()
         self.sat.add_clause([self.sat.new_var()])
@@ -125,7 +136,29 @@ class BitBlaster:
         return self.g_or(self.g_and(c, a), self.g_and(-c, b))
 
     def g_maj(self, a: int, b: int, c: int) -> int:
-        return self.g_or(self.g_and(a, b), self.g_and(c, self.g_xor(a, b)))
+        """At least two of a, b, c: a full adder's carry."""
+        x, y, z = sorted((a, b, c), key=abs)  # a constant operand first
+        t = TRUE_LIT
+        if x == t:
+            return self.g_or(y, z)
+        if x == -t:
+            return self.g_and(y, z)
+        if x == y or y == z:
+            return y
+        if x == -y:
+            return z
+        if y == -z:
+            return x
+        # self-dual: maj(-x, -y, -z) = -maj(x, y, z), so x is keyed positive
+        sign = 1 if x > 0 else -1
+        x, y, z = x * sign, y * sign, z * sign
+        key = ((x << 66) | (abs(y) << 34) | ((y < 0) << 33)
+               | (abs(z) << 1) | (z < 0))
+        o = self._maj_gates.get(key)
+        if o is None:
+            o = self._maj_gates[key] = self._new_var()
+            self._pending_maj.extend((x, y, z, o))
+        return o * sign
 
     def g_and_many(self, lits: list[int]) -> int:
         acc = TRUE_LIT
@@ -168,10 +201,10 @@ class BitBlaster:
         return [self.g_mux(overflow, zero, x) for x in cur]
 
     def _ult(self, a: list[int], b: list[int]) -> int:
+        # the borrow out of a - b, LSB to MSB
         lt = self._const(False)
-        for ai, bi in zip(a, b):  # LSB to MSB
-            eq_bit = -self.g_xor(ai, bi)
-            lt = self.g_or(self.g_and(-ai, bi), self.g_and(eq_bit, lt))
+        for ai, bi in zip(a, b):
+            lt = self.g_maj(-ai, bi, lt)
         return lt
 
     def _mul(self, a: list[int], b: Term) -> list[int]:
@@ -221,7 +254,7 @@ class BitBlaster:
         finally:
             # attaching first backtracks the instance to level 0, a walk
             # over the last model's trail: skip it when nothing was made
-            if self._pending or self.sat.num_vars < self.num_vars:
+            if self.sat.num_vars < self.num_vars:
                 self._attach()
 
     def _attach(self) -> None:
@@ -230,8 +263,9 @@ class BitBlaster:
         start = perf_counter()
         sat = self.sat
         sat.grow(self.num_vars)
-        sat.add_gates(self._pending)
+        sat.add_gates(self._pending, self._pending_maj)
         del self._pending[:]
+        del self._pending_maj[:]
         self.attach_s += perf_counter() - start
 
     def blast_bv(self, term: Term) -> list[int]:

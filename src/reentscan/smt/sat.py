@@ -74,6 +74,15 @@ def _gate_clauses(a: int, b: int, o: int) -> list[list[int]]:
     return [[na, nb, o], [a, b, o], [na, b, no], [a, nb, no]]
 
 
+def _maj_clauses(a: int, b: int, c: int, o: int) -> list[list[int]]:
+    """The Tseitin clauses of ``o = maj(a, b, c)``, each clause's watched
+    literals first: two operands true make ``o`` true, two false make it
+    false."""
+    na, nb, nc, no = -a, -b, -c, -o
+    return [[na, nb, o], [na, nc, o], [nb, nc, o],
+            [a, b, no], [a, c, no], [b, c, no]]
+
+
 def _watch(table: list, index: int, entry: int) -> None:
     found = table[index]
     if found:
@@ -168,18 +177,20 @@ class SatSolver:
         else:
             self.ok = False
 
-    def add_gates(self, gates: Sequence[int]) -> None:
+    def add_gates(self, gates: Sequence[int], majs: Sequence[int]) -> None:
         """Add the Tseitin clauses of gates given as flat ``(a, b, out)``
-        triples: ``out = a & b``, or ``-out = a ^ b`` when ``out < 0``.
-        Each output is a variable no clause has mentioned yet.
+        triples: ``out = a & b``, or ``-out = a ^ b`` when ``out < 0``; then
+        of Maj gates given as flat ``(a, b, c, out)`` quadruples: ``out =
+        maj(a, b, c)``. Each output is a variable no clause has mentioned
+        yet.
 
         An And gate's two binary clauses go only into the binaries; a gate
         with an operand fixed at level 0 goes through :meth:`add_clause`.
         The rest leave the state :meth:`add_clause` of each of
-        :func:`_gate_clauses` would, with the watches placed here rather
-        than by a call per clause: with one call per clause, to
-        :meth:`_attach` or :meth:`add_clause`, benchmark passes took 8-45%
-        longer.
+        :func:`_gate_clauses` and :func:`_maj_clauses` would, with the
+        watches placed here rather than by a call per clause: with one call
+        per clause, to :meth:`_attach` or :meth:`add_clause`, benchmark
+        passes took 8-45% longer.
         """
         if self.trail_lim:
             self._backtrack(0)
@@ -215,6 +226,31 @@ class SatSolver:
                 _watch(watches, ib ^ 1, c2)
                 _watch(watches, ia ^ 1, c3)
                 _watch(watches, ib, c3)
+        it = iter(majs)
+        for a, b, c, o in zip(it, it, it, it):
+            if assign[a if a > 0 else -a] or assign[b if b > 0 else -b] \
+                    or assign[c if c > 0 else -c]:
+                for lits in _maj_clauses(a, b, c, o):
+                    self.add_clause(lits)
+                continue
+            ia = a << 1 if a > 0 else (-a << 1) | 1
+            ib = b << 1 if b > 0 else (-b << 1) | 1
+            ic = c << 1 if c > 0 else (-c << 1) | 1
+            ci = len(clauses)
+            clauses += _maj_clauses(a, b, c, o)
+            _watch(watches, ia, ci)
+            _watch(watches, ib, ci)
+            _watch(watches, ia, ci + 1)
+            _watch(watches, ic, ci + 1)
+            _watch(watches, ib, ci + 2)
+            _watch(watches, ic, ci + 2)
+            ia, ib, ic = ia ^ 1, ib ^ 1, ic ^ 1
+            _watch(watches, ia, ci + 3)
+            _watch(watches, ib, ci + 3)
+            _watch(watches, ia, ci + 4)
+            _watch(watches, ic, ci + 4)
+            _watch(watches, ib, ci + 5)
+            _watch(watches, ic, ci + 5)
 
     def _attach(self, lits: list[int]) -> int:
         """Watch a clause of two or more literals; returns the reason that
@@ -550,6 +586,10 @@ class SatSolver:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
+            elif deadline is not None and time.monotonic() > deadline:
+                # checked before every assumption and decision, so a search
+                # out of time stops there whatever propagation settled
+                return None
             elif len(trail_lim) < len(assumptions):
                 # the next assumption, on a level of its own even if it holds
                 lit = assumptions[len(trail_lim)]
@@ -563,8 +603,6 @@ class SatSolver:
                 lit = self._decide()
                 if lit == 0:
                     return True
-                if deadline is not None and time.monotonic() > deadline:
-                    return None
                 # lit's variable is at order index cursor - 1
                 if stop is not None and self.cursor > stop:
                     while stop is not None and stop < self.cursor:

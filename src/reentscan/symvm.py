@@ -33,10 +33,7 @@ from .cfg_manager import (BoundReached, CannotConcretize, Explorer,
 from .evm_core import (
     Bytecode,
     FunctionId,
-    Instruction,
-    JUMPDEST,
     OPCODES,
-    disassemble,
 )
 from .keccak import keccak256
 from .smt import Solver, SolverStatus
@@ -96,7 +93,6 @@ class SymVM:
                  config: AnalyzerConfig | None = None):
         self.config = config or AnalyzerConfig()
         self.solver = solver or Solver(self.config.solver_timeout)
-        self._code_cache: dict[bytes, tuple[dict[int, Instruction], set[int]]] = {}
 
     # -- entry points ---------------------------------------------------------
 
@@ -146,15 +142,6 @@ class SymVM:
                             callvalue=callvalue, calldata=calldata)
 
     # -- helpers --------------------------------------------------------------
-
-    def _decoded(self, code: Bytecode) -> tuple[dict[int, Instruction], set[int]]:
-        cached = self._code_cache.get(code.data)
-        if cached is None:
-            table = {ins.offset: ins for ins in disassemble(code)}
-            cached = (table, {pc for pc, ins in table.items()
-                              if ins.opcode == JUMPDEST})
-            self._code_cache[code.data] = cached
-        return cached
 
     @staticmethod
     def _transfer(src: Account | None, dst: Account | None, value: Term) -> None:
@@ -331,7 +318,7 @@ class SymVM:
 
     def _step(self, block: BasicBlock, ex: Explorer) -> BasicBlock | None:
         m = block.machine
-        table, jumpdests = self._decoded(m.code)
+        table, jumpdests = m.code.decoded
         ins = table.get(m.pc)
         if ins is None:
             # fell off the end of the code: implicit stop

@@ -174,7 +174,8 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
     witness of a vulnerable pair is the least model of its unmatched
     condition (see :meth:`~reentscan.smt.Solver.least_model`); if
     minimizing it runs out of time, the search's model is the witness and
-    the note says so.
+    the note says so. A pair left inconclusive by an Unknown answer names
+    the query that got it: an equivalence or a witness.
     """
     config = config or AnalyzerConfig()
     solver = solver or Solver(config.solver_timeout)
@@ -203,7 +204,7 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
         return done(Status.BENIGN, scenarios,
                     note=None if I else "empty scenario set")
 
-    inconclusive = False
+    unknown = None  # why the first undecided c stays undecided
     for c in C:
         matched = False
         undecided = False
@@ -217,15 +218,15 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
         if matched:
             continue
         if undecided:
-            inconclusive = True
+            unknown = unknown or "solver-unknown: equivalence undecided"
             continue
         sat, least = solver.least_model([c])
         if sat.status is SolverStatus.SAT:
             return done(Status.VULNERABLE, scenarios, witness=sat.model,
                         note=None if least else "witness not minimized: out of time")
-        inconclusive = True  # witness extraction failed within budget
-    if inconclusive:
-        return done(Status.INCONCLUSIVE, scenarios)
+        unknown = unknown or "solver-unknown: witness undecided"
+    if unknown:
+        return done(Status.INCONCLUSIVE, scenarios, note=unknown)
     return done(Status.BENIGN, scenarios)
 
 

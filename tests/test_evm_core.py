@@ -10,7 +10,6 @@ from reentscan.evm_core import (
     disassemble,
     reassemble,
     selector_of,
-    valid_jump_targets,
 )
 
 
@@ -53,7 +52,8 @@ def test_unknown_opcode_is_invalid():
 def test_jumpdest_inside_push_immediate_is_not_a_target():
     # PUSH2 0x5b5b, JUMPDEST: only offset 3 is a real JUMPDEST
     code = Bytecode(bytes.fromhex("615b5b5b"))
-    assert valid_jump_targets(code) == {3}
+    assert {ins.offset for ins in disassemble(code) if ins.name == "JUMPDEST"} == {3}
+    assert code.decoded[1] == {3}
 
 
 def test_every_byte_decoded_once():

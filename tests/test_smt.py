@@ -404,10 +404,10 @@ def test_heap_stays_within_a_multiple_of_the_variables(monkeypatch):
     assert pigeons.solve() is False and pigeons.conflicts > 1000
     # stale entries were kept: more entries than variables at the peak
     assert pigeons.num_vars < peak[pigeons] <= 3 * pigeons.num_vars
-    x, y, z = var("x"), var("y"), var("z")
+    x, y = var("x"), var("y")
     solver = Solver()
-    assert solver.check_sat([ult(x, y), ult(y, z), ult(bv_sub(z, x), const(7)),
-                             bnot(eq(bv_add(x, y), z))]).is_sat
+    # (x - y) + y = x: the sum's bits say little until y's are decided
+    assert solver.check_sat([ult(const(0), bv_add(bv_sub(x, y), y))]).is_sat
     sat = solver._blaster.sat
     assert sat.conflicts > 100
     assert 0 < peak[sat] <= 3 * sat.num_vars
@@ -464,22 +464,25 @@ def test_conflict_free_solve_gives_the_least_model():
 
 @st.composite
 def _gates(draw):
-    """Two batches of And/Xor gate triples over the inputs and the gates
-    before them, as the gate store makes them: operands of distinct
-    variables, each output new. Between them, variables of the first batch
-    fixed at level 0."""
-    n = draw(st.integers(3, 6))
+    """Two batches of gates over the inputs and the gates before them, as
+    the gate store makes them: And/Xor triples and Maj quadruples, drawn
+    mixed, with operands of distinct variables and each output new. Between
+    them, variables of the first batch fixed at level 0."""
+    n = draw(st.integers(4, 7))
     batches = []
     for _ in range(2):
-        triples = []
+        triples, quads = [], []
         for _ in range(draw(st.integers(0, 6))):
-            a, b = draw(st.lists(st.integers(2, n), min_size=2, max_size=2,
-                                 unique=True))
-            a *= draw(st.sampled_from([1, -1]))
-            b *= draw(st.sampled_from([1, -1]))
+            maj = draw(st.booleans())
+            operands = draw(st.lists(st.integers(2, n), min_size=2 + maj,
+                                     max_size=2 + maj, unique=True))
+            operands = [v * draw(st.sampled_from([1, -1])) for v in operands]
             n += 1
-            triples += [a, b, n * draw(st.sampled_from([1, -1]))]
-        batches.append(triples)
+            if maj:
+                quads += [*operands, n]
+            else:
+                triples += [*operands, n * draw(st.sampled_from([1, -1]))]
+        batches.append((triples, quads))
         if len(batches) == 1:
             units = draw(st.lists(st.integers(2, n), max_size=3, unique=True))
             units = [v * draw(st.sampled_from([1, -1])) for v in units]
@@ -494,29 +497,40 @@ def _solver_state(sat):
 
 @settings(max_examples=300, deadline=None)
 @given(_gates())
-@example((4, [], [2], [2, 3, 4]))  # an And gate over an input fixed true
-@example((5, [2, -3, -4], [-4], [4, 2, 5]))  # an Xor fixed, an And over it
+# an And over an input fixed true; an Xor fixed, then an And over it; a Maj
+# over an input fixed false; a Maj over an And of its batch, then a Maj over
+# an input fixed true
+@example((4, ([], []), [2], ([2, 3, 4], [])))
+@example((5, ([2, -3, -4], []), [-4], ([4, 2, 5], [])))
+@example((5, ([], []), [-3], ([], [2, 3, -4, 5])))
+@example((7, ([2, 3, 5], [5, -4, 2, 6]), [3], ([], [6, 3, -4, 7])))
 def test_add_gates_matches_clause_by_clause_construction(gates):
     # attaching gates leaves the instance as adding their Tseitin clauses
-    # one by one does, before and after a solve
+    # one by one does, And/Xor gates first, before and after a solve
     n, first, units, second = gates
     built, bulk = SatSolver(), SatSolver()
     for sat in (built, bulk):
         sat.grow(n)
         sat.add_clause([1])
-    for triples in (first, units, second):
-        if triples is units:
+    for batch in (first, units, second):
+        if batch is units:
             for sat in (built, bulk):
                 for unit in units:
                     sat.add_clause([unit])
             continue
+        triples, quads = batch
         it = iter(triples)
         for a, b, o in zip(it, it, it):
             clauses = [[-a, -b, o], [a, -o], [b, -o]] if o > 0 else \
                 [[-a, -b, o], [a, b, o], [-a, b, -o], [a, -b, -o]]
             for lits in clauses:
                 built.add_clause(lits)
-        bulk.add_gates(triples)
+        it = iter(quads)
+        for a, b, c, o in zip(it, it, it, it):
+            for lits in ([-a, -b, o], [-a, -c, o], [-b, -c, o],
+                         [a, b, -o], [a, c, -o], [b, c, -o]):
+                built.add_clause(lits)
+        bulk.add_gates(triples, quads)
         assert _solver_state(bulk) == _solver_state(built)
     assert bulk.solve() is built.solve()
     assert _solver_state(bulk) == _solver_state(built)
@@ -844,8 +858,10 @@ def _clause_count(sat):
 
 
 def _tseitin_count(store):
-    """The clauses of the store's gates: three per And, four per Xor."""
-    return 3 * len(store._and_gates) + 4 * len(store._xor_gates)
+    """The clauses of the store's gates: three per And, four per Xor, six
+    per Maj."""
+    return (3 * len(store._and_gates) + 4 * len(store._xor_gates)
+            + 6 * len(store._maj_gates))
 
 
 def _sharing_queries():
@@ -869,8 +885,8 @@ def _conflicting_queries():
     p, q, r = var("p", 4), var("q", 4), var("r", 4)
     s, t = var("s", 4), var("t", 4)
     return [[bnot(eq(p, bv_sub(const(0, 4), p)))],
-            [bnot(ult(q, bv_or(const(5, 4), r))),
-             bnot(ult(bv_xor(q, bv_add(r, r)), q))],
+            [bnot(ult(bv_sub(const(15, 4), q), q)),
+             bnot(eq(bv_and(r, bv_sub(r, q)), bv_add(q, bv_add(r, q))))],
             [ult(bv_add(t, bv_xor(s, const(10, 4))), t), eq(s, const(15, 4)),
              bnot(ult(bv_or(t, s), const(9, 4)))]]
 
@@ -887,7 +903,8 @@ def test_store_attaches_each_gate_once():
         before = _clause_count(store.sat) - _tseitin_count(store)
         store.refutes(query)
         assert _clause_count(store.sat) - _tseitin_count(store) == before
-        assert store.sat.num_vars == store.num_vars and not store._pending
+        assert store.sat.num_vars == store.num_vars
+        assert not store._pending and not store._pending_maj
     assert _clause_count(store.sat) == _tseitin_count(store) > 0
     assert store.num_vars < fresh_vars  # the queries did share gates
 
@@ -916,7 +933,8 @@ def test_unsupported_query_leaves_the_store_consistent():
     with pytest.raises(UnsupportedTermError):
         store.refutes(bad)
     # the gates made before the failure are in the instance all the same
-    assert store.sat.num_vars == store.num_vars and not store._pending
+    assert store.sat.num_vars == store.num_vars
+    assert not store._pending and not store._pending_maj
     assert _clause_count(store.sat) == _tseitin_count(store) > 0
     assert not store.refutes(follow)
     assumptions = [store.assert_true(c) for c in follow]
@@ -1127,7 +1145,7 @@ def test_all_zero_least_model_is_completed_without_a_decision():
 
 
 def test_completion_waits_for_the_deadline_check():
-    # at timeout 0 the search stops before its first decision, so the
+    # at timeout 0 the search stops before its first assumption, so the
     # completion at cursor 0 never runs
     x = var("x")
     solver = Solver(timeout=0)
@@ -1135,6 +1153,27 @@ def test_completion_waits_for_the_deadline_check():
         SolverVerdict(SolverStatus.UNKNOWN, None)
     assert solver.sat_stats["completions"] == 0
     assert solver.answers == Counter(timeout=1)
+
+
+def test_no_time_leaves_a_query_that_propagation_settles_unknown():
+    # x = 5 needs no decision once its assumption is placed, but a search
+    # out of time stops before placing it, as it does before a decision
+    x = var("x")
+    query = [eq(x, const(5))]
+    solver = Solver(timeout=0)
+    assert solver.check_sat(query) == SolverVerdict(SolverStatus.UNKNOWN, None)
+    assert solver.answers == Counter(timeout=1)
+    assert solver.sat_stats["decisions"] == 0
+    # what needs no search stays decided
+    solver.timeout = 60.0
+    assert solver.check_sat(query).is_sat                       # solved
+    solver.timeout = 0
+    assert solver.check_sat(query).is_sat                       # memo
+    assert solver.check_sat([ult(x, const(9))]).is_sat          # ring
+    c = ult(const(3), x)
+    assert solver.check_sat([c, bnot(c)]).status is SolverStatus.UNSAT
+    assert solver.answers == Counter(timeout=1, solved=1, memo=1, ring=1,
+                                     refuted=1)
 
 
 def test_bits_a_completed_solve_leaves_unassigned_read_false():
@@ -1179,12 +1218,9 @@ def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
         # then z < y < x + z wraps only for y = 2**255
         ([bnot(eq(x, bv_sub(const(0), x))), ult(y, bv_add(x, z)), ult(z, y)],
          {"x": 1 << 254, "y": 1 << 255, "z": 3 << 253}),
-        # x = 0, then y > 0 with the most low bits clear that leaves room
-        # for z in (y, 7) with z != y: y = 4, then z = 6 of {5, 6}, its
-        # lowest bit clear
-        ([ult(x, y), ult(y, z), ult(bv_sub(z, x), const(7)),
-          bnot(eq(bv_add(x, y), z))],
-         {"x": 0, "y": 4, "z": 6}),
+        # (x - y) + y = x, so x != 0: x = 2**255, its lowest bits clear,
+        # then y = 0
+        ([ult(const(0), bv_add(bv_sub(x, y), y))], {"x": 1 << 255, "y": 0}),
     ]
     for query, least in queries:
         solver = Solver()
@@ -1259,6 +1295,21 @@ def test_ult_cycle_is_unsat_within_the_default_timeout():
     x, y, z = var("x", 64), var("y", 64), var("z", 64)
     verdict = Solver().check_sat([ult(x, y), ult(y, z), ult(z, x)])
     assert verdict == SolverVerdict(SolverStatus.UNSAT, None)
+
+
+def test_ult_chain_with_a_bounded_difference_is_solved_without_a_conflict():
+    # each ult bit is one majority gate, so propagation alone carries the
+    # comparisons: x = 0, then y > 0 with the most low bits clear that
+    # leaves room for z in (y, 7) with z != y: y = 4, then z = 6 of {5, 6},
+    # its lowest bit clear
+    x, y, z = var("x"), var("y"), var("z")
+    solver = Solver()
+    query = [ult(x, y), ult(y, z), ult(bv_sub(z, x), const(7)),
+             bnot(eq(bv_add(x, y), z))]
+    assert solver.least_model(query) == \
+        (SolverVerdict(SolverStatus.SAT, {"x": 0, "y": 4, "z": 6}), True)
+    stats = solver.sat_stats
+    assert stats["conflicts"] == 0 and stats["minimize_solves"] == 0
 
 
 def test_add_then_sub_is_identity_within_the_default_timeout():

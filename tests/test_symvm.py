@@ -300,8 +300,11 @@ def test_revert_kills_whole_reentrant_path():
                for b in res.sealed)
 
 
-def test_code_is_decoded_once_per_vm(monkeypatch):
-    from reentscan import evm_core, symvm
+def test_code_is_decoded_once_per_analysis(monkeypatch):
+    # every walk of the contract, one per pair and those of its discovery,
+    # shares the one decoding its Bytecode keeps
+    from reentscan import evm_core
+    from reentscan.verifier import analyze
 
     decoded = []
 
@@ -309,12 +312,12 @@ def test_code_is_decoded_once_per_vm(monkeypatch):
         decoded.append(code.data)
         return real(code)
 
-    monkeypatch.setattr(symvm, "disassemble", counted)
     monkeypatch.setattr(evm_core, "disassemble", counted)
-    code = load_fixture("fund.hex")
-    vm = SymVM()
-    for _ in range(2):
-        vm.run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"))
-    assert decoded.count(code.data) == 1
-    _, jumpdests = vm._decoded(code)
-    assert jumpdests == evm_core.valid_jump_targets(code)
+    code = load_fixture("token.hex")
+    (contract,) = analyze([("token", code, "fixture")]).contracts
+    assert len(contract.pairs) == 12
+    assert decoded == [code.data]
+    monkeypatch.undo()
+    table, jumpdests = code.decoded
+    assert table == {ins.offset: ins for ins in evm_core.disassemble(code)}
+    assert jumpdests == {pc for pc, ins in table.items() if ins.name == "JUMPDEST"}

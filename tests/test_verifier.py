@@ -10,7 +10,7 @@ import pytest
 from asm import assemble
 from reentscan import verifier
 from reentscan.evm_core import Bytecode, selector_of
-from reentscan.smt import Solver, SolverStatus, SolverVerdict
+from reentscan.smt import IndeterminateEquivalence, Solver, SolverStatus, SolverVerdict
 from reentscan.smt import terms as tm
 from reentscan.smt.terms import evaluate
 from reentscan.symdomain import ECFG
@@ -385,6 +385,33 @@ def test_witness_out_of_time_to_minimize_stays_vulnerable():
     assert result.status is Status.VULNERABLE
     assert result.note == "witness not minimized: out of time"
     assert any(evaluate(c, result.witness) == 1 for c in result.scenarios.C)
+
+
+class _UndecidedEquivalenceSolver(Solver):
+    """Decides no equivalence."""
+
+    def check_equivalence(self, left, right):
+        raise IndeterminateEquivalence("left minus right undecided")
+
+
+class _UndecidedWitnessSolver(Solver):
+    """Finds no witness."""
+
+    def least_model(self, constraints):
+        return SolverVerdict(SolverStatus.UNKNOWN, None), False
+
+
+@pytest.mark.parametrize("solver, note", [
+    (_UndecidedEquivalenceSolver(), "solver-unknown: equivalence undecided"),
+    (_UndecidedWitnessSolver(), "solver-unknown: witness undecided"),
+])
+def test_undecided_pair_names_the_query_left_unknown(solver, note):
+    code = load_fixture("fund.hex")
+    w = entry_for(code, "withdraw()")
+    result = verify_pair(code, w, w, solver=solver)
+    assert result.status is Status.INCONCLUSIVE
+    assert result.paths_I and result.paths_C
+    assert result.note == note and result.witness is None
 
 
 # -- pair enumeration ---------------------------------------------------------
