@@ -38,7 +38,7 @@ def main() -> None:
     print("Recovered entry points:")
     entries = extract_function_ids(code)
     for e in entries:
-        marker = "  makes an external call" if e.has_call else ""
+        marker = "  calls unknown code" if e.has_call else ""
         print(f"  {e.describe()}{marker}")
 
     withdraw = selector_of("withdraw()")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .keccak import keccak256
 
@@ -17,11 +17,8 @@ class Bytecode:
     @cached_property
     def decoded(self) -> tuple[dict[int, Instruction], frozenset[int]]:
         """The instructions by offset, and the offsets of the JUMPDESTs
-        that are not inside a PUSH immediate: decoded once per object, so
-        every walk of a contract shares them."""
-        table = {ins.offset: ins for ins in disassemble(self)}
-        return table, frozenset(pc for pc, ins in table.items()
-                                if ins.opcode == JUMPDEST)
+        that are not inside a PUSH immediate (see :func:`_decode`)."""
+        return _decode(self.data)
 
     def __len__(self) -> int:
         return len(self.data)
@@ -205,6 +202,16 @@ def disassemble(code: Bytecode) -> list[Instruction]:
             out.append(Instruction(pc, op))
             pc += 1
     return out
+
+
+@cache
+def _decode(data: bytes) -> tuple[dict[int, Instruction], frozenset[int]]:
+    """:attr:`Bytecode.decoded`, keyed by the code bytes: every code object
+    with the same bytes, such as the init code of each CREATE on each walk,
+    shares one decoding for the life of the process."""
+    table = {ins.offset: ins for ins in disassemble(Bytecode(data))}
+    return table, frozenset(pc for pc, ins in table.items()
+                            if ins.opcode == JUMPDEST)
 
 
 def selector_of(signature: str) -> FunctionId:

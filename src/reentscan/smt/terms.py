@@ -283,12 +283,30 @@ def _bool_const(v: bool) -> Term:
     return TRUE if v else FALSE
 
 
+def _base_offset(t: Term) -> tuple[Term, int]:
+    """``t`` as a base plus a constant offset: an add with a constant
+    operand has that offset, any other term is its own base at 0."""
+    if t.op == "add":
+        x, y = t.args
+        if y.is_const:
+            return x, y.value
+        if x.is_const:
+            return y, x.value
+    return t, 0
+
+
 def eq(a: Term, b: Term) -> Term:
     _check_bv(a, b)
     if a.is_const and b.is_const:
         return _bool_const(a.value == b.value)
     if a == b:
         return TRUE
+    # base + j == base + k holds just when j == k (mod 2^w): two slots at
+    # different offsets from one base never alias
+    base_a, off_a = _base_offset(a)
+    base_b, off_b = _base_offset(b)
+    if base_a is base_b:
+        return _bool_const(off_a == off_b)
     # normalize: constant on the right
     if a.is_const:
         a, b = b, a

@@ -343,13 +343,11 @@ class BasicBlock:
     world: LocalWorldState
     path_condition: Term  # the interned conjunction, grown by tm.band
     call_stack: list[CallStackEntry] = field(default_factory=list)
-    has_call: bool = False  # a CALL was reached on this path
     end_state: EndState = EndState.OPEN
-    ext_call_target: Term | None = None
+    ext_call_target: Term | None = None  # target of the first call to unknown code
     # g's calldata until g runs, re-entered or as the next transaction
     pending_g: Calldata | None = None
     reentered: bool = False  # g ran inside f, through the attacker
-    passed: bool = False  # the attacker returned at f's first unknown call
 
     def copy_as(self, new_id: int,
                 machine: MachineState | None = None) -> "BasicBlock":
@@ -362,12 +360,10 @@ class BasicBlock:
             world=self.world.clone(),
             path_condition=self.path_condition,
             call_stack=list(self.call_stack),
-            has_call=self.has_call,
             end_state=EndState.OPEN,
             ext_call_target=self.ext_call_target,
             pending_g=self.pending_g,
             reentered=self.reentered,
-            passed=self.passed,
         )
 
 

@@ -5,11 +5,11 @@ conditional jumps and crossing contract boundaries at CREATE and CALL. Given
 g's calldata for a pair (f, g), one walk covers both schedules: the first
 external call to unknown code on a path forks it, and an attacker dummy
 either returns success at once or first calls back into the victim with g.
-A path whose f completes with g still pending goes on with g as the next
-transaction, on the same block. Later calls, and every call without g
-pending, just succeed. The dummy is behavioral, it has no bytecode of its
-own. The VM adds no solvency terms; the verifier appends them to final
-conditions.
+A path whose f completes after the dummy returned at once goes on with g as
+the next transaction, on the same block; a path whose f reached no call to
+unknown code ends with f. Later calls, and every call without g pending,
+just succeed. The dummy is behavioral, it has no bytecode of its own. The VM
+adds no solvency terms; the verifier appends them to final conditions.
 
 A path the model cannot finish never vanishes: an unsupported opcode, a
 loop or call-depth bound, or an operand with no model value or more than
@@ -69,7 +69,9 @@ class AnalyzerConfig:
 
 @dataclass
 class RunResult:
-    completed: list[BasicBlock]   # top-level Stop/Return blocks
+    # top-level Stop/Return blocks; with g pending, the ends where g
+    # re-entered, where g ran next, and where f met no call to unknown code
+    completed: list[BasicBlock]
     sealed: list[BasicBlock]      # every halted block, Revert and Invalid included
     ecfg: ECFG
     created: list[Bytecode]       # non-empty runtime code returned by each CREATE
@@ -107,7 +109,7 @@ class SymVM:
         With ``reentry``, g's calldata, the walk covers both schedules of
         the pair: a path forks at its first call to unknown code, where the
         attacker dummy either re-enters the victim with g or returns at
-        once, and a path whose f completes with g still pending goes on
+        once, and a path whose f completes after the dummy returned goes on
         with g as the next transaction.
         """
         if world is None:
@@ -192,15 +194,15 @@ class SymVM:
         pinned only when a caller frame reads the data. A revert or an
         exceptional halt anywhere abandons the whole path; a STOP or RETURN
         in a callee resumes its caller with the result the entry calls for:
-        the created address, or 1 for a call. A transaction that completes
-        with g pending goes on with g as the next transaction, from the
-        account of the first call to unknown code, or from the caller."""
+        the created address, or 1 for a call. A transaction whose f reached
+        a call to unknown code and completes with g pending goes on with g
+        as the next transaction, from the account f called; an f that
+        reached none is sealed, g never runs after it."""
         if end not in COMPLETED or not block.call_stack:
-            if end in COMPLETED and block.pending_g is not None:
-                caller = block.ext_call_target
+            if (end in COMPLETED and block.pending_g is not None
+                    and block.ext_call_target is not None):
                 machine = self._transaction(
-                    block.world,
-                    caller if caller is not None else tm.var("caller"),
+                    block.world, block.ext_call_target,
                     tm.var("g_callvalue"), block.pending_g)
                 block.pending_g = None
                 return ex.transition(block, EdgeKind.NEXT_TX, machine)
@@ -250,7 +252,6 @@ class SymVM:
         in_size = m.stack.pop()
         out_off = m.stack.pop()
         out_size = m.stack.pop()
-        block.has_call = True
 
         world = block.world
         caller_acct = world.accounts[m.account]
@@ -283,17 +284,12 @@ class SymVM:
         resumed.pc = next_pc
         if not fork:
             return block
-        passed = ex.fork(block, resumed, EdgeKind.FALLTHROUGH)
-        passed.passed = True
+        ex.push(ex.fork(block, resumed, EdgeKind.FALLTHROUGH))
         g, block.pending_g = block.pending_g, None
         block.reentered = True
-        victim = world.accounts[VICTIM]
-        g_value = tm.var("g_callvalue")
-        self._transfer(target, victim, g_value)
-        ex.push(passed)
-        return self._enter(block, ex, next_pc, MachineState(
-            code=victim.code, account=victim.label, caller=target.address,
-            callvalue=g_value, calldata=g), out=out, attacker=target.label)
+        return self._enter(block, ex, next_pc, self._transaction(
+            world, target.address, tm.var("g_callvalue"), g),
+            out=out, attacker=target.label)
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
                    next_pc: int) -> BasicBlock:
@@ -555,7 +551,7 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     for block in result.completed:
         pc = block.path_condition
         verdict = vm.solver.check_sat([pc])
-        has_call = block.has_call
+        has_call = block.ext_call_target is not None
         if verdict.status is SolverStatus.UNKNOWN:
             raise UndecidedDispatch(
                 f"undecided dispatch: cannot tell whether path {block.id} "

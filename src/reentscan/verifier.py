@@ -2,17 +2,17 @@
 
 For a function pair (f, g) one walk of f with g pending (see
 :meth:`~reentscan.symvm.SymVM.run_entry`) forks each path at f's first
-external call to unknown code, and its completed ends form two scenario sets
-over one symbol environment:
+external call to unknown code, and the completed ends of the paths that
+reached one form two scenario sets over one symbol environment:
 
 * I: f runs to completion, then g runs as a fresh transaction from the
-  account f paid out to (sequential baseline): the ends where the attacker
+  account f called (sequential baseline): the ends where the attacker
   returned at once.
 * C: g is injected through the attacker dummy while f is still executing
   (re-entrant candidate): the ends where the attacker re-entered.
 
-An end whose f met no call to unknown code ran f then g either way, and
-belongs to both sets.
+An end whose f met no call to unknown code is in neither set: the attacker
+never gets control on it, and g does not run after it.
 
 The pair is vulnerable when some feasible re-entrant condition is equivalent
 to no sequential condition: the attack reaches a final state the sequential
@@ -140,16 +140,16 @@ def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
                       config: AnalyzerConfig, solver: Solver) -> ScenarioSet:
     """Sort the ends of one walk of f with g pending (see
     :meth:`~reentscan.symvm.SymVM.run_entry`): a re-entered end goes to C,
-    an end that passed a call to I, and an end that met none to both."""
+    an end where the attacker returned at once to I, and an end whose f
+    met no call to unknown code to neither."""
     run = SymVM(solver, config).run_entry(
         code, AbiCalldata(f.selector, "f"), reentry=AbiCalldata(g.selector, "g"))
     out = ScenarioSet(f=f, g=g, ecfg=run.ecfg, created=run.created)
     for end in run.completed:
+        if end.ext_call_target is None:
+            continue
         c = end.world.with_solvency(end.path_condition)
-        if not end.passed:
-            out.C.append(c)
-        if not end.reentered:
-            out.I.append(c)
+        (out.C if end.reentered else out.I).append(c)
     return out
 
 
@@ -231,7 +231,8 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
 
 
 def enumerate_pairs(functions: list[FunctionEntry]) -> list[tuple[FunctionEntry, FunctionEntry]]:
-    """Calling functions f crossed with every dispatchable g (f = g included).
+    """Functions f that reach a call to unknown code, crossed with every
+    dispatchable g (f = g included).
 
     The fallback pseudo-entry has no selector an attacker can dispatch by
     name, so it participates in neither role.

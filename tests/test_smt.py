@@ -189,6 +189,28 @@ def test_copies_and_pickles_are_the_same_term():
     assert pickle.loads(pickle.dumps(chain)) is chain
 
 
+@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
+def test_offsets_from_one_base_fold_by_their_difference(x, j, k):
+    # base + j == base + k just when j == k mod 2^w, whatever the base is
+    base = var("x", 8)
+    left, right = bv_add(base, const(j, 8)), bv_add(const(k, 8), base)
+    assert eq(left, right) is (TRUE if j == k else FALSE)
+    assert evaluate(eq(left, right), {"x": x}) == \
+        ((x + j) % 256 == (x + k) % 256)
+
+
+def test_offset_fold_needs_one_base():
+    x, y = var("x"), var("y")
+    assert eq(bv_add(x, const(1)), x) is FALSE
+    assert eq(x, bv_add(x, const((1 << 256) - 1))) is FALSE
+    # 2^256 wraps to an offset of 0, which bv_add drops
+    assert eq(bv_add(x, const(1 << 256)), x) is TRUE
+    # different bases, or an offset that is not a constant, stay open
+    assert eq(bv_add(x, const(1)), bv_add(y, const(1))).op == "eq"
+    assert eq(bv_add(x, y), x).op == "eq"
+    assert eq(bv_add(bv_add(x, const(1)), const(1)), bv_add(x, const(2))).op == "eq"
+
+
 def test_boolean_simplifications():
     x = var("x")
     assert bnot(bnot(truthy(x))) == truthy(x)

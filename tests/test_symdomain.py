@@ -73,6 +73,17 @@ def test_storage_aliasing_prefers_most_recent_write(writes, slot, expect):
         assert evaluate(read, {"x": x}) == value
 
 
+def test_write_at_another_offset_from_the_read_base_is_skipped():
+    # balances at CALLER + 3 never alias the read of CALLER + 1: no ite
+    acct = _block().world.accounts["c0"]
+    caller = tm.var("caller")
+    acct.write_storage(tm.bv_add(caller, tm.const(3)), tm.const(0))
+    read = acct.read_storage(tm.bv_add(caller, tm.const(1)))
+    assert read.op == "var"
+    acct.write_storage(tm.const(3), tm.const(0))
+    assert acct.read_storage(tm.bv_add(caller, tm.const(1))).op == "ite"
+
+
 def test_exact_storage_write_reads_back_directly():
     acct = _block().world.accounts["c0"]
     acct.write_storage(tm.const(1), tm.const(10))
@@ -158,7 +169,8 @@ def test_fork_isolation():
     original.machine.stack.append(tm.const(1))
     original.machine.memory[0] = tm.const(0xAB)
     original.world.accounts["c0"].write_storage(tm.const(0), tm.const(5))
-    original.has_call = True
+    original.ext_call_target = tm.var("to")
+    original.reentered = True
     frame = CallStackEntry(saved_machine=_machine())
     original.call_stack.append(frame)
 
@@ -178,7 +190,8 @@ def test_fork_isolation():
     assert original.call_stack == [frame]
     assert original.path_condition is first
     # the fork keeps inherited state
-    assert copy.has_call
+    assert copy.ext_call_target is tm.var("to")
+    assert copy.reentered
     assert copy.end_state is EndState.OPEN
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.out_size = 1

@@ -1,19 +1,23 @@
 """Interpreter behavior: dispatch, calls, creates, bounds, flag inheritance."""
 
+import functools
 from pathlib import Path
 
 import pytest
 from asm import assemble
 from reentscan.cfg_manager import BoundReached, CannotConcretize, UnsupportedOpcode
 from reentscan.evm_core import OPCODE_BY_NAME, OPCODES, Bytecode, selector_of
+from reentscan.smt import Solver
 from reentscan.smt import terms as tm
 from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
 from reentscan.symvm import (
     AbiCalldata,
     AnalyzerConfig,
+    FunctionEntry,
     SymVM,
     extract_function_ids,
 )
+from reentscan.verifier import Status, analyze, collect_scenarios
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -45,17 +49,36 @@ def test_code_without_dispatcher_is_fallback_only():
     assert [e.selector for e in entries] == [None]
 
 
+def test_call_into_known_code_is_not_a_call_to_pair_on():
+    # f's only CALL goes back into the victim itself, whose code the
+    # analyzer holds: no attacker gets control, so f is not paired
+    sel = selector_of("f()")
+    code = Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        PUSH4 {sel.hex()} EQ PUSHL body JUMPI STOP
+        body: JUMPDEST
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 ADDRESS GAS CALL POP STOP
+    """))
+    entries = extract_function_ids(code)
+    assert [(e.selector, e.has_call) for e in entries] == [(sel, False),
+                                                          (None, False)]
+    (contract,) = analyze([("selfcall", code, "test")]).contracts
+    assert contract.pairs == []
+    assert contract.status is Status.BENIGN
+
+
 # -- flags and call stack -----------------------------------------------------
 
 def test_callable_flag_inherited_past_the_call():
     code = load_fixture("fund.hex")
     vm = SymVM()
     res = vm.run_entry(code, AbiCalldata(selector_of("withdraw()"), "f"))
-    paying = [b for b in res.completed if b.ext_call_target is not None]
-    skipping = [b for b in res.completed if b.ext_call_target is None]
+    paying = [b for b in res.completed if b.world.accounts["c0"].debits]
+    skipping = [b for b in res.completed if not b.world.accounts["c0"].debits]
     assert len(paying) == 1 and len(skipping) == 1
-    assert paying[0].has_call       # survives to the end of the path
-    assert not skipping[0].has_call
+    # survives to the end of the path
+    assert paying[0].ext_call_target is tm.var("caller")
+    assert skipping[0].ext_call_target is None
 
 
 def test_completed_blocks_have_balanced_call_stack():
@@ -267,7 +290,8 @@ def test_one_walk_forks_at_the_first_unknown_call():
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
                             reentry=AbiCalldata(w, "g"))
     (reentered,) = [b for b in res.completed if b.reentered]
-    (passed,) = [b for b in res.completed if b.passed]
+    (passed,) = [b for b in res.completed
+                 if b.ext_call_target is not None and not b.reentered]
     assert EdgeKind.NEXT_TX not in _path_edges(res.ecfg, reentered.id)
     # on the passed path g ran after f, as the next transaction from the
     # account f paid
@@ -275,6 +299,25 @@ def test_one_walk_forks_at_the_first_unknown_call():
     assert passed.machine.calldata.tag == "g"
     assert passed.machine.caller is passed.ext_call_target
     assert passed.pending_g is None
+
+
+def test_g_does_not_run_after_an_f_that_met_no_unknown_code():
+    # on the zero-balance path withdraw pays nothing and makes no call: the
+    # attacker never gets control, so g does not run after it, and its end
+    # is in neither scenario set
+    code = load_fixture("fund.hex")
+    w = selector_of("withdraw()")
+    res = SymVM().run_entry(code, AbiCalldata(w, "f"),
+                            reentry=AbiCalldata(w, "g"))
+    (skipping,) = [b for b in res.completed if b.ext_call_target is None]
+    assert EdgeKind.NEXT_TX not in _path_edges(res.ecfg, skipping.id)
+    assert skipping.machine.calldata.tag == "f"
+    assert skipping.pending_g is not None
+    entry = FunctionEntry(w, has_call=True)
+    sets = collect_scenarios(code, entry, entry, AnalyzerConfig(), Solver())
+    assert len(sets.I) == len(sets.C) == 1
+    c = skipping.world.with_solvency(skipping.path_condition)
+    assert c not in sets.I + sets.C
 
 
 def test_sequential_run_never_reenters():
@@ -295,16 +338,16 @@ def test_revert_kills_whole_reentrant_path():
     # the lock makes every re-entering path revert; none complete, while
     # the path on which the attacker returns at once does
     assert res.completed
-    assert all(b.passed and not b.reentered for b in res.completed)
+    assert all(b.ext_call_target is not None and not b.reentered
+               for b in res.completed)
     assert any(b.reentered and b.end_state is EndState.REVERT
                for b in res.sealed)
 
 
 def test_code_is_decoded_once_per_analysis(monkeypatch):
     # every walk of the contract, one per pair and those of its discovery,
-    # shares the one decoding its Bytecode keeps
+    # shares one decoding per distinct code, init code included
     from reentscan import evm_core
-    from reentscan.verifier import analyze
 
     decoded = []
 
@@ -312,7 +355,23 @@ def test_code_is_decoded_once_per_analysis(monkeypatch):
         decoded.append(code.data)
         return real(code)
 
+    def fresh_cache():
+        # decodings from earlier tests would hide the count
+        monkeypatch.setattr(evm_core, "_decode",
+                            functools.cache(evm_core._decode.__wrapped__))
+        decoded.clear()
+
     monkeypatch.setattr(evm_core, "disassemble", counted)
+    fresh_cache()
+    bank = load_fixture("bank.hex")
+    (contract,) = analyze([("bank", bank, "fixture")]).contracts
+    assert len(contract.pairs) == 3
+    # bank's runtime and its settlement contract's 15-byte init code,
+    # which every walk through withdraw's CREATE deploys afresh
+    init = bytes.fromhex("60006000600060003460aa5af15000")
+    assert sorted(decoded, key=len) == [init, bank.data]
+
+    fresh_cache()
     code = load_fixture("token.hex")
     (contract,) = analyze([("token", code, "fixture")]).contracts
     assert len(contract.pairs) == 12
