@@ -16,8 +16,9 @@ Run from the repository root:
 from pathlib import Path
 
 from reentscan.evm_core import Bytecode, selector_of
+from reentscan.smt import Solver
 from reentscan.smt.terms import conjuncts
-from reentscan.verifier import AnalyzerConfig, verify_pair
+from reentscan.verifier import AnalyzerConfig, collect_scenarios, verify_pair
 from reentscan.symvm import FunctionEntry, extract_function_ids
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "fund.hex"
@@ -46,7 +47,11 @@ def main() -> None:
     assert isinstance(f, FunctionEntry)
 
     print("\nVerifying the pair (withdraw, withdraw)...")
-    result = verify_pair(code, f, f, AnalyzerConfig())
+    config = AnalyzerConfig()
+    solver = Solver(config.solver_timeout)
+    # one walk of withdraw, with withdraw the attacker's one choice of g
+    (scenarios,) = collect_scenarios(code, f, [f], config, solver)
+    result = verify_pair(scenarios, solver)
     describe(result.scenarios.I, "I (sequential: withdraw, then withdraw)")
     describe(result.scenarios.C, "C (re-entrant: withdraw re-entered mid-pay)")
 

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--solver-timeout", type=float,
                         default=defaults.solver_timeout, metavar="SECS")
     parser.add_argument("--cfg-out", default=None, metavar="DIR",
-                        help="write per-pair DOT graphs into this directory")
+                        help="write one DOT graph per calling function's "
+                             "walk into this directory")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="JSON report path (default: report.json)")
     parser.add_argument("--verbose", "-v", action="store_true")
@@ -83,12 +84,12 @@ def _write_cfgs(report: AnalysisReport, out_dir: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for contract in report.contracts:
-        for pair in contract.pairs:
-            if pair.scenarios is None:
-                continue
-            name = f"{contract.label}_{pair.f.describe()}_{pair.g.describe()}.dot"
-            (directory / name).write_text(
-                export_dot(pair.scenarios.ecfg, "pair"))
+        # the pairs of one f share its walk and so its graph
+        walks = {p.f: p.scenarios.ecfg for p in contract.pairs
+                 if p.scenarios is not None}
+        for f, ecfg in walks.items():
+            (directory / f"{contract.label}_{f.describe()}.dot").write_text(
+                export_dot(ecfg, "walk"))
 
 
 def _exit_code(report: AnalysisReport) -> int:

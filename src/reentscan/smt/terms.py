@@ -137,6 +137,16 @@ def bv_add(a: Term, b: Term) -> Term:
         return b
     if b.is_const and b.value == 0:
         return a
+    # a constant added to base + constant is one offset from that base, so
+    # eq sees (x + 1) + 2 as x + 3; no other add is reordered, since slot
+    # symbols are named by term digests
+    for k, t in ((a, b), (b, a)):
+        if k.is_const and t.op == "add":
+            x, y = t.args
+            if y.is_const:
+                return bv_add(x, const(y.value + k.value, w))
+            if x.is_const:
+                return bv_add(const(x.value + k.value, w), y)
     return Term("add", w, (a, b))
 
 

@@ -345,8 +345,10 @@ class BasicBlock:
     call_stack: list[CallStackEntry] = field(default_factory=list)
     end_state: EndState = EndState.OPEN
     ext_call_target: Term | None = None  # target of the first call to unknown code
-    # g's calldata until g runs, re-entered or as the next transaction
-    pending_g: Calldata | None = None
+    # the attacker's choices of g (calldata each) until it picks one, to run
+    # re-entered or as the next transaction; none after
+    pending_g: tuple[Calldata, ...] = ()
+    g: Calldata | None = None  # the g the attacker picked on this path
     reentered: bool = False  # g ran inside f, through the attacker
 
     def copy_as(self, new_id: int,
@@ -363,6 +365,7 @@ class BasicBlock:
             end_state=EndState.OPEN,
             ext_call_target=self.ext_call_target,
             pending_g=self.pending_g,
+            g=self.g,
             reentered=self.reentered,
         )
 
@@ -397,6 +400,3 @@ class ECFG:
 
     def add_edge(self, src: int, dst: int, kind: EdgeKind) -> None:
         self.edges.append((src, dst, kind))
-
-    def edges_of_kind(self, kind: EdgeKind) -> list[tuple[int, int, EdgeKind]]:
-        return [e for e in self.edges if e[2] == kind]

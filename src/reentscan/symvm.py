@@ -2,21 +2,24 @@
 
 One :class:`SymVM` explores every feasible path of a transaction, forking at
 conditional jumps and crossing contract boundaries at CREATE and CALL. Given
-g's calldata for a pair (f, g), one walk covers both schedules: the first
-external call to unknown code on a path forks it, and an attacker dummy
-either returns success at once or first calls back into the victim with g.
-A path whose f completes after the dummy returned at once goes on with g as
-the next transaction, on the same block; a path whose f reached no call to
-unknown code ends with f. Later calls, and every call without g pending,
-just succeed. The dummy is behavioral, it has no bytecode of its own. The VM
-adds no solvency terms; the verifier appends them to final conditions.
+the calldata of every g the attacker may pick, one walk of f covers both
+schedules of every pair (f, g): the first external call to unknown code on a
+path forks it, and an attacker dummy either returns success at once or first
+calls back into the victim with a g of its choice, one successor per g. A
+path whose f completes after the dummy returned at once forks again over g,
+which runs as the next transaction, on the same block; a path whose f
+reached no call to unknown code ends with f. Later calls, and every call
+with no g to pick, just succeed. The dummy is behavioral, it has no
+bytecode of its own. The VM adds no solvency terms; the verifier appends
+them to final conditions.
 
 A path the model cannot finish never vanishes: an unsupported opcode, a
 loop or call-depth bound, or an operand with no model value or more than
-one feasible value raises where it happens
-(:class:`~reentscan.cfg_manager.CannotFinish`). Operands are pinned only
-where a number is needed, so a REVERT, and the RETURN that ends the
-transaction, leave their discarded data range free.
+one feasible value stops the run where it happens
+(:class:`~reentscan.cfg_manager.CannotFinish`), or, past the attacker's pick
+of g, that g's part of it. Operands are pinned only where a number is
+needed, so a REVERT, and the RETURN that ends the transaction, leave their
+discarded data range free.
 
 Symbol names are fixed by role (``caller``, ``f_callvalue``, ``g_arg0``,
 storage reads keyed by account and slot digest) so that the path conditions
@@ -27,9 +30,10 @@ environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .cfg_manager import (BoundReached, CannotConcretize, Explorer,
-                          UnsupportedOpcode, where)
+from .cfg_manager import (BoundReached, CannotConcretize, CannotFinish,
+                          Explorer, PathExplosion, UnsupportedOpcode, where)
 from .evm_core import (
     Bytecode,
     FunctionId,
@@ -69,12 +73,14 @@ class AnalyzerConfig:
 
 @dataclass
 class RunResult:
-    # top-level Stop/Return blocks; with g pending, the ends where g
-    # re-entered, where g ran next, and where f met no call to unknown code
+    # top-level Stop/Return blocks; with g's to pick, the ends where a g
+    # re-entered, where a g ran next, and where f met no call to unknown code
     completed: list[BasicBlock]
     sealed: list[BasicBlock]      # every halted block, Revert and Invalid included
     ecfg: ECFG
     created: list[Bytecode]       # non-empty runtime code returned by each CREATE
+    # each g whose paths the run could not finish, with what stopped them
+    failed: dict[Calldata, CannotFinish]
 
 
 @dataclass(frozen=True)
@@ -102,15 +108,24 @@ class SymVM:
                   world: LocalWorldState | None = None,
                   caller: Term | None = None,
                   callvalue: Term | None = None,
-                  reentry: Calldata | None = None) -> RunResult:
+                  reentry: tuple[Calldata, ...] = ()) -> RunResult:
         """Explore one transaction against the victim contract in one
         depth-first walk.
 
-        With ``reentry``, g's calldata, the walk covers both schedules of
-        the pair: a path forks at its first call to unknown code, where the
-        attacker dummy either re-enters the victim with g or returns at
-        once, and a path whose f completes after the dummy returned goes on
-        with g as the next transaction.
+        With ``reentry``, the calldata of each g the attacker may pick, the
+        walk covers both schedules of every pair (f, g): a path forks at its
+        first call to unknown code, where the attacker dummy either
+        re-enters the victim with one of the g's or returns at once, and a
+        path whose f completes after the dummy returned goes on with one of
+        them as the next transaction (see :meth:`_pick_g`).
+
+        A :class:`~reentscan.cfg_manager.CannotFinish` raised on a path
+        after the pick fails that g alone: it is recorded in
+        ``RunResult.failed``, the g's remaining paths are dropped and the
+        walk goes on. One raised before the pick, or a
+        :class:`~reentscan.cfg_manager.PathExplosion`, ends the walk; with
+        ``reentry`` it is recorded for every g not failed yet, without it
+        is raised.
         """
         if world is None:
             world = LocalWorldState()
@@ -126,13 +141,26 @@ class SymVM:
         ex.push(ex.adopt(BasicBlock(id=0, machine=machine, world=world,
                                     path_condition=tm.TRUE,
                                     pending_g=reentry)))
+        failed: dict[Calldata, CannotFinish] = {}
         while ex.dfs_stack:
             cur: BasicBlock | None = ex.dfs_stack.pop()
-            while cur is not None and cur.end_state is EndState.OPEN:
-                cur = self._step(cur, ex)
+            if cur.g in failed:
+                continue
+            try:
+                while cur is not None and cur.end_state is EndState.OPEN:
+                    cur = self._step(cur, ex)
+            except CannotFinish as exc:
+                if cur.g is not None and not isinstance(exc, PathExplosion):
+                    failed[cur.g] = exc
+                    continue
+                if not reentry:
+                    raise
+                for g in reentry:
+                    failed.setdefault(g, exc)
+                break
         completed = [b for b in ex.sealed
                      if b.end_state in COMPLETED and not b.call_stack]
-        return RunResult(completed, ex.sealed, ex.ecfg, ex.created)
+        return RunResult(completed, ex.sealed, ex.ecfg, ex.created, failed)
 
     def _transaction(self, world: LocalWorldState, caller: Term,
                      callvalue: Term, calldata: Calldata) -> MachineState:
@@ -188,6 +216,27 @@ class SymVM:
         nxt.call_stack.append(CallStackEntry(saved, *out, created, attacker))
         return nxt
 
+    def _pick_g(self, block: BasicBlock, ex: Explorer, caller: Term,
+                start: Callable[[BasicBlock, MachineState], BasicBlock]) -> None:
+        """Fork ``block`` over the attacker's choice among its pending g's:
+        each runs as a transaction from ``caller`` in the victim frame that
+        ``start(block, frame)`` enters. The successors are pushed last
+        first, so the walk takes the g's in the order given. Each g's ends
+        come in the order of a walk with that g alone, since the g's do not
+        touch each other's paths."""
+        choices, block.pending_g = block.pending_g, ()
+        frame = self._transaction(block.world, caller, tm.var("g_callvalue"),
+                                  choices[0])
+        starts = []
+        for g in choices:
+            callee = frame.clone()
+            callee.calldata = g
+            nxt = start(block, callee)
+            nxt.g = g
+            starts.append(nxt)
+        for nxt in reversed(starts):
+            ex.push(nxt)
+
     def _halt(self, block: BasicBlock, ex: Explorer, end: EndState,
               span: list[Term] | None = None) -> BasicBlock | None:
         """Halt the current frame; ``span`` is a RETURN's (offset, size),
@@ -195,17 +244,16 @@ class SymVM:
         exceptional halt anywhere abandons the whole path; a STOP or RETURN
         in a callee resumes its caller with the result the entry calls for:
         the created address, or 1 for a call. A transaction whose f reached
-        a call to unknown code and completes with g pending goes on with g
-        as the next transaction, from the account f called; an f that
-        reached none is sealed, g never runs after it."""
+        a call to unknown code and completes with g's to pick goes on with
+        each of them as the next transaction, from the account f called; an
+        f that reached none is sealed, no g runs after it."""
         if end not in COMPLETED or not block.call_stack:
-            if (end in COMPLETED and block.pending_g is not None
+            if (end in COMPLETED and block.pending_g
                     and block.ext_call_target is not None):
-                machine = self._transaction(
-                    block.world, block.ext_call_target,
-                    tm.var("g_callvalue"), block.pending_g)
-                block.pending_g = None
-                return ex.transition(block, EdgeKind.NEXT_TX, machine)
+                self._pick_g(block, ex, block.ext_call_target,
+                             lambda b, frame: ex.transition(
+                                 b, EdgeKind.NEXT_TX, frame))
+                return None
             ex.seal(block, end)
             return None
         data = () if span is None else block.machine.mbytes(
@@ -243,7 +291,7 @@ class SymVM:
     # -- call and create ------------------------------------------------------
 
     def _do_call(self, block: BasicBlock, ex: Explorer,
-                 next_pc: int) -> BasicBlock:
+                 next_pc: int) -> BasicBlock | None:
         m = block.machine
         _gas = m.stack.pop()
         to = m.stack.pop()
@@ -271,11 +319,11 @@ class SymVM:
         m.grow(in_off_v, in_size_v)
         fork = False
         if target.code is None and block.ext_call_target is None:
-            # the first call to unknown code on this path; with g pending,
+            # the first call to unknown code on this path; with g's to pick,
             # the attacker dummy returns at once on one side of a fork and
-            # calls back into the victim with g on the other
+            # calls back into the victim with a g of its choice on the others
             block.ext_call_target = to
-            fork = block.pending_g is not None
+            fork = bool(block.pending_g)
         # empty deployed code, or unknown code that returns at once:
         # succeeds without running anything
         resumed = m.clone() if fork else m
@@ -285,11 +333,10 @@ class SymVM:
         if not fork:
             return block
         ex.push(ex.fork(block, resumed, EdgeKind.FALLTHROUGH))
-        g, block.pending_g = block.pending_g, None
         block.reentered = True
-        return self._enter(block, ex, next_pc, self._transaction(
-            world, target.address, tm.var("g_callvalue"), g),
-            out=out, attacker=target.label)
+        self._pick_g(block, ex, target.address, lambda b, frame: self._enter(
+            b, ex, next_pc, frame, out=out, attacker=target.label))
+        return None
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
                    next_pc: int) -> BasicBlock:

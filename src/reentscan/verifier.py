@@ -1,9 +1,11 @@
 """Re-entrancy verdicts by path-condition equivalence.
 
-For a function pair (f, g) one walk of f with g pending (see
+For each function f that reaches a call to unknown code, one walk of f with
+every dispatchable g as the attacker's choice (see
 :meth:`~reentscan.symvm.SymVM.run_entry`) forks each path at f's first
-external call to unknown code, and the completed ends of the paths that
-reached one form two scenario sets over one symbol environment:
+external call to unknown code, and again over g. The completed ends of the
+paths on which the attacker picked g form the two scenario sets of the pair
+(f, g), over one symbol environment:
 
 * I: f runs to completion, then g runs as a fresh transaction from the
   account f called (sequential baseline): the ends where the attacker
@@ -11,8 +13,10 @@ reached one form two scenario sets over one symbol environment:
 * C: g is injected through the attacker dummy while f is still executing
   (re-entrant candidate): the ends where the attacker re-entered.
 
-An end whose f met no call to unknown code is in neither set: the attacker
-never gets control on it, and g does not run after it.
+An end whose f met no call to unknown code is in no pair's sets: the
+attacker never gets control on it, and no g runs after it. The fallback
+pseudo-entry has no selector an attacker can dispatch by name, so it is
+neither an f nor a g.
 
 The pair is vulnerable when some feasible re-entrant condition is equivalent
 to no sequential condition: the attack reaches a final state the sequential
@@ -27,7 +31,6 @@ import enum
 import time
 from dataclasses import dataclass, field
 
-from .cfg_manager import CannotFinish
 from .evm_core import Bytecode
 from .smt import IndeterminateEquivalence, Solver, SolverStatus
 from .smt.terms import Term
@@ -49,19 +52,27 @@ class Status(enum.Enum):
 
 @dataclass
 class ScenarioSet:
-    """All end-path conditions for one pair, plus the graph of the walk
-    that gave both schedules."""
+    """All end-path conditions for one pair, plus the graph of f's walk,
+    which holds both schedules of every g. ``failure`` names what stopped
+    the walk on the pair's paths; the sets are then empty."""
 
     f: FunctionEntry
     g: FunctionEntry
     ecfg: ECFG
-    created: list[Bytecode]
+    created: list[Bytecode]  # what the walk's CREATEs returned
     I: list[Term] = field(default_factory=list)
     C: list[Term] = field(default_factory=list)
+    failure: str | None = None
 
 
 @dataclass
 class PairResult:
+    """One pair's verdict. ``elapsed_ms``, set by :func:`analyze`, is the
+    pair's verdict time plus an equal share of its f's walk (the walk time
+    over the number of g's), so a contract's pair times add up to its
+    analysis time after discovery. The verdict alone reads 0 ms on most of
+    ``token``'s pairs: as a pair time it would pass for a speed-up."""
+
     f: FunctionEntry
     g: FunctionEntry
     status: Status
@@ -136,21 +147,32 @@ def _aggregate(statuses) -> Status:
 
 # -- scenario collection ------------------------------------------------------
 
-def collect_scenarios(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
-                      config: AnalyzerConfig, solver: Solver) -> ScenarioSet:
-    """Sort the ends of one walk of f with g pending (see
-    :meth:`~reentscan.symvm.SymVM.run_entry`): a re-entered end goes to C,
-    an end where the attacker returned at once to I, and an end whose f
-    met no call to unknown code to neither."""
+def collect_scenarios(code: Bytecode, f: FunctionEntry,
+                      gs: list[FunctionEntry], config: AnalyzerConfig,
+                      solver: Solver) -> list[ScenarioSet]:
+    """Walk f once with each of ``gs`` as the attacker's choice (see
+    :meth:`~reentscan.symvm.SymVM.run_entry`) and sort the walk's ends into
+    one scenario set per g, in the order of ``gs``: an end where g
+    re-entered goes to C, an end where the attacker returned at once and g
+    ran next to I, and an end whose f met no call to unknown code to none.
+    A g whose paths the walk could not finish gets empty sets and the
+    failure."""
+    picks = [AbiCalldata(g.selector, "g") for g in gs]
     run = SymVM(solver, config).run_entry(
-        code, AbiCalldata(f.selector, "f"), reentry=AbiCalldata(g.selector, "g"))
-    out = ScenarioSet(f=f, g=g, ecfg=run.ecfg, created=run.created)
+        code, AbiCalldata(f.selector, "f"), reentry=tuple(picks))
+    sets = {}
+    for pick, g in zip(picks, gs):
+        failure = run.failed.get(pick)
+        sets[pick] = ScenarioSet(
+            f=f, g=g, ecfg=run.ecfg, created=[] if failure else run.created,
+            failure=None if failure is None else str(failure))
     for end in run.completed:
-        if end.ext_call_target is None:
+        out = sets.get(end.g)
+        if out is None or out.failure is not None:
             continue
         c = end.world.with_solvency(end.path_condition)
         (out.C if end.reentered else out.I).append(c)
-    return out
+    return list(sets.values())
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -161,48 +183,34 @@ def _feasible_only(conditions: list[Term], solver: Solver) -> list[Term]:
             if solver.check_sat([c]).status is not SolverStatus.UNSAT]
 
 
-def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
-                config: AnalyzerConfig | None = None,
-                solver: Solver | None = None) -> PairResult:
-    """Decide one (f, g) pair.
+def verify_pair(scenarios: ScenarioSet, solver: Solver) -> PairResult:
+    """Decide one (f, g) pair from its scenario sets.
 
-    ``solver`` is the contract's shared solver (see :func:`_analyze_one`), so
-    queries already answered for discovery or an earlier pair come from its
-    memo; without one the pair gets a fresh solver and memo of its own.
-    A run that raises :class:`~reentscan.cfg_manager.CannotFinish` makes
-    the pair inconclusive, with the exception's text as its note. The
+    ``solver`` is the one that ran the walk, the contract's shared solver
+    (see :func:`_analyze_one`), so queries already answered for discovery
+    or an earlier pair come from its memo. A pair whose walk could not
+    finish its paths is inconclusive, with the failure as its note. The
     witness of a vulnerable pair is the least model of its unmatched
     condition (see :meth:`~reentscan.smt.Solver.least_model`); if
     minimizing it runs out of time, the search's model is the witness and
     the note says so. A pair left inconclusive by an Unknown answer names
     the query that got it: an equivalence or a witness.
     """
-    config = config or AnalyzerConfig()
-    solver = solver or Solver(config.solver_timeout)
-    start = time.monotonic()
-
-    def done(status: Status, scenarios: ScenarioSet | None = None,
-             witness: dict[str, int] | None = None,
+    def done(status: Status, witness: dict[str, int] | None = None,
              note: str | None = None) -> PairResult:
         return PairResult(
-            f=f, g=g, status=status, witness=witness,
-            paths_I=len(scenarios.I) if scenarios else 0,
-            paths_C=len(scenarios.C) if scenarios else 0,
-            elapsed_ms=int((time.monotonic() - start) * 1000),
+            f=scenarios.f, g=scenarios.g, status=status, witness=witness,
+            paths_I=len(scenarios.I), paths_C=len(scenarios.C),
             note=note, scenarios=scenarios)
 
-    try:
-        scenarios = collect_scenarios(code, f, g, config, solver)
-    except CannotFinish as exc:
-        return done(Status.INCONCLUSIVE, note=str(exc))
-
+    if scenarios.failure is not None:
+        return done(Status.INCONCLUSIVE, note=scenarios.failure)
     I = _feasible_only(scenarios.I, solver)
     C = _feasible_only(scenarios.C, solver)
     scenarios.I, scenarios.C = I, C
     # only an empty C is settled here: an empty I leaves every c unmatched
     if not C:
-        return done(Status.BENIGN, scenarios,
-                    note=None if I else "empty scenario set")
+        return done(Status.BENIGN, note=None if I else "empty scenario set")
 
     unknown = None  # why the first undecided c stays undecided
     for c in C:
@@ -222,23 +230,12 @@ def verify_pair(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
             continue
         sat, least = solver.least_model([c])
         if sat.status is SolverStatus.SAT:
-            return done(Status.VULNERABLE, scenarios, witness=sat.model,
+            return done(Status.VULNERABLE, witness=sat.model,
                         note=None if least else "witness not minimized: out of time")
         unknown = unknown or "solver-unknown: witness undecided"
     if unknown:
-        return done(Status.INCONCLUSIVE, scenarios, note=unknown)
-    return done(Status.BENIGN, scenarios)
-
-
-def enumerate_pairs(functions: list[FunctionEntry]) -> list[tuple[FunctionEntry, FunctionEntry]]:
-    """Functions f that reach a call to unknown code, crossed with every
-    dispatchable g (f = g included).
-
-    The fallback pseudo-entry has no selector an attacker can dispatch by
-    name, so it participates in neither role.
-    """
-    dispatchable = [fn for fn in functions if fn.selector is not None]
-    return [(f, g) for f in dispatchable if f.has_call for g in dispatchable]
+        return done(Status.INCONCLUSIVE, note=unknown)
+    return done(Status.BENIGN)
 
 
 # -- whole-target analysis ----------------------------------------------------
@@ -246,8 +243,8 @@ def enumerate_pairs(functions: list[FunctionEntry]) -> list[tuple[FunctionEntry,
 def analyze(targets: list[tuple[str, Bytecode, str]],
             config: AnalyzerConfig | None = None) -> AnalysisReport:
     """Analyze each (label, code, source) target, following contracts the
-    code deploys at run time. Pairs are verified one after another in
-    enumeration order.
+    code deploys at run time. Each calling f is walked once and its pairs
+    verified in turn, f = g included, in selector order.
     """
     config = config or AnalyzerConfig()
     start = time.monotonic()
@@ -274,24 +271,38 @@ def _analyze_one(label: str, code: Bytecode, source: str,
                  config: AnalyzerConfig) -> ContractReport:
     """Discover the functions of one contract and verify all its pairs.
 
-    One solver, and so one query memo, serves the discovery and every pair:
-    the pairs of a contract share their f-side paths and repeat many queries.
+    One solver, and so one query memo, serves the discovery, the walks and
+    every pair: the pairs of a contract repeat many queries.
     """
     solver = Solver(config.solver_timeout)
     try:
         functions = extract_function_ids(code, solver, config)
-        pairs = enumerate_pairs(functions)
     except Exception as exc:  # noqa: BLE001 - one bad contract must not stop the run
         return ContractReport(label, source, Status.INCONCLUSIVE,
                               error=str(exc) or type(exc).__name__)
 
+    # the fallback has no selector an attacker dispatches by name
+    gs = [fn for fn in functions if fn.selector is not None]
     results: list[PairResult] = []
-    for f, g in pairs:
+    for f in gs:
+        if not f.has_call:
+            continue
+        start = time.monotonic()
         try:
-            results.append(verify_pair(code, f, g, config, solver))
-        except Exception as exc:  # noqa: BLE001
-            results.append(PairResult(f=f, g=g, status=Status.INCONCLUSIVE,
-                                      note=str(exc) or type(exc).__name__))
+            sets = collect_scenarios(code, f, gs, config, solver)
+        except Exception as exc:  # noqa: BLE001 - fails the pairs of this f
+            note = str(exc) or type(exc).__name__
+            sets = [ScenarioSet(f, g, ECFG(), [], failure=note) for g in gs]
+        share = (time.monotonic() - start) / len(gs)
+        for scenarios in sets:
+            start = time.monotonic()
+            try:
+                pair = verify_pair(scenarios, solver)
+            except Exception as exc:  # noqa: BLE001
+                pair = PairResult(f=f, g=scenarios.g, status=Status.INCONCLUSIVE,
+                                  note=str(exc) or type(exc).__name__)
+            pair.elapsed_ms = int((time.monotonic() - start + share) * 1000)
+            results.append(pair)
     return ContractReport(
         label=label, source=source,
         status=_aggregate(r.status for r in results),

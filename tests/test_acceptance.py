@@ -166,7 +166,7 @@ def test_criterion4_cross_function_reentry_chain(runs):
     contract = _main_contract(report, "known_cross_function")
     (pair,) = [p for p in contract.pairs if p.status is Status.VULNERABLE]
     graph = pair.scenarios.ecfg
-    enter = {(s, d) for s, d, _ in graph.edges_of_kind(EdgeKind.CALL_ENTER)}
+    enter = {(s, d) for s, d, k in graph.edges if k is EdgeKind.CALL_ENTER}
 
     def contract_of(node):
         return graph.nodes[node].contract
@@ -176,7 +176,7 @@ def test_criterion4_cross_function_reentry_chain(runs):
               and contract_of(v) != "c0"]
     assert chains, "no victim -> dummy -> victim call chain"
     # the dummy hands control back the same way it got it
-    ret = {(s, d) for s, d, _ in graph.edges_of_kind(EdgeKind.CALL_RETURN)}
+    ret = {(s, d) for s, d, k in graph.edges if k is EdgeKind.CALL_RETURN}
     assert any(contract_of(s) == "c0" and contract_of(d) != "c0"
                for s, d in ret)
     assert any(contract_of(s) != "c0" and contract_of(d) == "c0"

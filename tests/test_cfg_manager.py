@@ -158,7 +158,7 @@ def test_export_dot_colors_call_boundaries():
             PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
             POP STOP
         """)),
-        ConcreteCalldata(b""), reentry=AbiCalldata(None, "g"))
+        ConcreteCalldata(b""), reentry=(AbiCalldata(None, "g"),))
     dot = export_dot(ree.ecfg)
     assert "salmon" in dot and "palegreen" in dot
 
@@ -171,7 +171,7 @@ def test_frame_boundary_nodes_start_where_their_frame_runs():
             PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
             POP STOP
         """)),
-        ConcreteCalldata(b""), reentry=AbiCalldata(None, "g"))
+        ConcreteCalldata(b""), reentry=(AbiCalldata(None, "g"),))
     nodes = ree.ecfg.nodes
     entered = [nodes[dst] for _, dst, k in ree.ecfg.edges
                if k is EdgeKind.CALL_ENTER]

@@ -189,14 +189,19 @@ def test_copies_and_pickles_are_the_same_term():
     assert pickle.loads(pickle.dumps(chain)) is chain
 
 
-@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-def test_offsets_from_one_base_fold_by_their_difference(x, j, k):
-    # base + j == base + k just when j == k mod 2^w, whatever the base is
+@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255),
+       st.integers(0, 255))
+def test_offsets_from_one_base_fold_by_their_difference(x, i, j, k):
+    # base + j == base + k just when j == k mod 2^w, whatever the base is;
+    # an offset added in two steps, (base + i) + (j - i), is base + j
     base = var("x", 8)
-    left, right = bv_add(base, const(j, 8)), bv_add(const(k, 8), base)
-    assert eq(left, right) is (TRUE if j == k else FALSE)
-    assert evaluate(eq(left, right), {"x": x}) == \
-        ((x + j) % 256 == (x + k) % 256)
+    right = bv_add(const(k, 8), base)
+    for left in (bv_add(base, const(j, 8)),
+                 bv_add(bv_add(base, const(i, 8)), const(j - i, 8)),
+                 bv_add(const(j - i, 8), bv_add(const(i, 8), base))):
+        assert eq(left, right) is (TRUE if j == k else FALSE)
+        assert evaluate(eq(left, right), {"x": x}) == \
+            ((x + j) % 256 == (x + k) % 256)
 
 
 def test_offset_fold_needs_one_base():
@@ -208,7 +213,10 @@ def test_offset_fold_needs_one_base():
     # different bases, or an offset that is not a constant, stay open
     assert eq(bv_add(x, const(1)), bv_add(y, const(1))).op == "eq"
     assert eq(bv_add(x, y), x).op == "eq"
-    assert eq(bv_add(bv_add(x, const(1)), const(1)), bv_add(x, const(2))).op == "eq"
+    # a constant added to an offset is one offset from the same base
+    assert eq(bv_add(bv_add(x, const(1)), const(2)), bv_add(x, const(3))) is TRUE
+    assert eq(bv_add(bv_add(x, const(1)), const(2)), bv_add(x, const(1))) is FALSE
+    assert bv_add(bv_add(x, const(1)), const(2)) is bv_add(x, const(3))
 
 
 def test_boolean_simplifications():

@@ -266,7 +266,7 @@ def test_dummy_reenters_once_and_marks_path():
     code = load_fixture("fund.hex")
     w = selector_of("withdraw()")
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
-                            reentry=AbiCalldata(w, "g"))
+                            reentry=(AbiCalldata(w, "g"),))
     reentered = [b for b in res.completed if b.reentered]
     assert len(reentered) == 1
     # victim account paid out twice along the re-entrant path: the inner
@@ -288,7 +288,7 @@ def test_one_walk_forks_at_the_first_unknown_call():
     code = load_fixture("fund.hex")
     w = selector_of("withdraw()")
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
-                            reentry=AbiCalldata(w, "g"))
+                            reentry=(AbiCalldata(w, "g"),))
     (reentered,) = [b for b in res.completed if b.reentered]
     (passed,) = [b for b in res.completed
                  if b.ext_call_target is not None and not b.reentered]
@@ -298,7 +298,7 @@ def test_one_walk_forks_at_the_first_unknown_call():
     assert EdgeKind.NEXT_TX in _path_edges(res.ecfg, passed.id)
     assert passed.machine.calldata.tag == "g"
     assert passed.machine.caller is passed.ext_call_target
-    assert passed.pending_g is None
+    assert passed.pending_g == ()
 
 
 def test_g_does_not_run_after_an_f_that_met_no_unknown_code():
@@ -308,13 +308,13 @@ def test_g_does_not_run_after_an_f_that_met_no_unknown_code():
     code = load_fixture("fund.hex")
     w = selector_of("withdraw()")
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
-                            reentry=AbiCalldata(w, "g"))
+                            reentry=(AbiCalldata(w, "g"),))
     (skipping,) = [b for b in res.completed if b.ext_call_target is None]
     assert EdgeKind.NEXT_TX not in _path_edges(res.ecfg, skipping.id)
     assert skipping.machine.calldata.tag == "f"
-    assert skipping.pending_g is not None
+    assert skipping.pending_g
     entry = FunctionEntry(w, has_call=True)
-    sets = collect_scenarios(code, entry, entry, AnalyzerConfig(), Solver())
+    (sets,) = collect_scenarios(code, entry, [entry], AnalyzerConfig(), Solver())
     assert len(sets.I) == len(sets.C) == 1
     c = skipping.world.with_solvency(skipping.path_condition)
     assert c not in sets.I + sets.C
@@ -334,7 +334,7 @@ def test_revert_kills_whole_reentrant_path():
     code = load_fixture("token.hex")
     w = selector_of("withdraw()")
     res = SymVM().run_entry(code, AbiCalldata(w, "f"),
-                            reentry=AbiCalldata(w, "g"))
+                            reentry=(AbiCalldata(w, "g"),))
     # the lock makes every re-entering path revert; none complete, while
     # the path on which the attacker returns at once does
     assert res.completed
@@ -345,8 +345,8 @@ def test_revert_kills_whole_reentrant_path():
 
 
 def test_code_is_decoded_once_per_analysis(monkeypatch):
-    # every walk of the contract, one per pair and those of its discovery,
-    # shares one decoding per distinct code, init code included
+    # every walk of the contract, its discovery and one per calling
+    # function, shares one decoding per distinct code, init code included
     from reentscan import evm_core
 
     decoded = []

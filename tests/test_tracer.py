@@ -37,7 +37,7 @@ def test_tracer_patches_resolve_and_count(monkeypatch):
     for name in ("sat.solve.calls", "bitblast.calls", "bitblast.cnf_vars",
                  "bitblast.cnf_clauses", "solver.queries"):
         assert summary[name] > 0, name
-    # one walk for function discovery and one for the one pair
+    # one walk for function discovery and one for withdraw, the one f
     assert summary["symvm.run_entry.calls"] == 2
 
 

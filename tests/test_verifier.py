@@ -14,13 +14,14 @@ from reentscan.smt import IndeterminateEquivalence, Solver, SolverStatus, Solver
 from reentscan.smt import terms as tm
 from reentscan.smt.terms import evaluate
 from reentscan.symdomain import ECFG, EdgeKind
-from reentscan.symvm import FunctionEntry, UndecidedDispatch, extract_function_ids
+from reentscan.symvm import (FunctionEntry, SymVM, UndecidedDispatch,
+                             extract_function_ids)
 from reentscan.verifier import (
     AnalyzerConfig,
     ScenarioSet,
     Status,
     analyze,
-    enumerate_pairs,
+    collect_scenarios,
     verify_pair,
 )
 
@@ -37,6 +38,17 @@ def entry_for(code: Bytecode, signature: str) -> FunctionEntry:
     return entry
 
 
+def verify(code: Bytecode, f: FunctionEntry, g: FunctionEntry,
+           config: AnalyzerConfig | None = None,
+           solver: Solver | None = None):
+    """Decide (f, g) alone, from a walk of f in which g is the attacker's
+    one choice."""
+    config = config or AnalyzerConfig()
+    solver = solver or Solver(config.solver_timeout)
+    (scenarios,) = collect_scenarios(code, f, [g], config, solver)
+    return verify_pair(scenarios, solver)
+
+
 # -- degenerate cases ---------------------------------------------------------
 
 def test_pair_without_external_call_is_benign():
@@ -45,11 +57,12 @@ def test_pair_without_external_call_is_benign():
     code = load_fixture("known_cross_function.hex")
     f = FunctionEntry(selector=selector_of("transfer(address,uint256)"),
                       has_call=True)
-    result = verify_pair(code, f, entry_for(code, "withdraw()"))
+    result = verify(code, f, entry_for(code, "withdraw()"))
     assert result.status is Status.BENIGN
     assert result.paths_I == result.paths_C == 0
     assert result.note == "empty scenario set"
-    assert result.scenarios.ecfg.edges_of_kind(EdgeKind.NEXT_TX) == []
+    assert all(k is not EdgeKind.NEXT_TX
+               for _, _, k in result.scenarios.ecfg.edges)
 
 
 def test_always_reverting_function_has_empty_sets():
@@ -64,7 +77,7 @@ def test_always_reverting_function_has_empty_sets():
     """))
     # extraction only sees completing paths, so hand-build the entry
     f = FunctionEntry(selector=sel, has_call=True)
-    result = verify_pair(code, f, f)
+    result = verify(code, f, f)
     assert result.status is Status.BENIGN
     assert result.paths_I == 0 and result.paths_C == 0
     assert result.note == "empty scenario set"
@@ -73,7 +86,7 @@ def test_always_reverting_function_has_empty_sets():
 def test_path_explosion_is_inconclusive():
     code = load_fixture("fund.hex")
     w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w, AnalyzerConfig(path_cap=1))
+    result = verify(code, w, w, AnalyzerConfig(path_cap=1))
     assert result.status is Status.INCONCLUSIVE
     assert result.note and "path" in result.note.lower()
 
@@ -147,7 +160,7 @@ def test_unsupported_opcode_makes_contract_inconclusive():
 def test_unsupported_opcode_makes_pair_inconclusive():
     code = staticcall_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "STATICCALL" in result.note
 
@@ -192,7 +205,7 @@ def test_unconcretizable_operand_makes_contract_inconclusive():
 def test_unconcretizable_operand_makes_pair_inconclusive():
     code = concretize_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "cannot concretize mload offset" in result.note
 
@@ -210,7 +223,7 @@ def test_symbolic_jump_target_makes_contract_inconclusive():
 def test_symbolic_jump_target_makes_pair_inconclusive():
     code = jump_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "symbolic jump target at c0@" in result.note
 
@@ -228,7 +241,7 @@ def test_symbolic_memory_offset_makes_contract_inconclusive():
 def test_symbolic_memory_offset_makes_pair_inconclusive():
     code = mload_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "symbolic mload offset at c0@" in result.note
 
@@ -243,7 +256,7 @@ def test_single_valued_jump_target_decides():
     (contract,) = analyze([("probe", code, "test")]).contracts
     assert contract.status is Status.VULNERABLE
     w = entry_for(code, "withdraw()")
-    assert verify_pair(code, w, w).status is Status.VULNERABLE
+    assert verify(code, w, w).status is Status.VULNERABLE
 
 
 def test_loop_bound_makes_contract_inconclusive():
@@ -259,10 +272,10 @@ def test_loop_bound_makes_contract_inconclusive():
 def test_loop_bound_makes_pair_inconclusive():
     code = loop_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.INCONCLUSIVE
     assert "loop bound" in result.note
-    assert verify_pair(code, w, w, AnalyzerConfig(loop_bound=10)).status \
+    assert verify(code, w, w, AnalyzerConfig(loop_bound=10)).status \
         is Status.VULNERABLE
 
 
@@ -271,7 +284,7 @@ def test_loop_passes_are_counted_per_call_frame():
     # path; its frame counts its own passes, so a bound of 5 fits both runs
     code = loop_probe()
     w = FunctionEntry(selector=selector_of("withdraw()"), has_call=True)
-    result = verify_pair(code, w, w, AnalyzerConfig(loop_bound=5))
+    result = verify(code, w, w, AnalyzerConfig(loop_bound=5))
     assert result.status is Status.VULNERABLE
 
 
@@ -279,7 +292,7 @@ def test_depth_bound_makes_pair_inconclusive():
     # at depth bound 2 the attacker cannot re-enter: the paying C path is cut
     code = load_fixture("fund.hex")
     w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w, AnalyzerConfig(call_depth_bound=2))
+    result = verify(code, w, w, AnalyzerConfig(call_depth_bound=2))
     assert result.status is Status.INCONCLUSIVE
     assert "depth bound" in result.note
 
@@ -301,7 +314,7 @@ def test_empty_sequential_side_leaves_verdict_to_reentrant_side():
         PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 CALLER GAS CALL POP STOP
         fail: JUMPDEST PUSH1 0 PUSH1 0 REVERT
     """))
-    result = verify_pair(code, entry_for(code, "withdraw()"),
+    result = verify(code, entry_for(code, "withdraw()"),
                          entry_for(code, "claim()"))
     assert (result.paths_I, result.paths_C) == (0, 1)
     assert result.status is Status.VULNERABLE
@@ -313,8 +326,7 @@ def test_empty_sequential_side_leaves_verdict_to_reentrant_side():
     ([], Status.BENIGN),
     ([tm.ult(tm.var("x"), tm.const(5))], Status.VULNERABLE),
 ])
-def test_undecided_sequential_condition_does_not_block_a_verdict(
-        monkeypatch, C, status):
+def test_undecided_sequential_condition_does_not_block_a_verdict(C, status):
     # the solver cannot lower a symbolic product, so whether I's one
     # condition is feasible stays Unknown; it stays in I. An empty C is
     # benign whatever I holds, and a c that I's condition provably does not
@@ -322,10 +334,9 @@ def test_undecided_sequential_condition_does_not_block_a_verdict(
     x, y = tm.var("x"), tm.var("y")
     I = [tm.eq(tm.bv_mul(x, y), tm.const(6))]
     assert Solver().check_sat(I).status is SolverStatus.UNKNOWN
-    f = g = _fn(bytes(4), True)
-    monkeypatch.setattr(verifier, "collect_scenarios", lambda *args: ScenarioSet(
-        f, g, ECFG(), [], I=list(I), C=list(C)))
-    result = verify_pair(Bytecode(b""), f, g)
+    f = g = FunctionEntry(bytes(4), True)
+    result = verify_pair(ScenarioSet(f, g, ECFG(), [], I=list(I), C=list(C)),
+                         Solver())
     assert result.status is status
     assert result.scenarios.I == I
 
@@ -397,7 +408,7 @@ def test_payers_at_different_offsets_are_decided():
 def test_vulnerable_witness_satisfies_a_candidate_condition():
     code = load_fixture("fund.hex")
     w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w)
+    result = verify(code, w, w)
     assert result.status is Status.VULNERABLE
     assert result.witness
     # the extracted model must satisfy some surviving re-entrant condition
@@ -422,7 +433,7 @@ def test_witness_out_of_time_to_minimize_stays_vulnerable():
     # a decided SAT keeps its search's model; it does not turn Unknown
     code = load_fixture("fund.hex")
     w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w, solver=_UnminimizedSolver())
+    result = verify(code, w, w, solver=_UnminimizedSolver())
     assert result.status is Status.VULNERABLE
     assert result.note == "witness not minimized: out of time"
     assert any(evaluate(c, result.witness) == 1 for c in result.scenarios.C)
@@ -449,7 +460,7 @@ class _UndecidedWitnessSolver(Solver):
 def test_undecided_pair_names_the_query_left_unknown(solver, note):
     code = load_fixture("fund.hex")
     w = entry_for(code, "withdraw()")
-    result = verify_pair(code, w, w, solver=solver)
+    result = verify(code, w, w, solver=solver)
     assert result.status is Status.INCONCLUSIVE
     assert result.paths_I and result.paths_C
     assert result.note == note and result.witness is None
@@ -457,28 +468,102 @@ def test_undecided_pair_names_the_query_left_unknown(solver, note):
 
 # -- pair enumeration ---------------------------------------------------------
 
-def _fn(selector, has_call):
-    return FunctionEntry(selector=selector, has_call=has_call)
+CALL_OUT = "PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 CALLER GAS CALL POP STOP"
 
 
-def test_enumerate_pairs_shape():
-    funcs = [
-        _fn(bytes([0, 0, 0, 1]), True),
-        _fn(bytes([0, 0, 0, 2]), False),
-        _fn(bytes([0, 0, 0, 3]), True),
-        _fn(None, True),  # fallback: excluded from both roles
-    ]
-    pairs = enumerate_pairs(funcs)
-    assert len(pairs) == 2 * 3
-    assert all(f.has_call and f.selector is not None for f, _ in pairs)
-    assert all(g.selector is not None for _, g in pairs)
-    # self-pairs are included
-    assert any(f is g for f, g in pairs)
+def dispatcher(bodies: dict[str, str], fallback: str) -> Bytecode:
+    """One arm per name() running its body; any other calldata runs
+    ``fallback``."""
+    arms = "\n".join(f"DUP1 PUSH4 {selector_of(n + '()').hex()} EQ PUSHL {n} JUMPI"
+                     for n in bodies)
+    code = "\n".join(f"{n}: JUMPDEST POP {body}" for n, body in bodies.items())
+    return Bytecode(assemble("PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR\n"
+                             f"{arms}\nPOP {fallback}\n{code}"))
 
 
-def test_enumerate_pairs_without_callers_is_empty():
-    funcs = [_fn(bytes([0, 0, 0, 1]), False), _fn(None, False)]
-    assert enumerate_pairs(funcs) == []
+def test_pairs_cross_each_calling_f_with_every_named_g():
+    # a() and b() call out, c() does not; the fallback calls out too, but
+    # no selector names it, so it is neither an f nor a g
+    code = dispatcher({"a": CALL_OUT, "b": CALL_OUT,
+                       "c": "PUSH1 1 PUSH1 0 SSTORE STOP"}, fallback=CALL_OUT)
+    (contract,) = analyze([("probe", code, "test")]).contracts
+    assert FunctionEntry(None, True) in contract.functions
+    names = {selector_of(f"{n}()"): n for n in "abc"}
+    pairs = [(names[p.f.selector], names[p.g.selector]) for p in contract.pairs]
+    by_selector = sorted("abc", key=lambda n: selector_of(f"{n}()").value)
+    callers = [n for n in by_selector if n != "c"]
+    # self pairs included, in selector order
+    assert pairs == [(f, g) for f in callers for g in by_selector]
+
+
+def test_no_pairs_when_nothing_calls_out():
+    code = dispatcher({"a": "PUSH1 1 PUSH1 0 SSTORE STOP", "c": "STOP"},
+                      fallback="STOP")
+    (contract,) = analyze([("probe", code, "test")]).contracts
+    assert len(contract.functions) == 3
+    assert contract.pairs == [] and contract.status is Status.BENIGN
+
+
+def withdraw_and_spawn() -> Bytecode:
+    """fund's withdraw(), and a spawn() that CREATEs init code that
+    CREATEs again (``0x600060006000f000``)."""
+    w, s = selector_of("withdraw()"), selector_of("spawn()")
+    return Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        DUP1 PUSH4 {w.hex()} EQ PUSHL withdraw JUMPI
+        DUP1 PUSH4 {s.hex()} EQ PUSHL spawn JUMPI STOP
+        withdraw: JUMPDEST POP
+        CALLER SLOAD
+        DUP1 ISZERO PUSHL done JUMPI
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
+        POP PUSH1 0 CALLER SSTORE STOP
+        done: JUMPDEST POP STOP
+        spawn: JUMPDEST POP
+        PUSH8 0x600060006000f000 PUSH1 0 MSTORE
+        PUSH1 8 PUSH1 24 PUSH1 0 CREATE POP STOP
+    """))
+
+
+def test_a_stop_after_the_pick_fails_only_that_g():
+    # re-entered, spawn runs behind the attacker's frame, and the inner
+    # CREATE hits depth bound 3; run next, it does not. withdraw's one walk
+    # offers both g's: the stop fails (withdraw, spawn) alone
+    code = withdraw_and_spawn()
+    (contract,) = analyze([("probe", code, "test")],
+                          AnalyzerConfig(call_depth_bound=3)).contracts
+    got = {p.g.selector: p for p in contract.pairs}
+    assert got[selector_of("withdraw()")].status is Status.VULNERABLE
+    spawn = got[selector_of("spawn()")]
+    assert spawn.status is Status.INCONCLUSIVE
+    assert spawn.note == "depth bound reached at c0.new0@6"
+    assert spawn.paths_I == spawn.paths_C == 0
+
+
+def test_a_stop_before_the_pick_fails_every_g():
+    # at depth bound 2 the attacker cannot re-enter at all: the stop comes
+    # before it picks a g, so every pair of withdraw fails with it
+    (contract,) = analyze([("token", load_fixture("token.hex"), "fixture")],
+                          AnalyzerConfig(call_depth_bound=2)).contracts
+    assert len(contract.pairs) == 12
+    for pair in contract.pairs:
+        assert pair.status is Status.INCONCLUSIVE
+        assert pair.note.startswith("depth bound reached at c0@")
+
+
+def test_one_walk_per_calling_function(monkeypatch):
+    # token's twelve pairs share one f: discovery and withdraw's walk
+    walks = []
+    run_entry = SymVM.run_entry
+
+    def counted(self, *args, **kwargs):
+        walks.append(kwargs.get("reentry", ()))
+        return run_entry(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymVM, "run_entry", counted)
+    (contract,) = analyze([("token", load_fixture("token.hex"),
+                            "fixture")]).contracts
+    assert len(contract.pairs) == 12
+    assert len(walks) == 2 and len(walks[1]) == 12
 
 
 # -- function discovery -------------------------------------------------------
@@ -555,19 +640,22 @@ def test_deployed_runtime_is_analyzed_once():
     assert len(deployed) > 1 and {c.data for c in deployed} == {b"\x42"}
 
 
-def test_shared_solver_memo_matches_fresh_solvers():
-    # analyze answers repeats from one memo per contract; each pair alone must
-    # come out the same with a solver of its own
-    code = load_fixture("known_cross_function.hex")
+@pytest.mark.parametrize("name, pairs", [("known_cross_function", 2),
+                                         ("token", 12)])
+def test_shared_solver_memo_matches_fresh_solvers(name, pairs):
+    # analyze answers repeats from one memo per contract and walks each f
+    # once for all its g's; each pair from a walk with its g alone, with a
+    # solver of its own, must come out the same
+    code = load_fixture(f"{name}.hex")
     config = AnalyzerConfig()
-    (contract,) = analyze([("known_cross_function", code, "fixture")],
-                          config).contracts
-    assert len(contract.pairs) == 2
+    (contract,) = analyze([(name, code, "fixture")], config).contracts
+    assert len(contract.pairs) == pairs
     for shared in contract.pairs:
-        fresh = verify_pair(code, shared.f, shared.g, config)
+        fresh = verify(code, shared.f, shared.g, config)
         assert fresh.status is shared.status
         assert fresh.witness == shared.witness
         assert (fresh.paths_I, fresh.paths_C) == (shared.paths_I, shared.paths_C)
+        assert fresh.note == shared.note
 
 
 def test_reports_do_not_depend_on_hash_seed():
