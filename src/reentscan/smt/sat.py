@@ -40,11 +40,33 @@ conflicted into the least one; the solver asks for it only for a witness,
 and keeps the solve's model when it runs out of time. Activities and saved
 phases carry over from solve to solve.
 
-Clauses of two literals live only in ``binaries``, which lists for each
-literal the literals its truth implies; longer ones are lists in
-``clauses``, watched on their first two literals. Both tables are one flat
-list indexed by literal, ``2v`` for ``+v`` and ``2v + 1`` for ``-v``, with
-``()`` in the slot of a literal that nothing watches yet.
+Clauses live in three stores, each one flat list indexed by literal,
+``2v`` for ``+v`` and ``2v + 1`` for ``-v``:
+
+- ``binaries`` holds a clause of two literals as the literal that each
+  one's negation implies, MiniSat's implication lists;
+- ``ternaries`` holds a clause of three literals as the pair of its other
+  two, flat ``p, q``, under each of its literals' negations: that
+  literal's truth implies ``p`` once ``q`` is false, ``q`` once ``p`` is,
+  and with both false the clause is the conflict;
+- ``watches`` holds a clause of four or more literals as a list of its
+  own, watched on its first two literals. The gate store makes none, so
+  these are the longer learnt clauses.
+
+Almost every clause is a gate's Tseitin clause, and nearly all of those
+have three literals. Kept as a list with two watches each, they cost an
+object per clause, and a watch to move each time propagation falsified
+one. As pairs they make no object of their own, adding one is an append,
+and propagation moves nothing. ``binaries`` and ``watches``
+hold ``()`` in the slot of a literal nothing lists yet; every literal has
+a list in ``ternaries`` from :meth:`SatSolver.grow` on.
+
+``clauses`` keeps one slot per clause of three or more literals, in the
+order added: a watched clause's list, or the one shared ``None`` for a
+three-literal clause. Nothing reads a ``None`` slot. The slots keep
+``len(clauses)`` the count that the benchmark's tracer reads for its
+clause and learnt-clause counts, until the tracer reads
+``Solver.sat_stats`` instead (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -64,10 +86,27 @@ def _literal(index: int) -> int:
     return -(index >> 1) if index & 1 else index >> 1
 
 
+_LOW = 0xFFFFFFFF  # the low half of a ternary reason
+
+
+def _ternary_reason(index: int, other: int) -> int:
+    """The reason of a literal a three-literal clause implies, from the
+    watch indices of the clause's two false literals."""
+    return ~(index << 32 | other)
+
+
+def _false_literals(reason: int) -> tuple[int, ...]:
+    """The false literals of the binary or three-literal clause that a
+    negative reason names."""
+    packed = ~reason
+    if packed >> 32:
+        return _literal(packed >> 32), _literal(packed & _LOW)
+    return (_literal(packed),)
+
+
 def _gate_clauses(a: int, b: int, o: int) -> list[list[int]]:
     """The Tseitin clauses of ``o = a & b``, or of ``-o = a ^ b`` if
-    ``o < 0``, each clause's watched literals first. Each negation is one
-    int object, shared by the clauses that hold it."""
+    ``o < 0``."""
     na, nb, no = -a, -b, -o
     if o > 0:
         return [[na, nb, o], [a, no], [b, no]]
@@ -75,9 +114,8 @@ def _gate_clauses(a: int, b: int, o: int) -> list[list[int]]:
 
 
 def _maj_clauses(a: int, b: int, c: int, o: int) -> list[list[int]]:
-    """The Tseitin clauses of ``o = maj(a, b, c)``, each clause's watched
-    literals first: two operands true make ``o`` true, two false make it
-    false."""
+    """The Tseitin clauses of ``o = maj(a, b, c)``: two operands true make
+    ``o`` true, two false make it false."""
     na, nb, nc, no = -a, -b, -c, -o
     return [[na, nb, o], [na, nc, o], [nb, nc, o],
             [a, b, no], [a, c, no], [b, c, no]]
@@ -94,16 +132,20 @@ def _watch(table: list, index: int, entry: int) -> None:
 class SatSolver:
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[list[int]] = []
+        # a slot per clause of three or more literals: None for three
+        self.clauses: list[list[int] | None] = []
         # by literal (see _index): the long clauses watching its negation,
-        # and the literals its truth implies
+        # the literals its truth implies, and the flat (p, q) pairs of the
+        # three-literal clauses that hold its negation
         self.watches: list[list[int] | tuple] = [(), ()]
         self.binaries: list[list[int] | tuple] = [(), ()]
+        self.ternaries: list[list[int] | tuple] = [(), ()]
         self.num_binaries = 0  # two-literal clauses, kept in binaries only
         self.assign: list[int] = [0]  # var -> 0 unassigned, 1 true, -1 false
         self.level: list[int] = [0]
-        # var -> clause index + 1, ~index of the other literal of a binary
-        # clause, 0 for a decision or a unit
+        # var -> clause index + 1; ~index of the other literal of a binary
+        # clause; ~(i << 32 | j) for a three-literal clause whose other two
+        # literals have indices i and j; 0 for a decision or a unit
         self.reason: list[int] = [0]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -150,6 +192,7 @@ class SatSolver:
         self.decidable += bytes(k)
         self.watches += [()] * (2 * k)
         self.binaries += [()] * (2 * k)
+        self.ternaries += [[] for _ in range(2 * k)]
 
     def new_var(self) -> int:
         self.grow(self.num_vars + 1)
@@ -181,21 +224,24 @@ class SatSolver:
         """Add the Tseitin clauses of gates given as flat ``(a, b, out)``
         triples: ``out = a & b``, or ``-out = a ^ b`` when ``out < 0``; then
         of Maj gates given as flat ``(a, b, c, out)`` quadruples: ``out =
-        maj(a, b, c)``. Each output is a variable no clause has mentioned
-        yet.
+        maj(a, b, c)``. A gate's operands are over distinct variables, and
+        its output is a variable no clause has mentioned yet.
 
-        An And gate's two binary clauses go only into the binaries; a gate
-        with an operand fixed at level 0 goes through :meth:`add_clause`.
-        The rest leave the state :meth:`add_clause` of each of
-        :func:`_gate_clauses` and :func:`_maj_clauses` would, with the
-        watches placed here rather than by a call per clause: with one call
-        per clause, to :meth:`_attach` or :meth:`add_clause`, benchmark
-        passes took 8-45% longer.
+        A gate with an operand fixed at level 0 goes through
+        :meth:`add_clause`. The rest leave the state :meth:`add_clause` of
+        each of :func:`_gate_clauses` and :func:`_maj_clauses` would: an And
+        gate's two binary clauses go into ``binaries``, and every
+        three-literal clause into ``ternaries``, its pairs appended here,
+        one list per literal, in the order the clauses come, with a
+        ``None`` slot in ``clauses`` each. No clause gets an object of its
+        own, and adding one makes no call. With a list and two watches per
+        clause, attaching took about 45% of a ``dag`` benchmark pass, and
+        the lists set off over half of the pass's garbage collections.
         """
         if self.trail_lim:
             self._backtrack(0)
         assign, clauses = self.assign, self.clauses
-        watches, binaries = self.watches, self.binaries
+        t, binaries = self.ternaries, self.binaries
         it = iter(gates)
         for a, b, o in zip(it, it, it):
             if assign[a if a > 0 else -a] or assign[b if b > 0 else -b]:
@@ -204,28 +250,25 @@ class SatSolver:
                 continue
             ia = a << 1 if a > 0 else (-a << 1) | 1
             ib = b << 1 if b > 0 else (-b << 1) | 1
-            ci = len(clauses)
+            na, nb, no = -a, -b, -o
             if o > 0:  # [-a, -b, o], then [a, -o] and [b, -o] as binaries
-                no = -o
-                clauses.append([-a, -b, o])
-                _watch(watches, ia, ci)
-                _watch(watches, ib, ci)
+                t[ia] += nb, o
+                t[ib] += na, o
+                t[(o << 1) | 1] += na, nb
+                clauses.append(None)
                 _watch(binaries, ia ^ 1, no)
                 _watch(binaries, ib ^ 1, no)
                 _watch(binaries, o << 1, a)
                 _watch(binaries, o << 1, b)
                 self.num_binaries += 2
-            else:
-                clauses += _gate_clauses(a, b, o)
-                c1, c2, c3 = ci + 1, ci + 2, ci + 3
-                _watch(watches, ia, ci)
-                _watch(watches, ib, ci)
-                _watch(watches, ia ^ 1, c1)
-                _watch(watches, ib ^ 1, c1)
-                _watch(watches, ia, c2)
-                _watch(watches, ib ^ 1, c2)
-                _watch(watches, ia ^ 1, c3)
-                _watch(watches, ib, c3)
+            else:  # [-a, -b, o], [a, b, o], [-a, b, -o], [a, -b, -o]
+                t[ia] += nb, o, b, no
+                t[ib] += na, o, a, no
+                t[ia ^ 1] += b, o, nb, no
+                t[ib ^ 1] += a, o, na, no
+                t[no << 1] += na, nb, a, b
+                t[(no << 1) | 1] += na, b, a, nb
+                clauses += (None,) * 4
         it = iter(majs)
         for a, b, c, o in zip(it, it, it, it):
             if assign[a if a > 0 else -a] or assign[b if b > 0 else -b] \
@@ -236,24 +279,21 @@ class SatSolver:
             ia = a << 1 if a > 0 else (-a << 1) | 1
             ib = b << 1 if b > 0 else (-b << 1) | 1
             ic = c << 1 if c > 0 else (-c << 1) | 1
-            ci = len(clauses)
-            clauses += _maj_clauses(a, b, c, o)
-            _watch(watches, ia, ci)
-            _watch(watches, ib, ci)
-            _watch(watches, ia, ci + 1)
-            _watch(watches, ic, ci + 1)
-            _watch(watches, ib, ci + 2)
-            _watch(watches, ic, ci + 2)
-            ia, ib, ic = ia ^ 1, ib ^ 1, ic ^ 1
-            _watch(watches, ia, ci + 3)
-            _watch(watches, ib, ci + 3)
-            _watch(watches, ia, ci + 4)
-            _watch(watches, ic, ci + 4)
-            _watch(watches, ib, ci + 5)
-            _watch(watches, ic, ci + 5)
+            io = o << 1 if o > 0 else (-o << 1) | 1
+            na, nb, nc, no = -a, -b, -c, -o
+            # [-a, -b, o], [-a, -c, o], [-b, -c, o], then the same negated
+            t[ia] += nb, o, nc, o
+            t[ib] += na, o, nc, o
+            t[ic] += na, o, nb, o
+            t[io ^ 1] += na, nb, na, nc, nb, nc
+            t[ia ^ 1] += b, no, c, no
+            t[ib ^ 1] += a, no, c, no
+            t[ic ^ 1] += a, no, b, no
+            t[io] += a, b, a, c, b, c
+            clauses += (None,) * 6
 
     def _attach(self, lits: list[int]) -> int:
-        """Watch a clause of two or more literals; returns the reason that
+        """Store a clause of two or more literals; returns the reason that
         implies its first literal."""
         a, b = lits[0], lits[1]
         if len(lits) == 2:
@@ -261,6 +301,13 @@ class SatSolver:
             _watch(self.binaries, _index(-b), a)
             self.num_binaries += 1
             return ~_index(b)
+        if len(lits) == 3:
+            c, t = lits[2], self.ternaries
+            t[_index(-a)] += b, c
+            t[_index(-b)] += a, c
+            t[_index(-c)] += a, b
+            self.clauses.append(None)
+            return _ternary_reason(_index(b), _index(c))
         idx = len(self.clauses)
         self.clauses.append(lits)
         _watch(self.watches, _index(-a), idx)
@@ -292,10 +339,10 @@ class SatSolver:
 
         :meth:`_value` and :meth:`_enqueue` are inlined; the watch lists,
         literal swaps and trail are what calling them gives. The binary
-        clauses of a literal go first.
+        clauses of a literal go first, then its three-literal ones.
         """
         trail, clauses, watches = self.trail, self.clauses, self.watches
-        binaries = self.binaries
+        binaries, ternaries = self.binaries, self.ternaries
         assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
         depth = len(self.trail_lim)
         qhead = self.qhead
@@ -318,6 +365,31 @@ class SatSolver:
                     elif (value > 0) != (other > 0):
                         self.qhead = qhead
                         return [other, -lit]
+            pairs = ternaries[li]
+            if pairs:
+                high = (li ^ 1) << 32  # -lit's half of a ternary reason
+                it = iter(pairs)
+                for p, q in zip(it, it):  # the clause (p, q, -lit)
+                    vp = assign[p] if p > 0 else -assign[-p]
+                    if vp == 1:
+                        continue
+                    vq = assign[q] if q > 0 else -assign[-q]
+                    if vq == 1 or vp == vq == 0:
+                        continue
+                    if vp == vq:
+                        self.qhead = qhead
+                        return [p, q, -lit]
+                    if vp == 0:  # q false implies p
+                        other = p
+                        why = ~(high | (q << 1 if q > 0 else (-q << 1) | 1))
+                    else:
+                        other = q
+                        why = ~(high | (p << 1 if p > 0 else (-p << 1) | 1))
+                    var, sign = (other, 1) if other > 0 else (-other, -1)
+                    assign[var] = phase[var] = sign
+                    level[var] = depth
+                    reason[var] = why
+                    trail.append(other)
             watch_list = watches[li]
             if not watch_list:
                 continue
@@ -450,7 +522,7 @@ class SatSolver:
                     pos = clause.index(lit)
                     clause[0], clause[pos] = clause[pos], clause[0]
             else:
-                clause = (lit, _literal(~reason))
+                clause = (lit, *_false_literals(reason))
             seen[abs(lit)] = 0
         learnt[0] = -lit
         # the marks left: the first UIP's and the learnt clause's

@@ -203,11 +203,12 @@ class SymVM:
         """Suspend the caller, to resume at ``next_pc``, and run ``callee``
         in a new frame whose return data lands at ``out`` (offset, size).
         A CREATE frame deploys ``created``; a re-entry first hops through
-        ``attacker``, which counts as a frame of its own."""
+        ``attacker``, which counts as a frame of its own, here and in every
+        check below it."""
         saved = block.machine.clone()
         saved.pc = next_pc
-        frames = 1 if attacker is None else 2
-        if len(block.call_stack) + frames >= self.config.call_depth_bound:
+        frames = sum(1 + (e.attacker is not None) for e in block.call_stack)
+        if frames + 1 + (attacker is not None) >= self.config.call_depth_bound:
             raise BoundReached(f"depth bound reached at {where(block)}")
         if attacker is not None:
             block = ex.transition(block, EdgeKind.CALL_ENTER, hop=attacker)

@@ -436,8 +436,10 @@ def test_heap_stays_within_a_multiple_of_the_variables(monkeypatch):
     assert pigeons.num_vars < peak[pigeons] <= 3 * pigeons.num_vars
     x, y = var("x"), var("y")
     solver = Solver()
-    # (x - y) + y = x: the sum's bits say little until y's are decided
-    assert solver.check_sat([ult(const(0), bv_add(bv_sub(x, y), y))]).is_sat
+    # (x - y) + y = x: the sum's bits say little until y's are decided;
+    # with y nonzero as well, the search runs well past its first restart
+    assert solver.check_sat([ult(const(0), bv_add(bv_sub(x, y), y)),
+                             ult(const(0), y)]).is_sat
     sat = solver._blaster.sat
     assert sat.conflicts > 100
     assert 0 < peak[sat] <= 3 * sat.num_vars
@@ -521,8 +523,8 @@ def _gates(draw):
 
 def _solver_state(sat):
     return (sat.num_vars, sat.clauses, sat.watches, sat.binaries,
-            sat.num_binaries, sat.trail, sat.assign, sat.level, sat.reason,
-            sat.phase, sat.heap, sat.in_heap, sat.ok)
+            sat.ternaries, sat.num_binaries, sat.trail, sat.assign, sat.level,
+            sat.reason, sat.phase, sat.heap, sat.in_heap, sat.ok)
 
 
 @settings(max_examples=300, deadline=None)
@@ -578,6 +580,20 @@ class MethodCallSat(SatSolver):
             for other in self.binaries[li]:
                 if not self._enqueue(other, ~sat_mod._index(-lit)):
                     return [other, -lit]
+            pairs = self.ternaries[li]
+            for k in range(0, len(pairs), 2):
+                p, q = pairs[k], pairs[k + 1]
+                if self._value(p) == 1 or self._value(q) == 1:
+                    continue
+                if self._value(q) == -1:
+                    implied, why = p, sat_mod._index(q)
+                elif self._value(p) == -1:
+                    implied, why = q, sat_mod._index(p)
+                else:
+                    continue
+                if not self._enqueue(implied, sat_mod._ternary_reason(
+                        sat_mod._index(-lit), why)):
+                    return [p, q, -lit]
             watch_list = self.watches[li]
             if not watch_list:
                 continue
@@ -657,6 +673,77 @@ def test_inlined_propagation_matches_method_calls_on_search():
             assert new.solve(assumptions, order) is old.solve(assumptions, order)
             assert _search_state(new) == _search_state(old)
     assert results[0] is False  # 6 pigeons, 5 holes
+
+
+class ReasonCheckedSat(SatSolver):
+    """Keeps every clause it stores and every clause it learns, and checks
+    at each conflict that every implied literal's reason names a stored
+    clause with that literal true and the others false."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored, self.learnt = set(), []
+
+    def _attach(self, lits):
+        self.stored.add(frozenset(lits))
+        return super()._attach(lits)
+
+    def _analyze(self, conflict):
+        _check_reasons(self)
+        learnt, back = super()._analyze(conflict)
+        self.learnt.append(learnt)
+        return learnt, back
+
+
+def _check_reasons(sat):
+    for lit in sat.trail:
+        why = sat.reason[abs(lit)]
+        if why == 0:
+            continue
+        if why > 0:
+            clause = sat.clauses[why - 1]
+            others = [q for q in clause if q != lit]
+        else:
+            others = list(sat_mod._false_literals(why))
+            clause = [lit, *others]
+        assert lit in clause and frozenset(clause) in sat.stored
+        assert sat._value(lit) == 1
+        assert all(sat._value(q) == -1 for q in others)
+
+
+@st.composite
+def _mostly_3sat(draw):
+    """Clauses over distinct variables, nine in ten of three literals, as
+    many as make random 3-SAT hard or more, so searches conflict; and a
+    few queries under assumptions."""
+    n = draw(st.integers(4, 10))
+    width = st.sampled_from([3] * 9 + [2, 4])
+    clause = width.flatmap(lambda w: st.lists(
+        st.integers(1, n), min_size=w, max_size=w, unique=True)) \
+        .flatmap(lambda vs: st.tuples(*(st.sampled_from([v, -v]) for v in vs)))
+    clauses = draw(st.lists(clause, min_size=4 * n, max_size=6 * n))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    queries = draw(st.lists(st.lists(literal, max_size=3, unique_by=abs),
+                            min_size=1, max_size=4))
+    return n, [list(c) for c in clauses], queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mostly_3sat())
+def test_ternary_reasons_and_learnt_clauses_are_sound(cnf):
+    # every reason, binary and ternary ones decoded from their packed
+    # form, is a stored clause that implies its literal; every clause
+    # stored or learnt, the input's as level-0 units shortened them among
+    # them, holds in every model of the input
+    n, clauses, queries = cnf
+    sat = _load(ReasonCheckedSat(), n, clauses)
+    for assumptions in queries:
+        result = sat.solve(assumptions)
+        assert result is _brute(n, clauses + [[a] for a in assumptions])
+        _check_reasons(sat)
+    models = [a for a in range(1 << n) if _satisfies(a, clauses)]
+    for clause in [*sat.stored, *sat.learnt]:
+        assert all(_satisfies(a, [clause]) for a in models)
 
 
 # -- width-8 enumeration oracle ----------------------------------------------

@@ -525,18 +525,21 @@ def withdraw_and_spawn() -> Bytecode:
 
 
 def test_a_stop_after_the_pick_fails_only_that_g():
-    # re-entered, spawn runs behind the attacker's frame, and the inner
-    # CREATE hits depth bound 3; run next, it does not. withdraw's one walk
-    # offers both g's: the stop fails (withdraw, spawn) alone
+    # re-entered, spawn's frame and the attacker's hop before it count as
+    # two frames, so at bound 3 spawn's own CREATE stops;
+    # run next, it does not. withdraw's one walk offers both g's: the stop
+    # fails (withdraw, spawn) alone. At bound 4 the CREATE runs and the
+    # created init code's CREATE stops: both sides of the bound
     code = withdraw_and_spawn()
-    (contract,) = analyze([("probe", code, "test")],
-                          AnalyzerConfig(call_depth_bound=3)).contracts
-    got = {p.g.selector: p for p in contract.pairs}
-    assert got[selector_of("withdraw()")].status is Status.VULNERABLE
-    spawn = got[selector_of("spawn()")]
-    assert spawn.status is Status.INCONCLUSIVE
-    assert spawn.note == "depth bound reached at c0.new0@6"
-    assert spawn.paths_I == spawn.paths_C == 0
+    for bound, where in ((3, "c0@81"), (4, "c0.new0@6")):
+        (contract,) = analyze([("probe", code, "test")],
+                              AnalyzerConfig(call_depth_bound=bound)).contracts
+        got = {p.g.selector: p for p in contract.pairs}
+        assert got[selector_of("withdraw()")].status is Status.VULNERABLE
+        spawn = got[selector_of("spawn()")]
+        assert spawn.status is Status.INCONCLUSIVE
+        assert spawn.note == f"depth bound reached at {where}"
+        assert spawn.paths_I == spawn.paths_C == 0
 
 
 def test_a_stop_before_the_pick_fails_every_g():
