@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in contract.pairs:
                 print(f"  {contract.label} ({pair.f.describe()}, "
                       f"{pair.g.describe()}): {pair.status.value} "
-                      f"[{pair.elapsed_ms} ms, I={pair.paths_I} C={pair.paths_C}]")
+                      f"[{pair.elapsed_ms:.1f} ms, I={pair.paths_I} C={pair.paths_C}]")
     print(f"report written to {report_path}")
     return _exit_code(report)
 

@@ -22,7 +22,10 @@ stop, the check is asked whether the assignment so far, with every order
 variable still unassigned read false, is a model. If it is, the solve ends
 SAT there and leaves those variables unassigned. That is where the walk
 would end anyway: every value it could still imply holds in that model,
-so it meets no conflict and decides the rest false.
+so it meets no conflict and decides the rest false. The check reads only
+which order variables are true, and before the first conflict the trail
+only grows, so after its first stop it is asked again only once the trail
+has gained a true order variable: at any other stop it would say no again.
 
 At the first conflict, the variables the cursor has not passed go into
 MiniSat's order heap: a ``heapq`` of ``(-activity, var)`` entries, so the
@@ -592,10 +595,11 @@ class SatSolver:
         The order must hold every variable the clauses leave free once the
         assumptions and the order are set: a Tseitin encoding's inputs.
         ``stops`` are ascending order indices; while no conflict has
-        happened and time is left, ``complete`` is asked once per stop the
-        cursor reaches whether the order's unassigned variables may all be
-        read false, and a True ends the solve SAT (see the module
-        docstring).
+        happened and time is left, ``complete`` is asked at the first stop
+        the cursor reaches, and at a later one if an order variable turned
+        true since it was last asked, whether the order's unassigned
+        variables may all be read false; a True ends the solve SAT (see the
+        module docstring).
         """
         start = time.perf_counter()
         if self.trail_lim:
@@ -630,6 +634,9 @@ class SatSolver:
         trail, trail_lim = self.trail, self.trail_lim
         assign, level, reason, phase = self.assign, self.level, self.reason, self.phase
         stop = next(stops, None) if complete is not None else None
+        # the trail's length at the last check; before the first conflict
+        # the order is what is marked decidable
+        checked, marked = -1, self.decidable
         conflicts = 0
         restart_limit = 100
         since_restart = 0
@@ -679,9 +686,12 @@ class SatSolver:
                 if stop is not None and self.cursor > stop:
                     while stop is not None and stop < self.cursor:
                         stop = next(stops, None)
-                    if complete():
-                        self.completions += 1
-                        return True
+                    if checked < 0 or any(
+                            v > 0 and marked[v] for v in trail[checked:]):
+                        checked = len(trail)
+                        if complete():
+                            self.completions += 1
+                            return True
                 self.decisions += 1
                 trail_lim.append(len(trail))
                 # _enqueue inlined: the variable is unassigned

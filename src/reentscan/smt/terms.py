@@ -7,6 +7,14 @@ stored structural hash, and each node memoizes a Merkle digest of its
 structure. The rest of the analyzer relies on this for memoization (storage
 reads, hash summaries, solver answers) and for cheap equality of path
 conditions, also on DAG-shaped terms whose tree unfolding is exponential.
+
+Shifts and masks by constants are kept in a small normal form. ``shr`` by a
+constant folds a right shift into one shift (0 at or past the width), a
+left shift by the same amount into a mask, and distributes over and/or/xor
+when every operand folds so, which never makes the term larger; ``bv_and``
+merges nested constant masks. So an ABI dispatcher's ``calldata[0] >> 224``
+(``udiv`` by ``2**224`` is that ``shr``) is the selector constant when the
+selector is fixed, and ``function_id & 0xffffffff`` when it is open.
 """
 
 from __future__ import annotations
@@ -210,6 +218,11 @@ def bv_and(a: Term, b: Term) -> Term:
                 return const(0, w)
             if x.value == mask(w):
                 return y
+            # nested masks are one mask: (t & c) & x is t & (c & x)
+            if y.op == "and":
+                for c, t in (y.args, y.args[::-1]):
+                    if c.is_const:
+                        return bv_and(t, const(c.value & x.value, w))
     if a == b:
         return a
     return Term("and", w, (a, b))
@@ -242,6 +255,9 @@ def bv_xor(a: Term, b: Term) -> Term:
     return Term("xor", w, (a, b))
 
 
+_BITWISE = {"and": bv_and, "or": bv_or, "xor": bv_xor}
+
+
 def bv_not(a: Term) -> Term:
     if a.is_const:
         return const(~a.value, a.width)
@@ -260,15 +276,41 @@ def shl(a: Term, amount: Term) -> Term:
     return Term("shl", w, (a, amount))
 
 
+def _shift_down(a: Term, k: int) -> Term | None:
+    """``a >> k`` for ``0 < k < width``, where it needs no new shr node:
+    a constant shifted, two right shifts as one (0 at or past the width),
+    and a left shift undone by the same amount as a mask. None for any
+    other ``a``."""
+    w = a.width
+    if a.is_const:
+        return const(a.value >> k, w)
+    if a.op in ("shl", "shr") and a.args[1].is_const:
+        x, j = a.args[0], a.args[1].value
+        if a.op == "shr":
+            return shr(x, const(min(j + k, w), w))
+        if j == k:
+            return bv_and(x, const(mask(w - k), w))
+    return None
+
+
 def shr(a: Term, amount: Term) -> Term:
     w = _check_bv(a, amount)
     if amount.is_const:
-        if amount.value == 0:
+        k = amount.value
+        if k == 0:
             return a
-        if amount.value >= w:
+        if k >= w:
             return const(0, w)
-        if a.is_const:
-            return const(a.value >> amount.value, w)
+        down = _shift_down(a, k)
+        if down is not None:
+            return down
+        # distributed over a bitwise op only where each operand folds, so
+        # the result is never larger: the ABI selector word
+        # (sel << 224) | (arg0 >> 32) shifted down by 224 is sel & 0xffffffff
+        if a.op in _BITWISE:
+            parts = [_shift_down(x, k) for x in a.args]
+            if None not in parts:
+                return _BITWISE[a.op](*parts)
     return Term("shr", w, (a, amount))
 
 

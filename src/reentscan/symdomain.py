@@ -62,8 +62,9 @@ class AbiCalldata(Calldata):
         self.tag = tag
         self.function_id = tm.var("function_id")
 
-    def _selector_word(self) -> Term:
-        # 256-bit word whose low 32 bits are the selector
+    def selector_word(self) -> Term:
+        """The 256-bit word whose low 32 bits are the selector: what an ABI
+        dispatcher's ``calldata[0] >> 224`` folds to (see ``terms``)."""
         if self.selector is not None:
             return tm.const(self.selector.value)
         return tm.bv_and(self.function_id, tm.const(0xFFFFFFFF))
@@ -73,7 +74,7 @@ class AbiCalldata(Calldata):
 
     def byte_at(self, i: int) -> Term:
         if i < 4:
-            sel = self._selector_word()
+            sel = self.selector_word()
             return tm.bv_and(tm.shr(sel, tm.const(8 * (3 - i))), tm.const(0xFF))
         k, off = divmod(i - 4, 32)
         return tm.bv_and(tm.shr(self.arg(k), tm.const(8 * (31 - off))),
@@ -84,7 +85,7 @@ class AbiCalldata(Calldata):
 
     def load_word(self, offset: int) -> Term:
         if offset == 0:
-            return tm.bv_or(tm.shl(self._selector_word(), tm.const(224)),
+            return tm.bv_or(tm.shl(self.selector_word(), tm.const(224)),
                             tm.shr(self.arg(0), tm.const(32)))
         if offset >= 4 and (offset - 4) % 32 == 0:
             return self.arg((offset - 4) // 32)

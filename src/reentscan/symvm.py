@@ -591,9 +591,10 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
     since a skipped or collapsed arm would hide its pairs; a path the model
     cannot finish raises from the run itself (see the module docstring)."""
     vm = SymVM(solver, config)
-    result = vm.run_entry(code, AbiCalldata(None, "f"))
+    calldata = AbiCalldata(None, "f")
+    result = vm.run_entry(code, calldata)
 
-    fid_low = tm.bv_and(tm.var("function_id"), tm.const(0xFFFFFFFF))
+    fid_low = calldata.selector_word()
     by_selector: dict[int, bool] = {}
     fallback: bool | None = None
     for block in result.completed:

@@ -48,6 +48,8 @@ def test_fund_run_reports_vulnerable(tmp_path, capsys):
     assert set(pair) >= {"f", "g", "status", "witness-model",
                          "paths_I", "paths_C", "elapsed_ms"}
     assert pair["status"] == "vulnerable"
+    # sub-millisecond resolution: a 1.5 ms pair must not read as 1
+    assert isinstance(pair["elapsed_ms"], float)
     assert pair["witness-model"]  # hex-valued assignment
     assert all(v.startswith("0x") for v in pair["witness-model"].values())
 

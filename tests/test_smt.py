@@ -86,6 +86,77 @@ def test_shift_folding(a, s):
     assert shr(const(a), const(s)).value == (a >> s if s < 256 else 0)
 
 
+# -- the shift/mask normal form -----------------------------------------------
+
+def _shift_mask_terms(width: int):
+    """Terms over x and y of ``width`` bits in the shapes the normal form
+    rewrites: shifts by constants, and/or/xor of them and of constants, and
+    nested constant masks, with constants on either side."""
+    # few amounts, so equal and summing-past-the-width ones come up often
+    amounts = st.sampled_from([0, 1, 3, width // 2, width - 1, width])
+    consts = st.integers(0, (1 << width) - 1).map(lambda v: ("const", v))
+    leaves = st.sampled_from([("var", "x"), ("var", "y")]) | consts
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["shl", "shr"]), inner, amounts),
+        st.tuples(st.sampled_from(["and", "or", "xor"]), inner, inner),
+        st.tuples(st.just("and"), inner, consts),
+        st.tuples(st.just("and"), consts, inner)), max_leaves=6)
+
+
+_FOLDING = {"shl": shl, "shr": shr, "and": bv_and, "or": bv_or, "xor": bv_xor}
+
+
+def _build(shape, width: int, folded: bool):
+    """``shape`` through the folding constructors, or as raw ``Term`` nodes
+    with no rewrite at all."""
+    kind, *rest = shape
+    if kind == "var":
+        return var(rest[0], width)
+    if kind == "const":
+        return const(rest[0], width)
+    a = _build(rest[0], width, folded)
+    b = (const(rest[1], width) if isinstance(rest[1], int)
+         else _build(rest[1], width, folded))
+    if folded:
+        return _FOLDING[kind](a, b)
+    return terms.Term(kind, width, (a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 16]).flatmap(
+    lambda w: st.tuples(st.just(w), _shift_mask_terms(w),
+                        st.integers(0, (1 << w) - 1),
+                        st.integers(0, (1 << w) - 1))))
+def test_shift_mask_rewrites_keep_the_value(case):
+    width, shape, x, y = case
+    folded, raw = _build(shape, width, True), _build(shape, width, False)
+    env = {"x": x, "y": y}
+    assert evaluate(folded, env) == evaluate(raw, env)
+    assert Solver().check_sat([bnot(eq(folded, raw))]).status is \
+        SolverStatus.UNSAT
+
+
+def test_shift_mask_rewrites():
+    x = var("x")
+    low32 = bv_and(x, const(0xFFFFFFFF))
+    # a right shift of a right shift is one shift, 0 at the width
+    assert shr(shr(x, const(3)), const(5)) is shr(x, const(8))
+    assert shr(shr(x, const(200)), const(56)) is const(0)
+    # a left shift undone by the same amount is a mask
+    assert shr(shl(x, const(224)), const(224)) is low32
+    assert shr(shl(x, const(8)), const(4)).op == "shr"
+    # nested constant masks merge, the constant on either side
+    assert bv_and(const(0xFFFF), bv_and(const(0xFF00FF), x)) is \
+        bv_and(x, const(0xFF))
+    assert bv_and(bv_and(x, const(0xFFFFFFFFFF)), const(0xFFFFFFFF)) is low32
+    # distributed only where every operand folds
+    word = bv_or(shl(x, const(224)), shr(var("y"), const(32)))
+    assert shr(word, const(224)) is low32
+    assert shr(bv_xor(x, const(0xF0)), const(4)).op == "shr"
+    assert shr(bv_and(shl(x, const(8)), const(0xFF00)), const(8)) is \
+        bv_and(x, const(0xFF))
+
+
 def test_division_by_zero_convention():
     x = var("x")
     assert udiv(x, const(0)).value == 0
@@ -1485,7 +1556,7 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     verifier.analyze([("token", Bytecode(bytes.fromhex(code)), "fixture")])
     (solver,) = solvers
     assert solver.asked == sum(solver.answers.values()) > 0
-    assert solver.answers["refuted"] > solver.answers["solved"] > 0
+    assert solver.answers == Counter(memo=10, ring=45, refuted=12, solved=18)
 
 
 def test_variable_bits_are_keyed_by_name_and_width():
@@ -1499,15 +1570,46 @@ def test_variable_bits_are_keyed_by_name_and_width():
     assert not set(narrow_bits) & set(wide_bits)
 
 
-def test_deep_terms_blast_without_recursion():
+@pytest.fixture
+def completion_checks(monkeypatch):
+    """The answers of every completion check asked, in order."""
+    checks = []
+    completion = Solver._completion
+
+    def counted(self, flat, variables):
+        stops, complete = completion(self, flat, variables)
+        return stops, lambda: checks.append(complete()) or checks[-1]
+
+    monkeypatch.setattr(Solver, "_completion", counted)
+    return checks
+
+
+def test_deep_terms_blast_without_recursion(completion_checks):
     # lowering and the cone walk keep their own stacks: a chain deeper
     # than Python's recursion limit still loads
     chain = var("x0", 8)
     for i in range(1, 1500):
         chain = bv_xor(chain, var(f"x{i}", 8))
-    verdict = Solver().check_sat([eq(chain, const(5, 8))])
+    solver = Solver()
+    verdict = solver.check_sat([eq(chain, const(5, 8))])
     assert verdict.is_sat
     assert evaluate(chain, verdict.model) == 5
+    # 1,500 stops, and no order bit turns true before the last one: the
+    # completion check is asked at the first stop alone
+    assert completion_checks == [False]
+    stats = solver.sat_stats
+    assert (stats["decisions"], stats["completions"]) == (11992, 0)
+
+
+def test_completion_is_asked_again_once_an_order_bit_turns_true(completion_checks):
+    # x's bits are decided false, propagation sets some of y's true: asked
+    # again before z's first decision, where it ends the search
+    x, y, z = var("x", 8), var("y", 8), var("z", 8)
+    solver = Solver()
+    query = [eq(bv_add(x, y), const(5, 8)), ult(z, const(9, 8))]
+    assert solver.check_sat(query).model == {"x": 0, "y": 5, "z": 0}
+    assert completion_checks == [False, True]
+    assert solver.sat_stats["completions"] == 1
 
 
 @settings(max_examples=30, deadline=None)

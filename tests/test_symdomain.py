@@ -147,6 +147,24 @@ def test_abi_calldata_symbolic_selector():
     assert evaluate(word0, {"function_id": 0xAABBCCDD}) >> 224 == 0xAABBCCDD
 
 
+def test_selector_word_folds_to_the_selector():
+    # SHR 224, and the older DIV 2^224 then AND 0xffffffff, of the first
+    # calldata word: the selector constant, or the symbolic selector term
+    # itself when the selector is open
+    def dispatch_forms(word):
+        return (tm.shr(word, tm.const(224)),
+                tm.bv_and(tm.udiv(word, tm.const(1 << 224)),
+                          tm.const(0xFFFFFFFF)))
+
+    sel = selector_of("withdraw()")
+    concrete = AbiCalldata(sel, "g").load_word(0)
+    assert dispatch_forms(concrete) == (tm.const(sel.value),) * 2
+    fid_low = tm.bv_and(tm.var("function_id"), tm.const(0xFFFFFFFF))
+    open_selector = AbiCalldata(None, "f")
+    assert open_selector.selector_word() is fid_low
+    assert all(t is fid_low for t in dispatch_forms(open_selector.load_word(0)))
+
+
 def test_term_calldata():
     cd = TermCalldata((tm.const(1), tm.var("b")))
     assert cd.byte_at(0).value == 1

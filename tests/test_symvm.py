@@ -67,6 +67,31 @@ def test_call_into_known_code_is_not_a_call_to_pair_on():
     assert contract.status is Status.BENIGN
 
 
+@pytest.mark.parametrize("load_selector", [
+    "PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR",
+    "PUSH29 0x0100000000000000000000000000000000000000000000000000000000"
+    " PUSH1 0 CALLDATALOAD DIV PUSH4 0xffffffff AND",
+])
+def test_dispatch_on_a_concrete_selector_asks_no_query(load_selector):
+    a, b, c = (selector_of(f"{name}()") for name in "abc")
+    code = Bytecode(assemble(f"""
+        {load_selector}
+        DUP1 PUSH4 {a.hex()} EQ PUSHL fa JUMPI
+        DUP1 PUSH4 {b.hex()} EQ PUSHL fb JUMPI
+        DUP1 PUSH4 {c.hex()} EQ PUSHL fc JUMPI
+        STOP
+        fa: JUMPDEST PUSH1 1 PUSH1 0 SSTORE STOP
+        fb: JUMPDEST PUSH1 2 PUSH1 0 SSTORE STOP
+        fc: JUMPDEST PUSH1 3 PUSH1 0 SSTORE STOP
+    """))
+    solver = Solver()
+    res = SymVM(solver).run_entry(code, AbiCalldata(b, "f"))
+    (end,) = res.completed
+    assert list(end.world.accounts["c0"].storage.values()) == [tm.const(2)]
+    assert end.path_condition is tm.TRUE
+    assert sum(solver.answers.values()) == 0
+
+
 # -- flags and call stack -----------------------------------------------------
 
 def test_callable_flag_inherited_past_the_call():
