@@ -367,14 +367,19 @@ class BitBlaster:
         out: list[Term] = []
         seen: set[int] = set()
         for root in roots:
-            found = self._cone_vars.get(root)
-            if found is None:
-                found = self._cone_vars[root] = self._walk(root)
-            for v in found:
+            for v in self.cone(root):
                 if id(v) not in seen:
                     seen.add(id(v))
                     out.append(v)
         return out
+
+    def cone(self, root: Term) -> tuple[Term, ...]:
+        """The variables in one root's cone, in the order of
+        :meth:`variables`; walked once per root."""
+        found = self._cone_vars.get(root)
+        if found is None:
+            found = self._cone_vars[root] = self._walk(root)
+        return found
 
     @staticmethod
     def _walk(root: Term) -> tuple[Term, ...]:

@@ -3,9 +3,11 @@
 :class:`Solver` lowers terms to gates (``bitblast``) and decides them with
 the in-tree CDCL engine (``sat``). It owns one gate store with one SAT
 instance, so each term is blasted, and each gate's clauses added, once per
-contract. A query whose constraints the store already shows contradictory
-is UNSAT with no search; any other query is solved in the instance under
-assumptions. Unknown results (budget exhausted or an unsupported operation)
+contract. A conjunct that a variable used nowhere else in the query can
+always make true is left out, and solved for that variable once the rest
+has a model. A query whose constraints the store already shows
+contradictory is UNSAT with no search; any other query is solved in the
+instance under assumptions. Unknown results (budget exhausted or an unsupported operation)
 are always surfaced, never coerced.
 """
 
@@ -19,7 +21,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitblast import BitBlaster, UnsupportedTermError
-from .terms import Term, band, bnot, conjuncts, evaluate
+from .terms import Term, band, bnot, conjuncts, evaluate, mask
 
 
 class SolverStatus(enum.Enum):
@@ -44,6 +46,83 @@ class IndeterminateEquivalence(Exception):
 
 RECENT_MODELS = 64  # models of the last searches, tried before a search
 
+# boolean ops that give the truth wanted by the choice of one operand,
+# whatever the others are, by the truths for which they do
+_ONTO_BOOL = {"bnot": (True, False), "eq": (True, False), "bor": (True,),
+              "band": (False,), "ult": (False,)}
+# bitvector ops that give any value wanted by the choice of one operand
+_ONTO = frozenset({"add", "sub", "xor", "not"})
+
+
+def _free_paths(root: Term) -> dict[Term, tuple[Term, int]]:
+    """The nodes that ``root`` reaches along one path only, through ops that
+    can always give the value the path needs, each mapped to its parent
+    and its index among the parent's arguments.
+
+    From the root down, that is: ``bnot``; ``bor`` where it must be true
+    and ``band`` where it must be false, through any operand; ``eq`` either
+    way and ``ult`` where it must be false, through either side; and below
+    those ``add``, ``sub``, ``xor`` and ``not``. A variable among the nodes
+    that occurs in no other conjunct can make ``root`` true whatever the
+    values of the others.
+    """
+    # every node once, each after all of its arguments
+    order: list[Term] = []
+    seen: set[Term] = set()
+    stack: list[tuple[Term, bool]] = [(root, False)]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            order.append(t)
+        elif t not in seen:
+            seen.add(t)
+            stack.append((t, True))
+            stack.extend((a, False) for a in t.args if a not in seen)
+    # paths from the root to each node, counted up to 2
+    paths = dict.fromkeys(order, 0)
+    paths[root] = 1
+    for t in reversed(order):
+        for a in t.args:
+            paths[a] = min(2, paths[a] + paths[t])
+
+    parents: dict[Term, tuple[Term, int]] = {}
+    todo: list[tuple[Term, bool]] = [(root, True)]  # node, the truth it needs
+    while todo:
+        t, want = todo.pop()
+        if t.op in _ONTO or want in _ONTO_BOOL.get(t.op, ()):
+            if t.op == "bnot":
+                want = not want
+            for i, a in enumerate(t.args):
+                if paths[a] == 1:
+                    parents[a] = (t, i)
+                    todo.append((a, want))
+    return parents
+
+
+def _preimage(t: Term, i: int, need: int, model: Mapping[str, int],
+              values: dict[Term, int]) -> int:
+    """A value of ``t``'s argument ``i`` that makes ``t`` come out ``need``,
+    the other arguments evaluated under ``model``; ``t`` is an op that
+    :func:`_free_paths` passes through."""
+    op = t.op
+    if op == "bnot":
+        return 1 - need
+    if op in ("bor", "band"):
+        return need
+    m = mask(t.args[i].width)
+    if op == "ult":  # false: the left side all ones, or the right side 0
+        return m if i == 0 else 0
+    if op == "not":
+        return ~need & m
+    other = evaluate(t.args[1 - i], model, values)
+    if op == "eq":
+        return other if need else (other + 1) & m
+    if op == "xor":
+        return need ^ other
+    if op == "add":
+        return (need - other) & m
+    return (need + other) & m if i == 0 else (other - need) & m  # sub
+
 
 class Solver:
     """Decides queries under a per-query time limit and remembers the answers.
@@ -52,12 +131,28 @@ class Solver:
     are joined into their interned conjunction by
     :func:`~reentscan.smt.terms.band`, which folds the query to ``FALSE``
     as soon as one conjunct is false. The query is answered from the memo,
-    else from a recent model, else by lowering each conjunct in the
-    solver's gate store (see ``bitblast``): if one lowers to constant
-    false, or two to complementary literals, it is UNSAT without a search;
-    otherwise it is solved in the store's one SAT instance, under its
-    conjuncts' literals as assumptions (see ``sat``). The empty query is
-    solved this way too.
+    else from a recent model. Else its conjuncts that a variable can always
+    make true are left out, and the rest goes through the same chain: the
+    memo, a recent model, and then lowering each conjunct in the solver's
+    gate store (see ``bitblast``): if one lowers to constant false, or two
+    to complementary literals, it is UNSAT without a search; otherwise it
+    is solved in the store's one SAT instance, under its conjuncts'
+    literals as assumptions (see ``sat``). The empty query is solved this
+    way too.
+
+    A conjunct is left out when it holds a variable ``x`` that no other
+    conjunct holds and that it reaches along one path of ops that can
+    always give the value needed (see :func:`_free_paths`), as SMT
+    preprocessors eliminate unconstrained terms (Bruttomesso et al., CAV
+    2007). Whatever the other variables are, some ``x`` makes it true, so
+    the query is SAT just when the rest is, and a model of the rest
+    becomes one of the query by solving each such conjunct for its ``x``,
+    top down; that model is checked against every conjunct, memoized
+    under the whole query and put in the ring. A conjunct left out is
+    never lowered, so one with an operation the store cannot lower no
+    longer makes its query Unknown. The solvency sums at the end of a
+    path are such conjuncts, an account's initial balance being their
+    ``x``.
 
     The ring holds the models of the last :data:`RECENT_MODELS` searches,
     KLEE's counterexample cache. A model that satisfies the query, unbound
@@ -87,17 +182,19 @@ class Solver:
     each variable's first bit in that order, the conjuncts are evaluated on
     the bits the search has assigned, every other bit read as 0, and if
     they hold, that is the model the rest of the walk would reach (see
-    ``sat``). A ring model is never taken for it, and after a search that
-    conflicted, further solves find it (``SatSolver.minimize``) within a
-    deadline of their own. So a witness depends only on the query, and not
-    on what the contract asked before it. If minimizing runs out of time,
-    the model :meth:`check_sat` gave is kept: a decided SAT never becomes
-    Unknown.
+    ``sat``). A ring model, or one a query with conjuncts left out was
+    given, is never taken for it: the whole query is solved again, and
+    after a search that conflicted, further solves find it
+    (``SatSolver.minimize``) within a deadline of their own. So a witness
+    depends only on the query, and not on what the contract asked before
+    it. If minimizing runs out of time, the model :meth:`check_sat` gave
+    is kept: a decided SAT never becomes Unknown.
 
-    :attr:`answers` counts each query asked by the place that answered it:
-    ``memo``, ``ring``, ``refuted`` (contradictory in the store), ``solved``
-    (decided by a search), ``timeout`` (out of time) or ``unsupported`` (a
-    constraint the store cannot lower).
+    :attr:`answers` counts each query asked by the place that answered it,
+    or answered the rest of it: ``memo``, ``ring``, ``refuted``
+    (contradictory in the store), ``solved`` (decided by a search),
+    ``timeout`` (out of time) or ``unsupported`` (a constraint the store
+    cannot lower). :attr:`dropped` counts the conjuncts left out.
     :attr:`sat_stats` gives the totals of the SAT instance; its
     ``completions`` are the searches that the check above ended.
     """
@@ -111,19 +208,81 @@ class Solver:
         # memoized SAT keys whose model is the least one
         self._least: set[Term] = set()
         self._blaster = BitBlaster()
+        # per conjunct, its variables that can always make it true, in cone
+        # order, and the paths from it to them (see _free_paths)
+        self._free: dict[Term, tuple[list[Term], dict[Term, tuple[Term, int]]]] = {}
         # how each query was answered; the counts sum to the queries asked
         self.answers: Counter[str] = Counter()
+        self.dropped = 0  # conjuncts left out of the queries they were in
 
     def check_sat(self, constraints: Iterable[Term]) -> SolverVerdict:
         start = time.monotonic()
         key = band(constraints)
+        known = self._known(key)
+        if known is None:
+            kept, dropped = self._split(conjuncts(key))
+            if dropped:
+                known = self._reduced(key, band(kept), dropped, start)
+            else:
+                known = self._settle(key, start)
+        model = dict(known.model) if known.model is not None else None
+        return SolverVerdict(known.status, model)
+
+    def _known(self, key: Term) -> SolverVerdict | None:
+        """The memo's answer to ``key``, else a recent model's, if any."""
         known = self._memo.get(key)
         if known is not None:
             self.answers["memo"] += 1
-        else:
-            known = self._recent(key) or self._settle(key, start)
-        model = dict(known.model) if known.model is not None else None
-        return SolverVerdict(known.status, model)
+            return known
+        return self._recent(key)
+
+    def _split(self, flat: tuple[Term, ...]
+               ) -> tuple[list[Term], list[tuple[Term, Term]]]:
+        """The conjuncts to keep, and those to drop, each with the variable
+        that can always make it true: the first in its cone order that
+        :func:`_free_paths` reaches and that no other conjunct holds."""
+        cones = [self._blaster.cone(c) for c in flat]
+        uses = Counter(v for cone in cones for v in cone)
+        kept: list[Term] = []
+        dropped: list[tuple[Term, Term]] = []
+        for c, cone in zip(flat, cones):
+            free = self._free.get(c)
+            if free is None:
+                parents = _free_paths(c)
+                free = self._free[c] = ([v for v in cone if v in parents], parents)
+            x = next((v for v in free[0] if uses[v] == 1), None)
+            if x is None:
+                kept.append(c)
+            else:
+                dropped.append((c, x))
+        return kept, dropped
+
+    def _reduced(self, key: Term, rest: Term, dropped: list[tuple[Term, Term]],
+                 start: float) -> SolverVerdict:
+        """Answer ``key`` by ``rest``, its conjuncts less those ``dropped``:
+        a model of ``rest`` becomes one of ``key`` by solving each dropped
+        conjunct for its variable. A decided answer is memoized under
+        ``key``, and a model enters the ring."""
+        self.dropped += len(dropped)
+        known = self._known(rest) or self._settle(rest, start)
+        if known.is_sat:
+            model = dict(known.model)
+            values: dict[Term, int] = {}
+            for c, x in dropped:
+                parents = self._free[c][1]
+                path = [x]
+                while path[-1] is not c:
+                    path.append(parents[path[-1]][0])
+                need = 1
+                for node in reversed(path[:-1]):
+                    need = _preimage(*parents[node], need, model, values)
+                model[x.name] = need
+            self._verify_model(conjuncts(key), model)
+            known = SolverVerdict(SolverStatus.SAT, model)
+            self._remember(model)
+        if known.status is not SolverStatus.UNKNOWN:
+            self._memo[key] = known
+        return known
 
     def _recent(self, key: Term) -> SolverVerdict | None:
         """SAT with the most recent ring model that satisfies ``key``, if any."""
@@ -144,10 +303,11 @@ class Solver:
         """:meth:`check_sat` with the least model, for a witness, and
         whether the model handed out is the least one.
 
-        A SAT model not known to be least (one from a ring model or a
-        search that conflicted) is minimized within a deadline of its own
-        (see :meth:`_minimize`); when that runs out, the model
-        :meth:`check_sat` gave is handed out and the flag is False.
+        A SAT model not known to be least (one from a ring model, a search
+        that conflicted or a query with conjuncts left out) is minimized
+        within a deadline of its own (see :meth:`_minimize`); when that
+        runs out, the model :meth:`check_sat` gave is handed out and the
+        flag is False.
         """
         key = band(constraints)
         verdict = self.check_sat([key])
@@ -191,9 +351,13 @@ class Solver:
         if not result:
             return SolverVerdict(SolverStatus.UNSAT, None)
         model = self._model(flat, variables)
+        self._remember(model)
+        return SolverVerdict(SolverStatus.SAT, model)
+
+    def _remember(self, model: dict[str, int]) -> None:
+        """Put ``model`` first in the ring, with no values evaluated yet."""
         self._models.appendleft(model)
         self._values.appendleft({})
-        return SolverVerdict(SolverStatus.SAT, model)
 
     def _minimize(self, key: Term) -> dict[str, int] | None:
         """Memoize and return the least model of ``key``, a SAT query whose
@@ -273,18 +437,26 @@ class Solver:
         """Model-set equality of two constraint conjunctions.
 
         Decided by refuting both directed differences; raises
-        :class:`IndeterminateEquivalence` if either query is Unknown.
+        :class:`IndeterminateEquivalence` if either query is Unknown. Each
+        difference negates only the conjuncts its own side lacks: ``a``
+        already asserts those the two share, so ``a ∧ ¬b`` is ``a ∧ ¬(b ∖
+        a)``, and a variable only the shared conjuncts hold stays in one
+        conjunct of the query.
         """
         a = band(left)
         b = band(right)
-        if frozenset(conjuncts(a)) == frozenset(conjuncts(b)):
-            return True
-        forward = self.check_sat([a, bnot(b)]).status
+        forward = self.check_sat([a, bnot(self._beyond(b, a))]).status
         if forward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("left minus right undecided")
         if forward is SolverStatus.SAT:
             return False
-        backward = self.check_sat([b, bnot(a)]).status
+        backward = self.check_sat([b, bnot(self._beyond(a, b))]).status
         if backward is SolverStatus.UNKNOWN:
             raise IndeterminateEquivalence("right minus left undecided")
         return backward is SolverStatus.UNSAT
+
+    @staticmethod
+    def _beyond(a: Term, b: Term) -> Term:
+        """The conjunction of ``a``'s conjuncts that ``b`` lacks."""
+        shared = set(conjuncts(b))
+        return band(c for c in conjuncts(a) if c not in shared)

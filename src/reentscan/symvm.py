@@ -319,12 +319,13 @@ class SymVM:
                 calldata=TermCalldata(m.mbytes(in_off_v, in_size_v))), out=out)
         m.grow(in_off_v, in_size_v)
         fork = False
-        if target.code is None and block.ext_call_target is None:
-            # the first call to unknown code on this path; with g's to pick,
-            # the attacker dummy returns at once on one side of a fork and
-            # calls back into the victim with a g of its choice on the others
-            block.ext_call_target = to
-            fork = bool(block.pending_g)
+        if target.code is None:
+            if block.ext_call_target is None:
+                block.ext_call_target = to  # g's caller at NEXT_TX
+            # with g's to pick and no re-entry yet, the attacker dummy
+            # returns at once on one side of a fork and calls back into the
+            # victim with a g of its choice on the others
+            fork = bool(block.pending_g) and not block.reentered
         # empty deployed code, or unknown code that returns at once:
         # succeeds without running anything
         resumed = m.clone() if fork else m

@@ -27,6 +27,7 @@ from reentscan.smt import (
     UnsupportedTermError,
     band,
     bnot,
+    bor,
     bv_add,
     bv_and,
     bv_mul,
@@ -973,9 +974,10 @@ def test_ring_evaluates_only_the_added_constraint(monkeypatch):
     solver = Solver()
     x = var("x", 8)
     # the ring holds x = 2, x = 1, x = 0, in that order; each query misses
-    # the ring, and pins x by a term the checks below do not evaluate
+    # the ring, and pins x by a term the checks below do not evaluate and
+    # that x, used once, cannot be left to satisfy (a product is not one)
     for v in (0, 1, 2):
-        solver.check_sat([eq(bv_add(x, const(1, 8)), const(v + 1, 8))])
+        solver.check_sat([eq(bv_mul(x, const(3, 8)), const(3 * v, 8))])
     assert solver.answers == Counter(solved=3)
     below = ult(x, const(3, 8))
     # tried under every ring model: x = 2 and x = 1 fail, x = 0 holds
@@ -1539,11 +1541,13 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     solver.check_sat([c, ult(x, const(250, 8))])                # ring
     solver.check_sat([c, bnot(c)])                              # refuted
     solver.check_sat([c, eq(bv_mul(x, y), const(6, 8))])        # unsupported
+    solver.check_sat([c, eq(y, const(7, 8))])                   # memo: c
     solver.timeout = 0
     solver.check_sat([ult(x, y)])                               # timeout
-    assert solver.answers == Counter(solved=2, memo=1, ring=2, refuted=1,
+    assert solver.answers == Counter(solved=2, memo=2, ring=2, refuted=1,
                                      unsupported=1, timeout=1)
-    assert solver.asked == 8
+    assert solver.asked == 9
+    assert solver.dropped == 1
     # and over a whole contract's discovery and pairs
     solvers = []
 
@@ -1556,7 +1560,10 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     verifier.analyze([("token", Bytecode(bytes.fromhex(code)), "fixture")])
     (solver,) = solvers
     assert solver.asked == sum(solver.answers.values()) > 0
-    assert solver.answers == Counter(memo=10, ring=45, refuted=12, solved=18)
+    # an equivalence of two equal conditions asks a ∧ FALSE, refuted once
+    # and a memo hit after
+    assert solver.answers == Counter(memo=30, ring=45, refuted=13, solved=17)
+    assert solver.dropped == 7
 
 
 def test_variable_bits_are_keyed_by_name_and_width():
@@ -1591,8 +1598,10 @@ def test_deep_terms_blast_without_recursion(completion_checks):
     for i in range(1, 1500):
         chain = bv_xor(chain, var(f"x{i}", 8))
     solver = Solver()
-    verdict = solver.check_sat([eq(chain, const(5, 8))])
-    assert verdict.is_sat
+    # least_model, since check_sat leaves out a conjunct that one of its
+    # variables, used once, can always make true
+    verdict, least = solver.least_model([eq(chain, const(5, 8))])
+    assert verdict.is_sat and least and solver.dropped == 1
     assert evaluate(chain, verdict.model) == 5
     # 1,500 stops, and no order bit turns true before the last one: the
     # completion check is asked at the first stop alone
@@ -1603,10 +1612,11 @@ def test_deep_terms_blast_without_recursion(completion_checks):
 
 def test_completion_is_asked_again_once_an_order_bit_turns_true(completion_checks):
     # x's bits are decided false, propagation sets some of y's true: asked
-    # again before z's first decision, where it ends the search
+    # again before z's first decision, where it ends the search. An or is
+    # not always made true by one operand, so no conjunct is left out
     x, y, z = var("x", 8), var("y", 8), var("z", 8)
     solver = Solver()
-    query = [eq(bv_add(x, y), const(5, 8)), ult(z, const(9, 8))]
+    query = [eq(bv_or(x, y), const(5, 8)), ult(z, const(9, 8))]
     assert solver.check_sat(query).model == {"x": 0, "y": 5, "z": 0}
     assert completion_checks == [False, True]
     assert solver.sat_stats["completions"] == 1
@@ -1620,3 +1630,196 @@ def test_evaluate_matches_solver_on_point_constraints(v):
     verdict = solver.check_sat([eq(x, const(v))])
     assert verdict.is_sat
     assert verdict.model["x"] == v
+
+
+# -- conjuncts that a variable used once can always make true ------------------
+
+X8, Y8 = var("x", 8), var("y", 8)
+ABOVE_200 = ult(const(200, 8), Y8)  # holds y in a second conjunct
+
+# one conjunct per op and polarity the elimination passes through; only x
+# is in no other conjunct
+ONCE_USED = {
+    "eq": eq(X8, Y8),
+    "eq false": bnot(eq(X8, Y8)),
+    "ult false, x left": bnot(ult(X8, Y8)),
+    "ult false, x right": bnot(ult(Y8, X8)),
+    "bor true": bor([eq(X8, Y8), ult(Y8, const(3, 8))]),
+    "band false": bnot(band([eq(X8, Y8), ult(const(3, 8), Y8)])),
+    "add, x left": eq(bv_add(X8, Y8), const(7, 8)),
+    "add, x right": eq(bv_add(Y8, X8), const(7, 8)),
+    "sub, x left": eq(bv_sub(X8, Y8), const(7, 8)),
+    "sub, x right": eq(bv_sub(Y8, X8), const(7, 8)),
+    "xor": eq(bv_xor(X8, Y8), const(7, 8)),
+    "not": eq(bv_not(X8), Y8),
+    "nested": bnot(ult(bv_sub(Y8, bv_not(bv_xor(Y8, bv_add(X8, Y8)))), Y8)),
+}
+
+
+@pytest.mark.parametrize("case", ONCE_USED)
+def test_conjunct_a_once_used_variable_satisfies_is_dropped(case):
+    c = ONCE_USED[case]
+    query = [c, ABOVE_200]
+    solver = Solver()
+    verdict = solver.check_sat(query)
+    assert verdict.is_sat and solver.dropped == 1
+    assert all(evaluate(t, verdict.model) == 1 for t in query)
+    assert c not in solver._blaster._memo  # never bit-blasted
+    # memoized under the whole query, and the model enters the ring
+    assert solver._memo[band(query)] == verdict
+    assert solver._models[0] == verdict.model
+
+
+NOT_DROPPED = {
+    "in two conjuncts": [eq(bv_add(X8, Y8), const(7, 8)), ult(X8, Y8)],
+    "twice in one": [eq(bv_add(X8, X8), Y8), ABOVE_200],
+    "twice through a bor": [bor([eq(X8, Y8), eq(X8, const(3, 8))]), ABOVE_200],
+    "under ite": [eq(ite(ult(Y8, const(3, 8)), Y8, X8), const(7, 8)), ABOVE_200],
+    "under and": [eq(bv_and(X8, Y8), const(8, 8)), ABOVE_200],
+    "under shr": [eq(shr(X8, const(1, 8)), Y8), ult(Y8, const(9, 8))],
+    "under mul": [eq(bv_mul(X8, const(3, 8)), Y8), ABOVE_200],
+    "ult true": [ult(X8, Y8), ABOVE_200],
+    "bor false": [bnot(bor([eq(X8, Y8), ult(Y8, const(3, 8))])), ABOVE_200],
+    "band true": [bor([band([eq(X8, Y8), ult(Y8, const(3, 8))]),
+                       ult(const(250, 8), Y8)]), ABOVE_200],
+}
+
+
+@pytest.mark.parametrize("case", NOT_DROPPED)
+def test_conjunct_a_variable_cannot_always_satisfy_is_kept(case):
+    query = NOT_DROPPED[case]
+    solver = Solver()
+    verdict = solver.check_sat(query)
+    assert solver.dropped == 0
+    assert verdict.is_sat
+    assert all(evaluate(t, verdict.model) == 1 for t in query)
+
+
+def test_reduced_query_unsat_makes_the_query_unsat():
+    query = [eq(bv_add(X8, Y8), const(7, 8)), ult(Y8, const(3, 8)),
+             ult(const(5, 8), Y8)]
+    solver = Solver()
+    verdict = solver.check_sat(query)
+    assert verdict == SolverVerdict(SolverStatus.UNSAT, None)
+    assert solver.dropped == 1 and solver.answers == Counter(solved=1)
+    assert solver._memo[band(query)] == verdict
+    assert solver.check_sat(query) == verdict
+    assert solver.answers == Counter(solved=1, memo=1)
+
+
+def test_dropped_conjunct_with_an_op_the_store_cannot_lower_is_decided():
+    # x + y*z == 6 is true for x = 6 - y*z whatever y and z: the product
+    # is evaluated, never lowered
+    z = var("z", 8)
+    product = eq(bv_add(X8, bv_mul(Y8, z)), const(6, 8))
+    solver = Solver()
+    verdict = solver.check_sat([product, ult(const(3, 8), Y8)])
+    assert verdict.is_sat and solver.dropped == 1
+    assert evaluate(product, verdict.model) == 1
+    # the same product where no variable is used once stays Unknown
+    assert solver.check_sat([product, ult(X8, Y8), ult(const(3, 8), z)]).status \
+        is SolverStatus.UNKNOWN
+
+
+def test_equal_conditions_are_equivalent_through_a_refuted_query():
+    a, b = ult(const(3, 8), X8), ult(X8, Y8)
+    solver = Solver()
+    assert solver.check_equivalence([a, b], [b, a])
+    assert solver.answers == Counter(refuted=1, memo=1)  # a ∧ FALSE, twice
+
+
+def test_equivalence_leaves_out_the_shared_conjuncts():
+    # the solvency conjunct holds bal and pay and nothing else does, once
+    # it is no longer negated on the other side too
+    bal, pay, v = var("bal"), var("pay"), var("v")
+    solvent = bnot(ult(bv_add(bal, v), pay))
+    solver = Solver()
+    assert solver.check_equivalence([solvent, ult(const(0), v)],
+                                    [solvent, bnot(ult(v, const(1)))])
+    assert solver.dropped == 2
+    assert not solver.check_equivalence([solvent, ult(const(1), v)],
+                                        [solvent, ult(const(0), v)])
+
+
+_W3 = (1 << 3) - 1
+_ORACLE_VARS = [var(name, 3) for name in "abcd"]
+# every assignment of the four 3-bit variables, a first
+_ORACLE_ENV = {v.name: [(k >> (3 * i)) & _W3 for k in range(1 << 12)]
+               for i, v in enumerate(reversed(_ORACLE_VARS))}
+_ORACLE_OPS = {
+    "add": lambda a, b: (a + b) & _W3, "sub": lambda a, b: (a - b) & _W3,
+    "mul": lambda a, b: (a * b) & _W3, "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b,
+    "not": lambda a: ~a & _W3,
+    "shl": lambda a, b: (a << b) & _W3 if b < 3 else 0,
+    "shr": lambda a, b: a >> b if b < 3 else 0,
+    "ite": lambda c, a, b: a if c else b,
+    "eq": lambda a, b: int(a == b), "ult": lambda a, b: int(a < b),
+    "bnot": lambda a: 1 - a, "band": lambda *a: int(all(a)),
+    "bor": lambda *a: int(any(a)),
+}
+
+
+def _column(t, memo):
+    """``t``'s value under every assignment of the four variables."""
+    if t not in memo:
+        if t.op == "const":
+            memo[t] = [t.value] * (1 << 12)
+        elif t.op == "var":
+            memo[t] = _ORACLE_ENV[t.name]
+        else:
+            fn = _ORACLE_OPS[t.op]
+            memo[t] = list(map(fn, *(_column(a, memo) for a in t.args)))
+    return memo[t]
+
+
+def _oracle_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.8:
+            return rng.choice(_ORACLE_VARS)
+        return const(rng.randrange(8), 3)
+    a, b = _oracle_term(rng, depth - 1), _oracle_term(rng, depth - 1)
+    op = rng.choice(["add", "sub", "xor", "not", "and", "or", "mul", "shr",
+                     "shl", "ite"])
+    if op == "not":
+        return bv_not(a)
+    if op == "mul":
+        return bv_mul(a, const(rng.randrange(8), 3))
+    if op == "ite":
+        return ite(ult(a, b), b, a)
+    build = {"add": bv_add, "sub": bv_sub, "xor": bv_xor, "and": bv_and,
+             "or": bv_or, "shr": shr, "shl": shl}[op]
+    return build(a, b)
+
+
+def _oracle_conjunct(rng):
+    a, b = _oracle_term(rng, 2), _oracle_term(rng, 2)
+    c = rng.choice([eq, ult, lambda p, q: bnot(eq(p, q)),
+                    lambda p, q: bnot(ult(p, q))])(a, b)
+    shape = rng.random()
+    if shape < 0.15:
+        return bor([c, _oracle_conjunct(rng)])
+    if shape < 0.3:
+        return bnot(band([c, _oracle_conjunct(rng)]))
+    return c
+
+
+def test_elimination_against_enumeration():
+    # 4 variables of 3 bits in 2-4 conjuncts: most queries hold some
+    # variable once, and check_sat must agree with all 4,096 assignments
+    rng = random.Random(26)
+    solver = Solver()
+    memo = {}
+    seen = Counter()
+    for _ in range(300):
+        query = [_oracle_conjunct(rng) for _ in range(rng.randint(2, 4))]
+        holds = [all(bits) for bits in zip(*(_column(c, memo) for c in query))]
+        dropped = solver.dropped
+        verdict = solver.check_sat(query)
+        assert verdict.status is (SolverStatus.SAT if any(holds)
+                                  else SolverStatus.UNSAT), query
+        if verdict.is_sat:
+            assert all(evaluate(c, verdict.model) == 1 for c in query)
+        seen[verdict.status, solver.dropped > dropped] += 1
+    # both answers came with conjuncts left out and without
+    assert len(seen) == 4, seen

@@ -322,6 +322,18 @@ def test_empty_sequential_side_leaves_verdict_to_reentrant_side():
     assert evaluate(cond, result.witness) == 1
 
 
+def test_attacker_may_re_enter_at_a_later_call_to_unknown_code():
+    # withdraw first notifies the caller with an empty call, then pays:
+    # the attacker lets the notification return and re-enters at the
+    # payout, before the balance is zeroed
+    notify = "PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 CALLER GAS CALL POP"
+    (contract,) = analyze([("probe", fund_probe(before_read=notify),
+                            "test")]).contracts
+    (pair,) = contract.pairs
+    assert pair.status is Status.VULNERABLE
+    assert (pair.paths_I, pair.paths_C) == (2, 3)
+
+
 @pytest.mark.parametrize("C, status", [
     ([], Status.BENIGN),
     ([tm.ult(tm.var("x"), tm.const(5))], Status.VULNERABLE),
