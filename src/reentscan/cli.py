@@ -67,7 +67,7 @@ def _gather_targets(args: argparse.Namespace) -> list[Target]:
 
 
 def _summary(report: AnalysisReport) -> str:
-    rows = [("contract", "benign functions", "vulnerable functions", "status")]
+    rows = [("contract", "benign pairs", "vulnerable pairs", "status")]
     for contract in report.contracts:
         benign = sum(p.status is Status.BENIGN for p in contract.pairs)
         vulnerable = sum(p.status is Status.VULNERABLE for p in contract.pairs)

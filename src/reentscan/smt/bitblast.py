@@ -20,12 +20,11 @@ so is each bit of an unsigned comparison, the borrow of a subtraction. So a
 propagation sets a carry or borrow as soon as two of its operands agree,
 whatever the third.
 
-The store's gate cache is structural hashing: the same gate over the same
-operands is one literal, and a root's negation lowers to its literal negated.
-So :meth:`BitBlaster.refutes` can see that a query's roots contradict each
-other, one constant false or two complementary, before any search, as
-AIG-based equivalence checkers do before calling SAT (Kuehlmann et al., IEEE
-TCAD 2002).
+The gate caches are structural hashing: the same gate over the same
+operands is one literal, and a root's negation lowers to its literal
+negated. So roots that contradict each other only as gates, an add's
+operands commuted, say, lower to constant false or to complementary
+literals, and the search ends UNSAT as it places them, before any decision.
 """
 
 from __future__ import annotations
@@ -343,16 +342,6 @@ class BitBlaster:
         if op == "bor":
             return self.g_or_many([self.blast_bool(a) for a in term.args])
         raise UnsupportedTermError(f"boolean op {op!r}")
-
-    def refutes(self, roots: Iterable[Term]) -> bool:
-        """Whether the store alone shows the roots contradictory: one lowers
-        to constant false, or two lower to complementary literals.
-
-        Lowers every root first, so an unsupported root raises
-        :class:`UnsupportedTermError` whatever the others lower to.
-        """
-        lits = {self.blast_bool(root) for root in roots}
-        return -TRUE_LIT in lits or any(-lit in lits for lit in lits)
 
     # -- queries --------------------------------------------------------------
 

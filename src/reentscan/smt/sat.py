@@ -7,9 +7,12 @@ literals, which it decides first, one decision level each, and an order: the
 only variables it decides on besides. That is MiniSat's incremental interface
 (Eén and Sörensson, "An Extensible SAT-solver", SAT 2003). It returns
 True/False for sat/unsat under the assumptions and None when the time runs
-out. A SAT answer leaves its assignment in place for :meth:`model_value`
-until the next clause or solve. Learnt clauses are kept: they follow from the
-clauses alone, so they hold for every later query.
+out. Time is checked before each decision, not before an assumption: a
+query whose assumptions refute themselves, one false or two complementary,
+is UNSAT whatever time is left. A SAT answer leaves its assignment in place
+for :meth:`model_value` until the next clause or solve. Learnt clauses are
+kept: they follow from the clauses alone, so they hold for every later
+query.
 
 Decisions over the order go in two phases. Until the solve's first conflict,
 a cursor walks the order and sets each unassigned variable false. So a
@@ -665,10 +668,6 @@ class SatSolver:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
-            elif deadline is not None and time.monotonic() > deadline:
-                # checked before every assumption and decision, so a search
-                # out of time stops there whatever propagation settled
-                return None
             elif len(trail_lim) < len(assumptions):
                 # the next assumption, on a level of its own even if it holds
                 lit = assumptions[len(trail_lim)]
@@ -678,6 +677,11 @@ class SatSolver:
                 trail_lim.append(len(trail))
                 if value == 0:
                     self._enqueue(lit, 0)
+            elif deadline is not None and time.monotonic() > deadline:
+                # checked before every decision, so a search out of time
+                # stops there whatever propagation settled; assumptions that
+                # refute themselves end it UNSAT first
+                return None
             else:
                 lit = self._decide()
                 if lit == 0:

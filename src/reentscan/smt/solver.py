@@ -5,10 +5,9 @@ the in-tree CDCL engine (``sat``). It owns one gate store with one SAT
 instance, so each term is blasted, and each gate's clauses added, once per
 contract. A conjunct that a variable used nowhere else in the query can
 always make true is left out, and solved for that variable once the rest
-has a model. A query whose constraints the store already shows
-contradictory is UNSAT with no search; any other query is solved in the
-instance under assumptions. Unknown results (budget exhausted or an unsupported operation)
-are always surfaced, never coerced.
+has a model. The rest is solved in the instance under assumptions.
+Unknown results (budget exhausted or an unsupported operation) are always
+surfaced, never coerced.
 """
 
 from __future__ import annotations
@@ -130,15 +129,16 @@ class Solver:
     Every query takes one path through :meth:`check_sat`. Its constraints
     are joined into their interned conjunction by
     :func:`~reentscan.smt.terms.band`, which folds the query to ``FALSE``
-    as soon as one conjunct is false. The query is answered from the memo,
-    else from a recent model. Else its conjuncts that a variable can always
-    make true are left out, and the rest goes through the same chain: the
-    memo, a recent model, and then lowering each conjunct in the solver's
-    gate store (see ``bitblast``): if one lowers to constant false, or two
-    to complementary literals, it is UNSAT without a search; otherwise it
-    is solved in the store's one SAT instance, under its conjuncts'
-    literals as assumptions (see ``sat``). The empty query is solved this
-    way too.
+    as soon as one conjunct is false or the negation of another. The query
+    is answered from the memo, else from a recent model. Else its
+    conjuncts that a variable can always make true are left out, and the
+    rest goes through the same chain: the memo, a recent model, and then a
+    search in the store's one SAT instance, under its conjuncts' lowered
+    literals as assumptions (see ``bitblast`` and ``sat``). A conjunct
+    that lowers to constant false, or two that lower to complementary
+    literals (an add's operands commuted, say), end that search UNSAT as
+    its assumptions are placed: before any decision, and whatever time is
+    left. The empty query is solved this way too.
 
     A conjunct is left out when it holds a variable ``x`` that no other
     conjunct holds and that it reaches along one path of ops that can
@@ -166,8 +166,8 @@ class Solver:
     again is tried on the ring again.
 
     A search's SAT answer carries the model it ended at, checked against
-    the constraints. Decided answers of a search or the store are memoized
-    by the interned conjunction, which keeps its conjuncts in order: the
+    the constraints. Decided answers of a search are memoized by the
+    interned conjunction, which keeps its conjuncts in order: the
     same constraints in another order may solve to another model, so a set
     would not do as the key. Unknown is never memoized, and every model
     handed out is a fresh copy. One instance serves one contract, so the
@@ -178,23 +178,22 @@ class Solver:
     it: the least assignment to the bits of the query's variables, read in
     the order the query first reaches them (the roots in turn, each term's
     arguments in order), each variable LSB first, with the first bit
-    highest. A search without a conflict ends at it, and often early: at
-    each variable's first bit in that order, the conjuncts are evaluated on
-    the bits the search has assigned, every other bit read as 0, and if
-    they hold, that is the model the rest of the walk would reach (see
-    ``sat``). A ring model, or one a query with conjuncts left out was
-    given, is never taken for it: the whole query is solved again, and
-    after a search that conflicted, further solves find it
-    (``SatSolver.minimize``) within a deadline of their own. So a witness
-    depends only on the query, and not on what the contract asked before
-    it. If minimizing runs out of time, the model :meth:`check_sat` gave
-    is kept: a decided SAT never becomes Unknown.
+    highest. Whatever model :meth:`check_sat` gave, from the ring, a
+    query with conjuncts left out or a search, the whole query is solved
+    again for it within a deadline of its own. A search without a conflict
+    ends at the least model, and often early: at each variable's first bit
+    in that order, the conjuncts are evaluated on the bits the search has
+    assigned, every other bit read as 0, and if they hold, that is the
+    model the rest of the walk would reach (see ``sat``). After a search
+    that conflicted, further solves find it (``SatSolver.minimize``). So a
+    witness depends only on the query, and not on what the contract asked
+    before it. If minimizing runs out of time, the model :meth:`check_sat`
+    gave is kept: a decided SAT never becomes Unknown.
 
     :attr:`answers` counts each query asked by the place that answered it,
-    or answered the rest of it: ``memo``, ``ring``, ``refuted``
-    (contradictory in the store), ``solved`` (decided by a search),
-    ``timeout`` (out of time) or ``unsupported`` (a constraint the store
-    cannot lower). :attr:`dropped` counts the conjuncts left out.
+    or answered the rest of it: ``memo``, ``ring``, ``solved`` (decided by
+    a search), ``timeout`` (out of time) or ``unsupported`` (a constraint
+    the store cannot lower). :attr:`dropped` counts the conjuncts left out.
     :attr:`sat_stats` gives the totals of the SAT instance; its
     ``completions`` are the searches that the check above ended.
     """
@@ -205,8 +204,6 @@ class Solver:
         self._models: deque[dict[str, int]] = deque(maxlen=RECENT_MODELS)
         # per ring model, the values of the terms evaluated under it
         self._values: deque[dict[Term, int]] = deque(maxlen=RECENT_MODELS)
-        # memoized SAT keys whose model is the least one
-        self._least: set[Term] = set()
         self._blaster = BitBlaster()
         # per conjunct, its variables that can always make it true, in cone
         # order, and the paths from it to them (see _free_paths)
@@ -303,15 +300,13 @@ class Solver:
         """:meth:`check_sat` with the least model, for a witness, and
         whether the model handed out is the least one.
 
-        A SAT model not known to be least (one from a ring model, a search
-        that conflicted or a query with conjuncts left out) is minimized
-        within a deadline of its own (see :meth:`_minimize`); when that
-        runs out, the model :meth:`check_sat` gave is handed out and the
-        flag is False.
+        A SAT answer is solved again for its least model within a deadline
+        of its own (see :meth:`_minimize`); when that runs out, the model
+        :meth:`check_sat` gave is handed out and the flag is False.
         """
         key = band(constraints)
         verdict = self.check_sat([key])
-        if verdict.is_sat and key not in self._least:
+        if verdict.is_sat:
             least = self._minimize(key)
             if least is None:
                 return verdict, False
@@ -320,27 +315,19 @@ class Solver:
 
     def _settle(self, key: Term, start: float) -> SolverVerdict:
         """Solve ``key`` and memoize a decided answer."""
-        conflicts = self._blaster.sat.conflicts
         verdict = self._solve(conjuncts(key), start)
         if verdict.status is not SolverStatus.UNKNOWN:
             self._memo[key] = verdict
-            if verdict.is_sat and self._blaster.sat.conflicts == conflicts:
-                self._least.add(key)
         return verdict
 
     def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
         """Decide the conjuncts by one search; a model found enters the ring."""
         unknown = SolverVerdict(SolverStatus.UNKNOWN, None)
         try:
-            refuted = self._blaster.refutes(flat)
+            assumptions, variables, order = self._lower(flat)
         except UnsupportedTermError:
             self.answers["unsupported"] += 1
             return unknown
-        if refuted:
-            self.answers["refuted"] += 1
-            return SolverVerdict(SolverStatus.UNSAT, None)
-
-        assumptions, variables, order = self._lower(flat)
         result = self._blaster.sat.solve(
             assumptions, order, start + self.timeout,
             *self._completion(flat, variables))
@@ -360,9 +347,8 @@ class Solver:
         self._values.appendleft({})
 
     def _minimize(self, key: Term) -> dict[str, int] | None:
-        """Memoize and return the least model of ``key``, a SAT query whose
-        model is not known to be least; None when the deadline of its own
-        runs out first.
+        """Memoize and return the least model of ``key``, a SAT query; None
+        when the deadline of its own runs out first.
 
         The query is solved in the instance. A search that meets no
         conflict ends at the least model; after one that does, further
@@ -381,12 +367,12 @@ class Solver:
             return None
         model = self._model(flat, variables)
         self._memo[key] = SolverVerdict(SolverStatus.SAT, model)
-        self._least.add(key)
         return model
 
     def _lower(self, flat: tuple[Term, ...]) -> tuple[list[int], list[Term], list[int]]:
         """The query's assumption literals, its variables, and their bits
-        in the order the query first reaches them."""
+        in the order the query first reaches them; raises
+        :class:`UnsupportedTermError` if a conjunct does not lower."""
         blaster = self._blaster
         assumptions = [blaster.assert_true(c) for c in flat]
         variables = blaster.variables(flat)

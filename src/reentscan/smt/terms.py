@@ -425,10 +425,12 @@ def bnot(a: Term) -> Term:
 
 def band(terms: Iterable[Term]) -> Term:
     """The conjunction of ``terms``: conjuncts flattened in order, each
-    once, true ones dropped, and ``FALSE`` as soon as one is false. Terms
-    are interned, so ``band([t]) is t`` for any boolean ``t``."""
-    flat: list[Term] = []
-    seen: set[Term] = set()
+    once, true ones dropped, and ``FALSE`` as soon as one is false or one
+    is the negation of another. Terms are interned, so ``band([t]) is t``
+    for any boolean ``t``."""
+    # each conjunct's atom, the conjunct less an outer bnot, to the
+    # conjunct: its one polarity, since the other makes the whole FALSE
+    seen: dict[Term, Term] = {}
     for t in terms:
         if not t.is_bool:
             raise ValueError("band expects booleans")
@@ -438,14 +440,13 @@ def band(terms: Iterable[Term]) -> Term:
                 if not item.value:
                     return FALSE
                 continue
-            if item not in seen:
-                seen.add(item)
-                flat.append(item)
-    if not flat:
+            atom = item.args[0] if item.op == "bnot" else item
+            if seen.setdefault(atom, item) is not item:
+                return FALSE
+    if not seen:
         return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return Term("band", BOOL, tuple(flat))
+    flat = tuple(seen.values())
+    return flat[0] if len(flat) == 1 else Term("band", BOOL, flat)
 
 
 def conjuncts(t: Term) -> tuple[Term, ...]:

@@ -174,13 +174,11 @@ class SymVM:
     # -- helpers --------------------------------------------------------------
 
     @staticmethod
-    def _transfer(src: Account | None, dst: Account | None, value: Term) -> None:
+    def _transfer(src: Account, dst: Account, value: Term) -> None:
         if value.is_const and value.value == 0:
             return
-        if src is not None:
-            src.debits.append(value)
-        if dst is not None:
-            dst.credits.append(value)
+        src.debits.append(value)
+        dst.credits.append(value)
 
     @staticmethod
     def _concretize(block: BasicBlock, ex: Explorer, terms: list[Term],

@@ -37,6 +37,10 @@ def test_fund_run_reports_vulnerable(tmp_path, capsys):
 
     out = capsys.readouterr().out
     assert "fund" in out and "vulnerable" in out
+    # the summary counts (f, g) pairs, not functions
+    header, _, row = out.splitlines()[:3]
+    assert header.split("  ")[1:3] == ["benign pairs", "vulnerable pairs"]
+    assert row.split() == ["fund", "0", "1", "vulnerable"]
 
     report = json.loads(report_path.read_text())
     assert report["status"] == "vulnerable"

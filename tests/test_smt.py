@@ -323,17 +323,24 @@ def test_conjunction_drops_true():
 
 
 _ATOMS = [ult(var("x"), const(3)), eq(var("y"), const(1)),
-          bnot(eq(var("x"), var("y"))), TRUE, FALSE]
+          eq(var("x"), var("y")), bnot(eq(var("x"), var("y"))), TRUE, FALSE]
 
 
-@given(st.lists(st.sampled_from(_ATOMS), max_size=4))
-def test_conjunction_of_one_is_itself(parts):
+@given(st.lists(st.sampled_from(_ATOMS), max_size=4),
+       st.fixed_dictionaries({"x": st.integers(0, 4), "y": st.integers(0, 4)}))
+@example([_ATOMS[2], _ATOMS[0], _ATOMS[3]], {"x": 1, "y": 1})
+def test_conjunction_of_one_is_itself(parts, env):
     # band terms, single atoms, TRUE and FALSE alike
     t = band(parts)
     assert band([t]) is t
+    # FALSE exactly when a part is, or an atom meets its negation
+    contradicts = FALSE in parts or any(
+        bnot(p) in parts for p in parts if not p.is_const)
+    assert (t is FALSE) == contradicts
+    assert evaluate(t, env) == all(evaluate(p, env) == 1 for p in parts)
 
 
-@given(st.lists(st.sampled_from(_ATOMS[:3]), max_size=4), st.randoms())
+@given(st.lists(st.sampled_from(_ATOMS[:4]), max_size=4), st.randoms())
 def test_conjuncts_are_order_insensitive_as_a_set(parts, rnd):
     shuffled = list(parts)
     rnd.shuffle(shuffled)
@@ -1088,10 +1095,12 @@ def test_store_attaches_each_gate_once():
     fresh_vars = 0
     for query in _sharing_queries():
         fresh = BitBlaster()
-        fresh.refutes(query)
+        for c in query:
+            fresh.assert_true(c)
         fresh_vars += fresh.num_vars
         before = _clause_count(store.sat) - _tseitin_count(store)
-        store.refutes(query)
+        for c in query:
+            store.assert_true(c)
         assert _clause_count(store.sat) - _tseitin_count(store) == before
         assert store.sat.num_vars == store.num_vars
         assert not store._pending and not store._pending_maj
@@ -1121,12 +1130,12 @@ def test_unsupported_query_leaves_the_store_consistent():
     assert solver.check_sat(follow) == Solver().check_sat(follow)
     store = BitBlaster()
     with pytest.raises(UnsupportedTermError):
-        store.refutes(bad)
+        for c in bad:
+            store.assert_true(c)
     # the gates made before the failure are in the instance all the same
     assert store.sat.num_vars == store.num_vars
     assert not store._pending and not store._pending_maj
     assert _clause_count(store.sat) == _tseitin_count(store) > 0
-    assert not store.refutes(follow)
     assumptions = [store.assert_true(c) for c in follow]
     variables = store.variables(follow)
     assert store.sat.solve(assumptions, store.input_bits(variables)) is True
@@ -1134,15 +1143,12 @@ def test_unsupported_query_leaves_the_store_consistent():
     assert all(evaluate(c, model) == 1 for c in follow)
 
 
-@pytest.fixture
-def no_sat(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the SAT instance was asked")
-
-    monkeypatch.setattr(SatSolver, "solve", refuse)
+def _searched_nothing(solver):
+    stats = solver.sat_stats
+    return stats["decisions"] == stats["conflicts"] == 0
 
 
-def test_complementary_roots_are_refuted_without_sat(no_sat):
+def test_complementary_roots_are_unsat_without_a_decision():
     x, y = var("x", 8), var("y", 8)
     # the operands commuted: two terms, but one adder in the gate store
     query = [ult(const(3, 8), x), eq(bv_add(x, y), const(6, 8)),
@@ -1150,34 +1156,43 @@ def test_complementary_roots_are_refuted_without_sat(no_sat):
     solver = Solver()
     for _ in range(2):
         assert solver.check_sat(query) == SolverVerdict(SolverStatus.UNSAT, None)
-    assert solver.answers == Counter(refuted=1, memo=1)
+    assert solver.answers == Counter(solved=1, memo=1)
+    assert _searched_nothing(solver)
 
 
-def test_constant_false_root_is_refuted_without_sat(no_sat):
+def test_constant_false_root_is_unsat_without_a_decision():
     x, y = var("x", 8), var("y", 8)
     # no term folding sees it, but it blasts to the constant false literal
     query = [ult(const(3, 8), x), bnot(eq(bv_add(x, y), bv_add(y, x)))]
     solver = Solver()
     assert solver.check_sat(query).status is SolverStatus.UNSAT
-    assert solver.answers == Counter(refuted=1)
+    assert solver.answers == Counter(solved=1)
+    assert _searched_nothing(solver)
 
 
-def test_unsupported_root_beside_a_refutation_is_unknown(no_sat):
+def test_unsupported_root_beside_a_contradiction_is_unknown_without_a_decision():
     x, y = var("x", 8), var("y", 8)
     c = eq(bv_add(x, y), const(6, 8))
+    # the operands commuted: a contradiction only the gate store sees
+    d = bnot(eq(bv_add(y, x), const(6, 8)))
     product = eq(bv_mul(x, y), const(6, 8))
     solver = Solver()
-    for query in ([c, bnot(c), product], [product, c, bnot(c)]) * 2:
+    for query in ([c, d, product], [product, c, d]) * 2:
         assert solver.check_sat(query).status is SolverStatus.UNKNOWN
     assert solver.answers == Counter(unsupported=4)
+    # a conjunct beside its own negation folds to FALSE before lowering
+    assert solver.check_sat([c, bnot(c), product]).status is SolverStatus.UNSAT
+    assert solver.answers == Counter(unsupported=4, solved=1)
+    assert _searched_nothing(solver)
 
 
-def test_false_conjunct_refutes_beside_an_unsupported_one(no_sat):
+def test_false_conjunct_beside_an_unsupported_one_is_unsat_without_a_decision():
     x, y = var("x", 8), var("y", 8)
     solver = Solver()
     query = [FALSE, eq(bv_mul(x, y), const(6, 8))]
     assert solver.check_sat(query).status is SolverStatus.UNSAT
-    assert solver.answers == Counter(refuted=1)
+    assert solver.answers == Counter(solved=1)
+    assert _searched_nothing(solver)
 
 
 # -- the model: the least assignment in first-touch order ---------------------
@@ -1347,7 +1362,7 @@ def test_completion_waits_for_the_deadline_check():
 
 def test_no_time_leaves_a_query_that_propagation_settles_unknown():
     # x = 5 needs no decision once its assumption is placed, but a search
-    # out of time stops before placing it, as it does before a decision
+    # out of time stops before the decision that would end it SAT
     x = var("x")
     query = [eq(x, const(5))]
     solver = Solver(timeout=0)
@@ -1362,8 +1377,7 @@ def test_no_time_leaves_a_query_that_propagation_settles_unknown():
     assert solver.check_sat([ult(x, const(9))]).is_sat          # ring
     c = ult(const(3), x)
     assert solver.check_sat([c, bnot(c)]).status is SolverStatus.UNSAT
-    assert solver.answers == Counter(timeout=1, solved=1, memo=1, ring=1,
-                                     refuted=1)
+    assert solver.answers == Counter(timeout=1, solved=2, memo=1, ring=1)
 
 
 def test_bits_a_completed_solve_leaves_unassigned_read_false():
@@ -1391,11 +1405,9 @@ def test_conflicted_search_then_least_model_gives_the_least_model():
     least = SolverVerdict(SolverStatus.SAT, {"p": 4})
     assert solver.least_model(query) == (least, True)
     assert solver.answers == Counter(solved=1, memo=1)
-    # the least model replaces the memoized one, and is not minimized again
-    decisions = solver.sat_stats["decisions"]
+    # the least model replaces the memoized one
     assert solver.least_model(query) == (least, True)
     assert solver.check_sat(query) == least
-    assert solver.sat_stats["decisions"] == decisions
 
 
 def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
@@ -1467,7 +1479,7 @@ def test_ring_model_is_never_a_witness():
 def test_unsat_query_between_sat_ones_leaves_the_instance_usable():
     x, y, z = var("x", 4), var("y", 4), var("z", 4)
     first = [ult(x, y), ult(const(9, 4), bv_add(x, y))]
-    cycle = [ult(x, y), ult(y, z), ult(z, x)]  # no store refutation sees it
+    cycle = [ult(x, y), ult(y, z), ult(z, x)]  # no gate hashing sees it
     last = [ult(y, z), eq(bv_xor(x, z), const(5, 4))]
     solver = Solver()
     assert solver.check_sat(first) == Solver().check_sat(first)
@@ -1539,12 +1551,12 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     solver.check_sat([c])                                       # memo
     solver.check_sat([c, ult(x, const(250, 8))])                # ring
     solver.check_sat([c, ult(x, const(250, 8))])                # ring
-    solver.check_sat([c, bnot(c)])                              # refuted
+    solver.check_sat([c, bnot(c)])                              # solved
     solver.check_sat([c, eq(bv_mul(x, y), const(6, 8))])        # unsupported
     solver.check_sat([c, eq(y, const(7, 8))])                   # memo: c
     solver.timeout = 0
     solver.check_sat([ult(x, y)])                               # timeout
-    assert solver.answers == Counter(solved=2, memo=2, ring=2, refuted=1,
+    assert solver.answers == Counter(solved=3, memo=2, ring=2,
                                      unsupported=1, timeout=1)
     assert solver.asked == 9
     assert solver.dropped == 1
@@ -1560,10 +1572,12 @@ def test_answer_sources_sum_to_queries_asked(monkeypatch):
     verifier.analyze([("token", Bytecode(bytes.fromhex(code)), "fixture")])
     (solver,) = solvers
     assert solver.asked == sum(solver.answers.values()) > 0
-    # an equivalence of two equal conditions asks a ∧ FALSE, refuted once
-    # and a memo hit after
-    assert solver.answers == Counter(memo=30, ring=45, refuted=13, solved=17)
-    assert solver.dropped == 7
+    # an equivalence of two equal conditions asks a ∧ FALSE, solved once
+    # without a decision and a memo hit after
+    assert solver.answers == Counter(memo=42, ring=45, solved=18)
+    # a conjunction that holds a conjunct and its negation is FALSE, with
+    # nothing left to drop
+    assert solver.dropped == 5
 
 
 def test_variable_bits_are_keyed_by_name_and_width():
@@ -1725,7 +1739,7 @@ def test_equal_conditions_are_equivalent_through_a_refuted_query():
     a, b = ult(const(3, 8), X8), ult(X8, Y8)
     solver = Solver()
     assert solver.check_equivalence([a, b], [b, a])
-    assert solver.answers == Counter(refuted=1, memo=1)  # a ∧ FALSE, twice
+    assert solver.answers == Counter(solved=1, memo=1)  # a ∧ FALSE, twice
 
 
 def test_equivalence_leaves_out_the_shared_conjuncts():

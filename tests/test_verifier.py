@@ -429,13 +429,7 @@ def test_vulnerable_witness_satisfies_a_candidate_condition():
 
 
 class _UnminimizedSolver(Solver):
-    """Takes no model for the least one, and runs out of time whenever it
-    minimizes one."""
-
-    def _settle(self, key, start):
-        verdict = super()._settle(key, start)
-        self._least.discard(key)
-        return verdict
+    """Runs out of time whenever it minimizes a model."""
 
     def _minimize(self, key):
         return None
