@@ -41,10 +41,17 @@ that conflict analysis bumps becomes decidable too, for the rest of the
 solve: on the order's variables alone, VSIDS leaves ``(x + y) - y != x`` at
 16 bits Unknown after a minute, and with the bumped gates it takes a tenth
 of a second. Backtracking puts back the decidable variables it unassigns,
-and no others. :meth:`SatSolver.minimize` turns the model of a solve that
-conflicted into the least one; the solver asks for it only for a witness,
-and keeps the solve's model when it runs out of time. Activities and saved
-phases carry over from solve to solve.
+and no others. Activities and saved phases carry over from solve to
+solve.
+
+A solve that conflicted may end above the least model. Solving the same
+query again, until a solve meets no conflict, ends at it, and that loop
+ends: each conflict learns a clause the instance did not hold. The
+learnt clause's literals but its UIP's were all false at levels below
+the conflict's, and propagation runs to the end before every assumption
+and decision, so a clause already held would have set the UIP literal
+true there. Each conflicted solve adds a new clause over the same
+variables, and there are finitely many.
 
 Clauses live in three stores, each one flat list indexed by literal,
 ``2v`` for ``+v`` and ``2v + 1`` for ``-v``:
@@ -176,7 +183,6 @@ class SatSolver:
         self.decisions = 0
         self.conflicts = 0
         self.learnts = 0
-        self.minimize_solves = 0
         self.completions = 0  # solves the check ended (see solve)
         self.search_s = 0.0
 
@@ -704,39 +710,6 @@ class SatSolver:
                 level[var] = len(trail_lim)
                 reason[var] = 0
                 trail.append(lit)
-
-    def minimize(self, assumptions: Sequence[int], order: Sequence[int],
-                 deadline: float | None = None) -> bool | None:
-        """Replace the model of a SAT solve under ``assumptions`` over
-        ``order`` with the least one, by further solves; None when the time
-        runs out.
-
-        Goes through the order with the current model in hand: a variable
-        it has false is false in the least model too, and one it has true
-        is tried false under the values fixed before it. A try that is SAT
-        gives the next model, and one that is also conflict-free is the
-        least model itself.
-        """
-        fixed = list(assumptions)
-        values = [self.assign[var] for var in order]
-        for i, var in enumerate(order):
-            if values[i] <= 0:  # an unassigned variable reads false
-                fixed.append(-var)
-                continue
-            conflicts = self.conflicts
-            self.minimize_solves += 1
-            result = self.solve([*fixed, -var], order[i + 1:], deadline)
-            if result is None:
-                return None
-            if not result:
-                fixed.append(var)
-                continue
-            if self.conflicts == conflicts:
-                return True
-            fixed.append(-var)
-            values[i + 1:] = [self.assign[v] for v in order[i + 1:]]
-        self.minimize_solves += 1
-        return self.solve(fixed, (), deadline)
 
     def model_value(self, var: int) -> bool:
         """The variable's value in the last SAT solve's model: a variable

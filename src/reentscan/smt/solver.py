@@ -180,15 +180,17 @@ class Solver:
     arguments in order), each variable LSB first, with the first bit
     highest. Whatever model :meth:`check_sat` gave, from the ring, a
     query with conjuncts left out or a search, the whole query is solved
-    again for it within a deadline of its own. A search without a conflict
-    ends at the least model, and often early: at each variable's first bit
-    in that order, the conjuncts are evaluated on the bits the search has
-    assigned, every other bit read as 0, and if they hold, that is the
-    model the rest of the walk would reach (see ``sat``). After a search
-    that conflicted, further solves find it (``SatSolver.minimize``). So a
+    again for it within a deadline of its own, until a search meets no
+    conflict. Such a search ends at the least model, and often early: at
+    each variable's first bit in that order, the conjuncts are evaluated on
+    the bits the search has assigned, every other bit read as 0, and if
+    they hold, that is the model the rest of the walk would reach (see
+    ``sat``, which also shows why the searches stop conflicting). So a
     witness depends only on the query, and not on what the contract asked
-    before it. If minimizing runs out of time, the model :meth:`check_sat`
-    gave is kept: a decided SAT never becomes Unknown.
+    before it. If minimizing runs out of time, or the query holds a
+    conjunct the store cannot lower, the model :meth:`check_sat` gave is
+    kept, less the variables the query does not hold: a decided SAT never
+    becomes Unknown.
 
     :attr:`answers` counts each query asked by the place that answered it,
     or answered the rest of it: ``memo``, ``ring``, ``solved`` (decided by
@@ -296,22 +298,32 @@ class Solver:
                 return SolverVerdict(SolverStatus.SAT, model)
         return None
 
-    def least_model(self, constraints: Iterable[Term]) -> tuple[SolverVerdict, bool]:
-        """:meth:`check_sat` with the least model, for a witness, and
-        whether the model handed out is the least one.
+    def least_model(self, constraints: Iterable[Term]
+                    ) -> tuple[SolverVerdict, str | None]:
+        """:meth:`check_sat` with the least model, for a witness, and why
+        the model handed out is not the least one: None when it is.
 
         A SAT answer is solved again for its least model within a deadline
-        of its own (see :meth:`_minimize`); when that runs out, the model
-        :meth:`check_sat` gave is handed out and the flag is False.
+        of its own (see :meth:`_minimize`). When that runs out, or a
+        conjunct does not lower, the model :meth:`check_sat` gave is handed
+        out over the query's variables alone, with ``"out of time"`` or the
+        unsupported operation as the reason.
         """
         key = band(constraints)
         verdict = self.check_sat([key])
-        if verdict.is_sat:
+        if not verdict.is_sat:
+            return verdict, None
+        try:
             least = self._minimize(key)
-            if least is None:
-                return verdict, False
-            verdict = SolverVerdict(SolverStatus.SAT, dict(least))
-        return verdict, True
+        except UnsupportedTermError as exc:
+            why = str(exc)
+        else:
+            if least is not None:
+                return SolverVerdict(SolverStatus.SAT, dict(least)), None
+            why = "out of time"
+        names = [v.name for v in self._blaster.variables(conjuncts(key))]
+        model = {name: verdict.model.get(name, 0) for name in names}
+        return SolverVerdict(SolverStatus.SAT, model), why
 
     def _settle(self, key: Term, start: float) -> SolverVerdict:
         """Solve ``key`` and memoize a decided answer."""
@@ -348,23 +360,26 @@ class Solver:
 
     def _minimize(self, key: Term) -> dict[str, int] | None:
         """Memoize and return the least model of ``key``, a SAT query; None
-        when the deadline of its own runs out first.
+        when the deadline of its own runs out first. Raises
+        :class:`UnsupportedTermError` if a conjunct does not lower.
 
-        The query is solved in the instance. A search that meets no
-        conflict ends at the least model; after one that does, further
-        solves find it.
+        The query is solved in the instance, under the same assumptions,
+        order and completion check, until a search meets no conflict: that
+        search ends at the least model. Each search that conflicts leaves
+        a learnt clause the instance did not hold before (see ``sat``), so
+        the searches stop conflicting.
         """
         flat = conjuncts(key)
         sat = self._blaster.sat
         deadline = time.monotonic() + self.timeout
         assumptions, variables, order = self._lower(flat)
-        conflicts = sat.conflicts
-        result = sat.solve(assumptions, order, deadline,
-                           *self._completion(flat, variables))
-        if result and sat.conflicts != conflicts:
-            result = sat.minimize(assumptions, order, deadline)
-        if not result:
-            return None
+        stops, complete = self._completion(flat, variables)
+        while True:
+            conflicts = sat.conflicts
+            if not sat.solve(assumptions, order, deadline, stops, complete):
+                return None
+            if sat.conflicts == conflicts:
+                break
         model = self._model(flat, variables)
         self._memo[key] = SolverVerdict(SolverStatus.SAT, model)
         return model
@@ -406,8 +421,7 @@ class Solver:
         sat = self._blaster.sat
         return {
             "decisions": sat.decisions, "conflicts": sat.conflicts,
-            "learnt": sat.learnts, "minimize_solves": sat.minimize_solves,
-            "completions": sat.completions,
+            "learnt": sat.learnts, "completions": sat.completions,
             "vars": sat.num_vars,
             "clauses": len(sat.clauses) + sat.num_binaries,
             "attach_s": self._blaster.attach_s, "search_s": sat.search_s,

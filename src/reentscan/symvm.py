@@ -432,6 +432,9 @@ class SymVM:
         elif name in _COPY_SOURCES:
             dst, src, size = self._concretize(
                 block, ex, [stack.pop() for _ in range(3)], f"{name.lower()} arg")
+            if name == "RETURNDATACOPY" and src + size > len(m.returndata):
+                # reading past the return data halts (EIP-211)
+                return self._halt(block, ex, EndState.INVALID)
             source = _COPY_SOURCES[name]
             for i in range(size):
                 m.memory[dst + i] = source(m, src + i)
@@ -547,13 +550,13 @@ _FOLDS = {
 }
 
 # Byte sources of the copy opcodes, read at one index; past the end of the
-# code or of the return data they read zero.
+# code they read zero, and a RETURNDATACOPY past the end of the return data
+# halts before it reads.
 _COPY_SOURCES = {
     "CALLDATACOPY": lambda m, j: m.calldata.byte_at(j),
     "CODECOPY": lambda m, j: tm.const(
         m.code.data[j] if j < len(m.code.data) else 0),
-    "RETURNDATACOPY": lambda m, j: (
-        m.returndata[j] if j < len(m.returndata) else tm.const(0)),
+    "RETURNDATACOPY": lambda m, j: m.returndata[j],
 }
 
 _BINOPS = {
@@ -606,7 +609,7 @@ def extract_function_ids(code: Bytecode, solver: Solver | None = None,
                 "is reachable")
         if verdict.status is SolverStatus.UNSAT:
             continue  # unreachable dispatch arm
-        value = verdict.model.get("function_id", 0) & 0xFFFFFFFF
+        value = tm.evaluate(fid_low, verdict.model)
         unique = vm.solver.check_sat(
             [pc, tm.bnot(tm.eq(fid_low, tm.const(value)))]).status
         if unique is SolverStatus.UNKNOWN:

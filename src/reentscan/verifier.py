@@ -194,8 +194,9 @@ def verify_pair(scenarios: ScenarioSet, solver: Solver) -> PairResult:
     finish its paths is inconclusive, with the failure as its note. The
     witness of a vulnerable pair is the least model of its unmatched
     condition (see :meth:`~reentscan.smt.Solver.least_model`); if
-    minimizing it runs out of time, the search's model is the witness and
-    the note says so. A pair left inconclusive by an Unknown answer names
+    minimizing it runs out of time or meets an operation the solver cannot
+    lower, the model ``check_sat`` gave is the witness and the note says
+    why. A pair left inconclusive by an Unknown answer names
     the query that got it: an equivalence or a witness.
     """
     def done(status: Status, witness: dict[str, int] | None = None,
@@ -230,10 +231,10 @@ def verify_pair(scenarios: ScenarioSet, solver: Solver) -> PairResult:
         if undecided:
             unknown = unknown or "solver-unknown: equivalence undecided"
             continue
-        sat, least = solver.least_model([c])
+        sat, why = solver.least_model([c])
         if sat.status is SolverStatus.SAT:
-            return done(Status.VULNERABLE, witness=sat.model,
-                        note=None if least else "witness not minimized: out of time")
+            note = None if why is None else f"witness not minimized: {why}"
+            return done(Status.VULNERABLE, witness=sat.model, note=note)
         unknown = unknown or "solver-unknown: witness undecided"
     if unknown:
         return done(Status.INCONCLUSIVE, note=unknown)

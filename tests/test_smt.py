@@ -546,9 +546,10 @@ def test_one_instance_solves_many_queries_under_assumptions():
 
 def test_conflict_free_solve_gives_the_least_model():
     # read over the order with its first variable highest, the model of a
-    # solve without a conflict, and of one minimized, is the least model
+    # solve without a conflict is the least model: after a solve that
+    # conflicted, solving again until a solve meets none reaches it
     rng = random.Random(4)
-    checked = minimized = 0
+    checked = resolved = 0
     for _ in range(150):
         n = rng.randint(3, 9)
         clauses = [[rng.choice([-1, 1]) * x for x in rng.sample(range(1, n + 1), 3)]
@@ -560,17 +561,19 @@ def test_conflict_free_solve_gives_the_least_model():
 
         models = [a for a in range(1 << n) if _satisfies(a, clauses)]
         sat = _load(SatSolver(), n, clauses)
+        conflicts = sat.conflicts
         result = sat.solve((), order)
         assert result is bool(models)
         if not result:
             continue
-        if sat.conflicts:
-            assert sat.minimize((), order) is True
-            minimized += 1
+        resolved += sat.conflicts != conflicts
+        while sat.conflicts != conflicts:
+            conflicts = sat.conflicts
+            assert sat.solve((), order) is True
         got = sum(1 << (v - 1) for v in range(1, n + 1) if sat.model_value(v))
         assert rank(got) == min(map(rank, models))
         checked += 1
-    assert checked > 50 and minimized > 0
+    assert checked > 50 and resolved > 0
 
 
 @st.composite
@@ -1108,15 +1111,21 @@ def test_store_attaches_each_gate_once():
     assert store.num_vars < fresh_vars  # the queries did share gates
 
 
-def test_shared_solver_models_match_fresh_solvers():
+def test_shared_solver_models_match_fresh_solvers(solve_calls):
     # a least model depends on the query alone, not on what ran before it
     shared = Solver()
+    sat = shared._blaster.sat
     queries = _sharing_queries() + _conflicting_queries()
+    solves = []  # per query, the shared instance's solves for the least model
     for query in queries:
+        shared.check_sat(query)  # what least_model asks first
+        before = solve_calls.count(sat)
         assert shared.least_model(query) == Solver().least_model(query)
+        solves.append(solve_calls.count(sat) - before)
     assert any(shared.check_sat(q).is_sat for q in queries)
-    stats = shared.sat_stats
-    assert stats["conflicts"] > 0 and stats["minimize_solves"] > 0
+    assert shared.sat_stats["conflicts"] > 0
+    # some least model took a search that conflicted, then another
+    assert max(solves) >= 2
 
 
 def test_unsupported_query_leaves_the_store_consistent():
@@ -1335,7 +1344,7 @@ def test_models_are_the_least_assignment_in_first_touch_order(queries):
             if asked_first:
                 assert solver.check_sat(query).status is status
             verdict = solver.least_model(query)
-            assert verdict == (SolverVerdict(status, expected), True)
+            assert verdict == (SolverVerdict(status, expected), None)
     assert solver.sat_stats["conflicts"] > 0
 
 
@@ -1343,10 +1352,9 @@ def test_all_zero_least_model_is_completed_without_a_decision():
     x = var("x")
     solver = Solver()
     assert solver.least_model([ule(x, const(1000))]) == \
-        (SolverVerdict(SolverStatus.SAT, {"x": 0}), True)
+        (SolverVerdict(SolverStatus.SAT, {"x": 0}), None)
     stats = solver.sat_stats
-    assert stats["completions"] == 1
-    assert stats["decisions"] == 0 and stats["minimize_solves"] == 0
+    assert stats["completions"] == 1 and stats["decisions"] == 0
 
 
 def test_completion_waits_for_the_deadline_check():
@@ -1385,10 +1393,6 @@ def test_bits_a_completed_solve_leaves_unassigned_read_false():
     assert sat.solve((), [1, 2, 3], stops=[0], complete=lambda: True) is True
     assert sat.completions == 1 and sat.decisions == 0
     assert not any(sat.model_value(v) for v in (1, 2, 3))
-    # minimizing takes the unassigned bits as false: one solve, no decision
-    assert sat.minimize((), [1, 2, 3]) is True
-    assert sat.minimize_solves == 1 and sat.decisions == 0
-    assert not any(sat.model_value(v) for v in (1, 2, 3))
 
 
 def test_conflicted_search_then_least_model_gives_the_least_model():
@@ -1398,22 +1402,21 @@ def test_conflicted_search_then_least_model_gives_the_least_model():
     # the search's own model is handed out, memoized and enters the ring
     searched = SolverVerdict(SolverStatus.SAT, {"p": 12})
     assert solver.check_sat(query) == searched
-    stats = solver.sat_stats
-    assert stats["conflicts"] > 0 and stats["minimize_solves"] == 0
+    assert solver.sat_stats["conflicts"] > 0
     assert solver.answers == Counter(solved=1)
     assert list(solver._models) == [searched.model]
     least = SolverVerdict(SolverStatus.SAT, {"p": 4})
-    assert solver.least_model(query) == (least, True)
+    assert solver.least_model(query) == (least, None)
     assert solver.answers == Counter(solved=1, memo=1)
     # the least model replaces the memoized one
-    assert solver.least_model(query) == (least, True)
+    assert solver.least_model(query) == (least, None)
     assert solver.check_sat(query) == least
 
 
 def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
-    # minimizing costs a solve per order bit the model has true, up to the
-    # first conflict-free one; these searches conflict and their least
-    # models follow by hand from the order x, y, z, each LSB first
+    # minimizing solves the query again until a solve meets no conflict;
+    # these searches conflict and their least models follow by hand from
+    # the order x, y, z, each LSB first
     x, y, z = var("x"), var("y"), var("z")
     queries = [
         # x != -x: x = 2**254, the latest single bit not 0 or 2**255;
@@ -1427,40 +1430,74 @@ def test_conflicted_256_bit_queries_are_minimized_within_the_default_timeout():
     for query, least in queries:
         solver = Solver()
         assert solver.least_model(query) == \
-            (SolverVerdict(SolverStatus.SAT, least), True)
+            (SolverVerdict(SolverStatus.SAT, least), None)
         assert solver.sat_stats["conflicts"] > 0
 
 
-def _raise(*args, **kwargs):
-    raise AssertionError("minimized")
-
-
-def test_check_sat_never_minimizes(monkeypatch):
-    monkeypatch.setattr(SatSolver, "minimize", _raise)
+def test_check_sat_never_minimizes(solve_calls):
+    # a search that conflicts keeps its model: one solve per query
     for query in _conflicting_queries():
         solver = Solver()
         verdict = solver.check_sat(query)
         assert solver.sat_stats["conflicts"] > 0
+        assert solve_calls == [solver._blaster.sat]
+        solve_calls.clear()
         assert verdict.is_sat
         assert all(evaluate(c, verdict.model) == 1 for c in query)
 
 
 def test_least_model_out_of_time_keeps_the_search_model(monkeypatch):
-    # a minimization that runs out of time leaves a decided SAT decided
-    calls = []
-    monkeypatch.setattr(SatSolver, "minimize",
-                        lambda *args: calls.append(args) and None)
+    # a re-solve that runs out of time leaves a decided SAT decided
+    solve = SatSolver.solve
+    conflicts = []  # the instance's conflicts before each solve
+
+    def out_of_time_from_the_third(sat, assumptions, order, deadline, *rest):
+        conflicts.append(sat.conflicts)
+        if len(conflicts) > 2:
+            deadline = 0.0
+        return solve(sat, assumptions, order, deadline, *rest)
+
     query = _conflicting_queries()[-1]
+    searched = Solver().check_sat(query)
+    monkeypatch.setattr(SatSolver, "solve", out_of_time_from_the_third)
     solver = Solver()
-    verdict, least = solver.least_model(query)
-    assert calls and not least
-    assert verdict.is_sat
+    verdict, why = solver.least_model(query)
+    # the search, least_model's first solve, which conflicted, and the
+    # re-solve, out of time
+    assert len(conflicts) == 3 and conflicts[1] < conflicts[2]
+    assert why == "out of time"
+    assert verdict == searched
     assert all(evaluate(c, verdict.model) == 1 for c in query)
     assert solver.answers == Counter(solved=1)
     # the search's model stays memoized, not taken for the least one
     monkeypatch.undo()
     assert solver.least_model(query) == Solver().least_model(query)
-    assert solver.least_model(query)[1]
+    assert solver.least_model(query)[1] is None
+
+
+def test_least_model_of_a_reduced_query_it_cannot_lower_keeps_its_model():
+    # check_sat leaves out the conjunct with the product, which x alone can
+    # make true; least_model lowers the whole query, and cannot
+    a, b, x = var("a"), var("b"), var("x")
+    query = [eq(bv_add(bv_mul(a, b), x), const(5)), ult(a, const(3))]
+    solver = Solver(5)
+    verdict, why = solver.least_model(query)
+    assert why == "symbolic*symbolic multiplication"
+    assert verdict == SolverVerdict(SolverStatus.SAT, {"a": 0, "b": 0, "x": 5})
+    assert solver.dropped == 1
+
+
+def test_least_model_of_a_ring_hit_it_cannot_lower_keeps_the_query_variables():
+    # the ring model also names y, which the query does not hold; the
+    # witness keeps the query's variables, unbound ones read as 0
+    a, b, y = var("a"), var("b"), var("y")
+    solver = Solver(5)
+    solver.check_sat([ult(a, const(3)), eq(y, const(7))])
+    assert solver._models[0] == {"a": 0, "y": 7}  # the ring model tried first
+    verdict, why = solver.least_model([ult(a, const(3)), eq(bv_mul(a, b), const(0))])
+    assert why == "symbolic*symbolic multiplication"
+    assert solver.answers["ring"] == 1
+    assert verdict == SolverVerdict(SolverStatus.SAT, {"a": 0, "b": 0})
 
 
 def test_ring_model_is_never_a_witness():
@@ -1470,9 +1507,9 @@ def test_ring_model_is_never_a_witness():
     # x = 9 satisfies the query, but the least model sets the lowest bits
     # clear: only bit 255 is set
     least = SolverVerdict(SolverStatus.SAT, {"x": 1 << 255})
-    assert solver.least_model([ult(const(5), x)]) == (least, True)
+    assert solver.least_model([ult(const(5), x)]) == (least, None)
     assert solver.answers == Counter(solved=1, ring=1)
-    assert solver.least_model([ult(const(5), x)]) == (least, True)
+    assert solver.least_model([ult(const(5), x)]) == (least, None)
     assert solver.answers == Counter(solved=1, ring=1, memo=1)
 
 
@@ -1509,9 +1546,8 @@ def test_ult_chain_with_a_bounded_difference_is_solved_without_a_conflict():
     query = [ult(x, y), ult(y, z), ult(bv_sub(z, x), const(7)),
              bnot(eq(bv_add(x, y), z))]
     assert solver.least_model(query) == \
-        (SolverVerdict(SolverStatus.SAT, {"x": 0, "y": 4, "z": 6}), True)
-    stats = solver.sat_stats
-    assert stats["conflicts"] == 0 and stats["minimize_solves"] == 0
+        (SolverVerdict(SolverStatus.SAT, {"x": 0, "y": 4, "z": 6}), None)
+    assert solver.sat_stats["conflicts"] == 0
 
 
 def test_add_then_sub_is_identity_within_the_default_timeout():
@@ -1614,8 +1650,8 @@ def test_deep_terms_blast_without_recursion(completion_checks):
     solver = Solver()
     # least_model, since check_sat leaves out a conjunct that one of its
     # variables, used once, can always make true
-    verdict, least = solver.least_model([eq(chain, const(5, 8))])
-    assert verdict.is_sat and least and solver.dropped == 1
+    verdict, why = solver.least_model([eq(chain, const(5, 8))])
+    assert verdict.is_sat and why is None and solver.dropped == 1
     assert evaluate(chain, verdict.model) == 5
     # 1,500 stops, and no order bit turns true before the last one: the
     # completion check is asked at the first stop alone

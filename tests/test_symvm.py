@@ -165,6 +165,37 @@ def test_create_leaves_no_return_data():
     assert victim.read_storage(tm.const(0)) == tm.const(0)
 
 
+# calls that leave return data: to a CREATEd child whose runtime RETURNs
+# 32 bytes, and to code the run does not know, which returns none
+RETURNING_CALLS = {
+    "child": """
+        PUSH14 0x6460206000f36000526005601bf3 PUSH1 0 MSTORE
+        PUSH1 14 PUSH1 18 PUSH1 0 CREATE
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP6 GAS CALL POP
+    """,
+    "unknown": "PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0xbb GAS CALL POP",
+}
+
+
+@pytest.mark.parametrize("call, src, size, completes", [
+    ("child", 0, 32, True), ("child", 1, 32, False), ("child", 33, 0, False),
+    ("unknown", 0, 0, True), ("unknown", 0, 32, False)])
+def test_returndatacopy_past_the_return_data_halts(call, src, size, completes):
+    # reading past the end of the return data is an exceptional halt
+    # (EIP-211), even a read of no bytes
+    res = SymVM().run_entry(Bytecode(assemble(f"""
+        {RETURNING_CALLS[call]}
+        PUSH1 {size} PUSH1 {src} PUSH1 0 RETURNDATACOPY
+        PUSH1 1 PUSH1 0 SSTORE STOP
+    """)), ConcreteCalldata(b""))
+    if completes:
+        (end,) = res.completed
+        assert end.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(1)
+    else:
+        assert res.completed == []
+        assert [b.end_state for b in res.sealed] == [EndState.INVALID]
+
+
 @pytest.mark.parametrize("init", ["0xfe", "0x01"])  # INVALID; ADD, empty stack
 def test_exceptional_halt_in_init_code_never_resumes_creator(init):
     res = SymVM().run_entry(Bytecode(assemble(f"""

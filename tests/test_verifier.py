@@ -11,6 +11,7 @@ from asm import assemble
 from reentscan import verifier
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import IndeterminateEquivalence, Solver, SolverStatus, SolverVerdict
+from reentscan.smt.bitblast import BitBlaster
 from reentscan.smt import terms as tm
 from reentscan.smt.terms import evaluate
 from reentscan.symdomain import ECFG, EdgeKind
@@ -445,6 +446,37 @@ def test_witness_out_of_time_to_minimize_stays_vulnerable():
     assert any(evaluate(c, result.witness) == 1 for c in result.scenarios.C)
 
 
+def test_witness_the_solver_cannot_lower_stays_vulnerable():
+    # pay() sets slot 1, pays f_arg0 * f_arg1 to the caller, then clears
+    # slot 1; poke() reverts unless slot 1 is set, so it completes only
+    # re-entered. The witness query holds the product, which the solver
+    # cannot lower: check_sat's model is the witness, over the condition's
+    # variables alone, and the note names the operation
+    pay, poke = selector_of("pay(uint256,uint256)"), selector_of("poke()")
+    code = Bytecode(assemble(f"""
+        PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
+        DUP1 PUSH4 {pay.hex()} EQ PUSHL pay JUMPI
+        DUP1 PUSH4 {poke.hex()} EQ PUSHL poke JUMPI STOP
+        pay: JUMPDEST POP
+        PUSH1 1 PUSH1 1 SSTORE
+        PUSH1 4 CALLDATALOAD PUSH1 0x24 CALLDATALOAD MUL
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
+        POP
+        PUSH1 0 PUSH1 1 SSTORE STOP
+        poke: JUMPDEST POP
+        PUSH1 1 SLOAD PUSHL ok JUMPI PUSH1 0 PUSH1 0 REVERT
+        ok: JUMPDEST STOP
+    """))
+    (contract,) = analyze([("product", code, "test")]).contracts
+    (pair,) = [p for p in contract.pairs if p.g.selector == poke]
+    assert pair.status is Status.VULNERABLE
+    assert (pair.paths_I, pair.paths_C) == (0, 1)
+    assert pair.note == "witness not minimized: symbolic*symbolic multiplication"
+    (c,) = pair.scenarios.C
+    assert set(pair.witness) == {v.name for v in BitBlaster().variables([c])}
+    assert evaluate(c, pair.witness) == 1
+
+
 class _UndecidedEquivalenceSolver(Solver):
     """Decides no equivalence."""
 
@@ -456,7 +488,7 @@ class _UndecidedWitnessSolver(Solver):
     """Finds no witness."""
 
     def least_model(self, constraints):
-        return SolverVerdict(SolverStatus.UNKNOWN, None), False
+        return SolverVerdict(SolverStatus.UNKNOWN, None), None
 
 
 @pytest.mark.parametrize("solver, note", [
