@@ -43,7 +43,7 @@ class IndeterminateEquivalence(Exception):
     """The solver could not decide an equivalence query within budget."""
 
 
-RECENT_MODELS = 64  # models of the last searches, tried before a search
+RECENT_MODELS = 64  # models of the last queries the memo and ring missed
 
 # boolean ops that give the truth wanted by the choice of one operand,
 # whatever the others are, by the truths for which they do
@@ -129,16 +129,25 @@ class Solver:
     Every query takes one path through :meth:`check_sat`. Its constraints
     are joined into their interned conjunction by
     :func:`~reentscan.smt.terms.band`, which folds the query to ``FALSE``
-    as soon as one conjunct is false or the negation of another. The query
-    is answered from the memo, else from a recent model. Else its
-    conjuncts that a variable can always make true are left out, and the
-    rest goes through the same chain: the memo, a recent model, and then a
-    search in the store's one SAT instance, under its conjuncts' lowered
-    literals as assumptions (see ``bitblast`` and ``sat``). A conjunct
-    that lowers to constant false, or two that lower to complementary
-    literals (an add's operands commuted, say), end that search UNSAT as
-    its assumptions are placed: before any decision, and whatever time is
-    left. The empty query is solved this way too.
+    as soon as one conjunct is false or the negation of another. Then:
+
+    1. the query is answered from the memo, else from a recent model;
+    2. else its conjuncts that a variable can always make true are left
+       out;
+    3. the rest, if anything was left out, is answered from the memo or a
+       recent model, else it is searched in the store's one SAT instance,
+       under its conjuncts' lowered literals as assumptions (see
+       ``bitblast`` and ``sat``), and a decided answer of the search is
+       memoized under the rest;
+    4. a SAT model of the rest is extended over the conjuncts left out;
+    5. the model is checked against every conjunct of the query;
+    6. a decided answer is memoized under the query, and its model put in
+       the ring.
+
+    A conjunct that lowers to constant false, or two that lower to
+    complementary literals (an add's operands commuted, say), end a search
+    UNSAT as its assumptions are placed: before any decision, and whatever
+    time is left. The empty query is searched this way too.
 
     A conjunct is left out when it holds a variable ``x`` that no other
     conjunct holds and that it reaches along one path of ops that can
@@ -147,14 +156,13 @@ class Solver:
     2007). Whatever the other variables are, some ``x`` makes it true, so
     the query is SAT just when the rest is, and a model of the rest
     becomes one of the query by solving each such conjunct for its ``x``,
-    top down; that model is checked against every conjunct, memoized
-    under the whole query and put in the ring. A conjunct left out is
-    never lowered, so one with an operation the store cannot lower no
-    longer makes its query Unknown. The solvency sums at the end of a
-    path are such conjuncts, an account's initial balance being their
-    ``x``.
+    top down. A conjunct left out is never lowered, so one with an
+    operation the store cannot lower no longer makes its query Unknown.
+    The solvency sums at the end of a path are such conjuncts, an
+    account's initial balance being their ``x``.
 
-    The ring holds the models of the last :data:`RECENT_MODELS` searches,
+    The ring holds the models of the last :data:`RECENT_MODELS` queries
+    that the memo and the ring did not answer whole, one model per query,
     KLEE's counterexample cache. A model that satisfies the query, unbound
     variables read as 0, proves it SAT without blasting it, also where
     solving it would give Unknown (an operation the store cannot lower).
@@ -165,14 +173,13 @@ class Solver:
     hands out a copy of that model and is not memoized, so the key asked
     again is tried on the ring again.
 
-    A search's SAT answer carries the model it ended at, checked against
-    the constraints. Decided answers of a search are memoized by the
-    interned conjunction, which keeps its conjuncts in order: the
-    same constraints in another order may solve to another model, so a set
-    would not do as the key. Unknown is never memoized, and every model
-    handed out is a fresh copy. One instance serves one contract, so the
-    memo, the gate store and the SAT instance with its learnt clauses live
-    as long as that contract's analysis.
+    A search's SAT answer carries the model it ended at. Decided answers
+    are memoized by the interned conjunction, which keeps its conjuncts in
+    order: the same constraints in another order may solve to another
+    model, so a set would not do as the key. Unknown is never memoized,
+    and every model handed out is a fresh copy. One instance serves one
+    contract, so the memo, the gate store and the SAT instance with its
+    learnt clauses live as long as that contract's analysis.
 
     Only a witness needs a canonical model, and :meth:`least_model` gives
     it: the least assignment to the bits of the query's variables, read in
@@ -220,10 +227,28 @@ class Solver:
         known = self._known(key)
         if known is None:
             kept, dropped = self._split(conjuncts(key))
-            if dropped:
-                known = self._reduced(key, band(kept), dropped, start)
-            else:
-                known = self._settle(key, start)
+            self.dropped += len(dropped)
+            rest = band(kept) if dropped else key
+            known = dropped and self._known(rest) or self._search(rest, start)
+            if known.is_sat:
+                model = dict(known.model)
+                values: dict[Term, int] = {}
+                for c, x in dropped:  # solved for its variable, top down
+                    parents = self._free[c][1]
+                    path = [x]
+                    while path[-1] is not c:
+                        path.append(parents[path[-1]][0])
+                    need = 1
+                    for node in reversed(path[:-1]):
+                        need = _preimage(*parents[node], need, model, values)
+                    model[x.name] = need
+                if dropped:  # a search's model is checked already
+                    self._verify_model(conjuncts(key), model)
+                known = SolverVerdict(SolverStatus.SAT, model)
+                self._models.appendleft(model)
+                self._values.appendleft({})
+            if known.status is not SolverStatus.UNKNOWN:
+                self._memo[key] = known
         model = dict(known.model) if known.model is not None else None
         return SolverVerdict(known.status, model)
 
@@ -255,33 +280,6 @@ class Solver:
             else:
                 dropped.append((c, x))
         return kept, dropped
-
-    def _reduced(self, key: Term, rest: Term, dropped: list[tuple[Term, Term]],
-                 start: float) -> SolverVerdict:
-        """Answer ``key`` by ``rest``, its conjuncts less those ``dropped``:
-        a model of ``rest`` becomes one of ``key`` by solving each dropped
-        conjunct for its variable. A decided answer is memoized under
-        ``key``, and a model enters the ring."""
-        self.dropped += len(dropped)
-        known = self._known(rest) or self._settle(rest, start)
-        if known.is_sat:
-            model = dict(known.model)
-            values: dict[Term, int] = {}
-            for c, x in dropped:
-                parents = self._free[c][1]
-                path = [x]
-                while path[-1] is not c:
-                    path.append(parents[path[-1]][0])
-                need = 1
-                for node in reversed(path[:-1]):
-                    need = _preimage(*parents[node], need, model, values)
-                model[x.name] = need
-            self._verify_model(conjuncts(key), model)
-            known = SolverVerdict(SolverStatus.SAT, model)
-            self._remember(model)
-        if known.status is not SolverStatus.UNKNOWN:
-            self._memo[key] = known
-        return known
 
     def _recent(self, key: Term) -> SolverVerdict | None:
         """SAT with the most recent ring model that satisfies ``key``, if any."""
@@ -325,38 +323,25 @@ class Solver:
         model = {name: verdict.model.get(name, 0) for name in names}
         return SolverVerdict(SolverStatus.SAT, model), why
 
-    def _settle(self, key: Term, start: float) -> SolverVerdict:
-        """Solve ``key`` and memoize a decided answer."""
-        verdict = self._solve(conjuncts(key), start)
-        if verdict.status is not SolverStatus.UNKNOWN:
-            self._memo[key] = verdict
-        return verdict
-
-    def _solve(self, flat: tuple[Term, ...], start: float) -> SolverVerdict:
-        """Decide the conjuncts by one search; a model found enters the ring."""
-        unknown = SolverVerdict(SolverStatus.UNKNOWN, None)
+    def _search(self, key: Term, start: float) -> SolverVerdict:
+        """Decide ``key`` by one search and memoize a decided answer."""
+        flat = conjuncts(key)
         try:
             assumptions, variables, order = self._lower(flat)
         except UnsupportedTermError:
             self.answers["unsupported"] += 1
-            return unknown
+            return SolverVerdict(SolverStatus.UNKNOWN, None)
         result = self._blaster.sat.solve(
             assumptions, order, start + self.timeout,
             *self._completion(flat, variables))
         if result is None:
             self.answers["timeout"] += 1
-            return unknown
+            return SolverVerdict(SolverStatus.UNKNOWN, None)
         self.answers["solved"] += 1
-        if not result:
-            return SolverVerdict(SolverStatus.UNSAT, None)
-        model = self._model(flat, variables)
-        self._remember(model)
-        return SolverVerdict(SolverStatus.SAT, model)
-
-    def _remember(self, model: dict[str, int]) -> None:
-        """Put ``model`` first in the ring, with no values evaluated yet."""
-        self._models.appendleft(model)
-        self._values.appendleft({})
+        verdict = (SolverVerdict(SolverStatus.SAT, self._model(flat, variables))
+                   if result else SolverVerdict(SolverStatus.UNSAT, None))
+        self._memo[key] = verdict
+        return verdict
 
     def _minimize(self, key: Term) -> dict[str, int] | None:
         """Memoize and return the least model of ``key``, a SAT query; None

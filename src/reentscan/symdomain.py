@@ -14,11 +14,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .evm_core import Bytecode, FunctionId
 from .keccak import keccak256
 from .smt import terms as tm
 from .smt.terms import Term
+
+# -- bytes and words ----------------------------------------------------------
+
+def byte_of(word: Term, i: int) -> Term:
+    """Byte ``i`` of ``word``, counted from the most significant."""
+    return tm.bv_and(tm.shr(word, tm.const(8 * (31 - i))), tm.const(0xFF))
+
+
+def word_of(data: Sequence[Term]) -> Term:
+    """The word of the 32 bytes ``data``, the most significant first."""
+    word = tm.const(0)
+    for i, byte in enumerate(data):
+        word = tm.bv_or(word, tm.shl(byte, tm.const(8 * (31 - i))))
+    return word
+
 
 # -- calldata -----------------------------------------------------------------
 
@@ -32,22 +48,7 @@ class Calldata:
         raise NotImplementedError
 
     def load_word(self, offset: int) -> Term:
-        word = tm.const(0)
-        for i in range(32):
-            word = tm.bv_or(word, tm.shl(self.byte_at(offset + i),
-                                         tm.const(8 * (31 - i))))
-        return word
-
-
-class ConcreteCalldata(Calldata):
-    def __init__(self, data: bytes):
-        self.data = data
-
-    def byte_at(self, i: int) -> Term:
-        return tm.const(self.data[i] if i < len(self.data) else 0)
-
-    def size(self) -> Term:
-        return tm.const(len(self.data))
+        return word_of([self.byte_at(offset + i) for i in range(32)])
 
 
 class AbiCalldata(Calldata):
@@ -74,11 +75,9 @@ class AbiCalldata(Calldata):
 
     def byte_at(self, i: int) -> Term:
         if i < 4:
-            sel = self.selector_word()
-            return tm.bv_and(tm.shr(sel, tm.const(8 * (3 - i))), tm.const(0xFF))
+            return byte_of(self.selector_word(), 28 + i)
         k, off = divmod(i - 4, 32)
-        return tm.bv_and(tm.shr(self.arg(k), tm.const(8 * (31 - off))),
-                         tm.const(0xFF))
+        return byte_of(self.arg(k), off)
 
     def size(self) -> Term:
         return tm.var(f"{self.tag}_calldatasize")
@@ -287,16 +286,11 @@ class MachineState:
 
     def mstore_word(self, offset: int, value: Term) -> None:
         for i in range(32):
-            self.memory[offset + i] = tm.bv_and(
-                tm.shr(value, tm.const(8 * (31 - i))), tm.const(0xFF))
+            self.memory[offset + i] = byte_of(value, i)
 
     # a read records the zero bytes it expands memory by, so MSIZE counts them
     def mload_word(self, offset: int) -> Term:
-        word = tm.const(0)
-        for i in range(32):
-            byte = self.memory.setdefault(offset + i, tm.const(0))
-            word = tm.bv_or(word, tm.shl(byte, tm.const(8 * (31 - i))))
-        return word
+        return word_of(self.mbytes(offset, 32))
 
     def mbytes(self, offset: int, length: int) -> tuple[Term, ...]:
         return tuple(self.memory.setdefault(offset + i, tm.const(0))

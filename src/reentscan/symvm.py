@@ -3,15 +3,16 @@
 One :class:`SymVM` explores every feasible path of a transaction, forking at
 conditional jumps and crossing contract boundaries at CREATE and CALL. Given
 the calldata of every g the attacker may pick, one walk of f covers both
-schedules of every pair (f, g): the first external call to unknown code on a
-path forks it, and an attacker dummy either returns success at once or first
-calls back into the victim with a g of its choice, one successor per g. A
-path whose f completes after the dummy returned at once forks again over g,
-which runs as the next transaction, on the same block; a path whose f
-reached no call to unknown code ends with f. Later calls, and every call
-with no g to pick, just succeed. The dummy is behavioral, it has no
-bytecode of its own. The VM adds no solvency terms; the verifier appends
-them to final conditions.
+schedules of every pair (f, g): each external call to unknown code on a
+path forks it until the attacker has re-entered there, and an attacker dummy
+either returns success at once or first calls back into the victim with a g
+of its choice, one successor per g. A path whose f completes after the dummy
+returned at once forks again over g, which runs as the next transaction, on
+the same block; a path whose f reached no call to unknown code ends with f.
+Calls after the re-entry, every call with no g to pick, and a call that
+forwards no more than the 2300 gas stipend just succeed. The dummy is
+behavioral, it has no bytecode of its own. The VM adds no solvency terms;
+the verifier appends them to final conditions.
 
 A path the model cannot finish never vanishes: an unsupported opcode, a
 loop or call-depth bound, or an operand with no model value or more than
@@ -57,6 +58,7 @@ from .symdomain import (
     MachineState,
     MAX_STACK,
     TermCalldata,
+    byte_of,
 )
 
 WORD = (1 << 256) - 1
@@ -292,7 +294,7 @@ class SymVM:
     def _do_call(self, block: BasicBlock, ex: Explorer,
                  next_pc: int) -> BasicBlock | None:
         m = block.machine
-        _gas = m.stack.pop()
+        gas = m.stack.pop()
         to = m.stack.pop()
         value = m.stack.pop()
         in_off = m.stack.pop()
@@ -323,7 +325,8 @@ class SymVM:
             # with g's to pick and no re-entry yet, the attacker dummy
             # returns at once on one side of a fork and calls back into the
             # victim with a g of its choice on the others
-            fork = bool(block.pending_g) and not block.reentered
+            fork = (bool(block.pending_g) and not block.reentered
+                    and self._beyond_stipend(block, gas, value))
         # empty deployed code, or unknown code that returns at once:
         # succeeds without running anything
         resumed = m.clone() if fork else m
@@ -337,6 +340,19 @@ class SymVM:
         self._pick_g(block, ex, target.address, lambda b, frame: self._enter(
             b, ex, next_pc, frame, out=out, attacker=target.label))
         return None
+
+    def _beyond_stipend(self, block: BasicBlock, gas: Term, value: Term) -> bool:
+        """Whether the call may forward more than the 2300 gas stipend: the
+        gas operand, plus the stipend when the value is not zero. With no
+        more, the callee can neither write storage (an SSTORE fails with
+        2300 gas or less left since Istanbul, EIP-2200) nor call with value
+        (9000 gas), so it is no re-entry point. A bare ``GAS`` operand asks
+        no query."""
+        if gas is tm.var("gas"):
+            return True
+        more = tm.ult(tm.ite(tm.truthy(value), tm.const(0), tm.const(2300)), gas)
+        return self.solver.check_sat(
+            [block.path_condition, more]).status is not SolverStatus.UNSAT
 
     def _do_create(self, block: BasicBlock, ex: Explorer,
                    next_pc: int) -> BasicBlock:
@@ -402,8 +418,7 @@ class SymVM:
                 if i.value > 31:
                     stack.append(tm.const(0))
                 else:
-                    stack.append(tm.bv_and(
-                        tm.shr(x, tm.const(8 * (31 - i.value))), tm.const(0xFF)))
+                    stack.append(byte_of(x, i.value))
             else:
                 stack.append(self._memo_word("byte", i, x))
         elif name == "NOT":
@@ -466,7 +481,7 @@ class SymVM:
             m.mstore_word(*off, stack.pop())
         elif name == "MSTORE8":
             off = self._concretize(block, ex, [stack.pop()], "mstore8 offset")
-            m.memory[off[0]] = tm.bv_and(stack.pop(), tm.const(0xFF))
+            m.memory[off[0]] = byte_of(stack.pop(), 31)
         elif name == "SLOAD":
             stack.append(world.accounts[m.account].read_storage(stack.pop()))
         elif name == "SSTORE":

@@ -9,6 +9,8 @@ or decimal and are zero-padded on the left.
 from __future__ import annotations
 
 from reentscan.evm_core import OPCODE_BY_NAME
+from reentscan.smt import terms as tm
+from reentscan.symdomain import TermCalldata
 
 
 def _tokens(source: str) -> list[str]:
@@ -69,3 +71,8 @@ def assemble(source: str) -> bytes:
         else:
             out.append(OPCODE_BY_NAME[name])
     return bytes(out)
+
+
+def concrete(data: bytes = b"") -> TermCalldata:
+    """Calldata of the constant bytes ``data``."""
+    return TermCalldata(tuple(tm.const(b) for b in data))

@@ -20,13 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from asm import assemble
+from asm import assemble, concrete
 from reentscan.evm_core import Bytecode, selector_of
 from reentscan.smt import Solver, terms as tm
 from reentscan.smt.bitblast import BitBlaster
 from reentscan.symdomain import (
     COMPLETED,
-    ConcreteCalldata,
     EdgeKind,
     EndState,
 )
@@ -221,7 +220,7 @@ def test_criterion7_call_success_is_concrete():
         PUSHL ok JUMPI
         PUSH1 9 PUSH1 0 SSTORE STOP
         ok: JUMPDEST STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     (block,) = res.completed
     assert block.path_condition is tm.TRUE
     assert block.world.accounts["c0"].storage == {}  # success branch taken

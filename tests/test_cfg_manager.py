@@ -2,7 +2,7 @@
 
 import pytest
 
-from asm import assemble
+from asm import assemble, concrete
 from reentscan.cfg_manager import (
     CannotConcretize,
     DoubleSealError,
@@ -13,13 +13,13 @@ from reentscan.cfg_manager import (
 from reentscan.evm_core import Bytecode
 from reentscan.smt import Solver, SolverStatus, SolverVerdict
 from reentscan.smt import terms as tm
-from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
+from reentscan.symdomain import EdgeKind, EndState
 from reentscan.symvm import AbiCalldata, AnalyzerConfig, SymVM
 
 
 def _run(source: str, calldata=b"", **vm_kwargs):
     vm = SymVM(**vm_kwargs)
-    return vm.run_entry(Bytecode(assemble(source)), ConcreteCalldata(calldata))
+    return vm.run_entry(Bytecode(assemble(source)), concrete(calldata))
 
 
 def test_concrete_true_jumpi_single_path():
@@ -116,7 +116,7 @@ def test_undecided_other_value_cannot_concretize():
 def test_double_seal_raises():
     ex = Explorer(Solver())
     vm = SymVM()
-    res = vm.run_entry(Bytecode(b"\x00"), ConcreteCalldata(b""))
+    res = vm.run_entry(Bytecode(b"\x00"), concrete())
     block = res.completed[0]
     with pytest.raises(DoubleSealError):
         Explorer(Solver()).seal(block, EndState.STOP)
@@ -158,7 +158,7 @@ def test_export_dot_colors_call_boundaries():
             PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
             POP STOP
         """)),
-        ConcreteCalldata(b""), reentry=(AbiCalldata(None, "g"),))
+        concrete(), reentry=(AbiCalldata(None, "g"),))
     dot = export_dot(ree.ecfg)
     assert "salmon" in dot and "palegreen" in dot
 
@@ -171,7 +171,7 @@ def test_frame_boundary_nodes_start_where_their_frame_runs():
             PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 1 PUSH1 0xbb GAS CALL
             POP STOP
         """)),
-        ConcreteCalldata(b""), reentry=(AbiCalldata(None, "g"),))
+        concrete(), reentry=(AbiCalldata(None, "g"),))
     nodes = ree.ecfg.nodes
     entered = [nodes[dst] for _, dst, k in ree.ecfg.edges
                if k is EdgeKind.CALL_ENTER]

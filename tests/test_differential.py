@@ -9,11 +9,11 @@ account, and CREATEd code must be identical.
 
 import pytest
 
-from asm import assemble
+from asm import assemble, concrete
 from evm_oracle import OracleWorld, run_transaction
 from reentscan.evm_core import Bytecode
 from reentscan.smt import terms as tm
-from reentscan.symdomain import ConcreteCalldata, LocalWorldState
+from reentscan.symdomain import LocalWorldState
 from reentscan.symvm import AnalyzerConfig, SymVM
 
 MASK = (1 << 256) - 1
@@ -30,7 +30,7 @@ def _run_vm(code: bytes, calldata: bytes, value: int, storage: dict[int, int],
     world.add_account("attacker", tm.const(CALLER_ADDR),
                       concrete_balance=CALLER_FUNDS)
     vm = SymVM(config=AnalyzerConfig(loop_bound=64))
-    res = vm.run_entry(Bytecode(code), ConcreteCalldata(calldata),
+    res = vm.run_entry(Bytecode(code), concrete(calldata),
                        world=world, caller=tm.const(CALLER_ADDR),
                        callvalue=tm.const(value))
     assert len(res.completed) == 1, \

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from asm import concrete
 from hypothesis import given, strategies as st
 
 from reentscan.evm_core import Bytecode, selector_of
@@ -12,7 +13,6 @@ from reentscan.symdomain import (
     AbiCalldata,
     BasicBlock,
     CallStackEntry,
-    ConcreteCalldata,
     EndState,
     LocalWorldState,
     MachineState,
@@ -24,7 +24,7 @@ def _machine() -> MachineState:
     return MachineState(
         code=Bytecode(b"\x00"), account="c0",
         caller=tm.var("caller"), callvalue=tm.var("f_callvalue"),
-        calldata=ConcreteCalldata(b""))
+        calldata=concrete())
 
 
 def _block(pc: tm.Term = tm.TRUE) -> BasicBlock:
@@ -121,7 +121,7 @@ def test_sha3_concrete_vs_symbolic():
 # -- calldata -----------------------------------------------------------------
 
 def test_concrete_calldata_zero_padding():
-    cd = ConcreteCalldata(b"\x01\x02")
+    cd = concrete(b"\x01\x02")
     assert cd.byte_at(0).value == 1
     assert cd.byte_at(9).value == 0
     assert cd.size().value == 2

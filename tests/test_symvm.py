@@ -4,12 +4,12 @@ import functools
 from pathlib import Path
 
 import pytest
-from asm import assemble
+from asm import assemble, concrete
 from reentscan.cfg_manager import BoundReached, CannotConcretize, UnsupportedOpcode
 from reentscan.evm_core import OPCODE_BY_NAME, OPCODES, Bytecode, selector_of
 from reentscan.smt import Solver
 from reentscan.smt import terms as tm
-from reentscan.symdomain import ConcreteCalldata, EdgeKind, EndState
+from reentscan.symdomain import EdgeKind, EndState
 from reentscan.symvm import (
     AbiCalldata,
     AnalyzerConfig,
@@ -123,7 +123,7 @@ def test_create_runs_init_code_and_returns_address():
         PUSH1 1 PUSH1 0 PUSH1 5 CREATE    ; CREATE(value=5, offset 0, len 1)
         PUSH1 0 SSTORE                    ; store created address at slot 0
         STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     (block,) = res.completed
     kinds = [k for _, _, k in res.ecfg.edges]
     assert EdgeKind.CREATE_ENTER in kinds and EdgeKind.CREATE_RETURN in kinds
@@ -144,7 +144,7 @@ def test_create_returned_runtime_code_is_collected():
         PUSH32 0x604260005360016000f300000000000000000000000000000000000000000000
         PUSH1 0 MSTORE                    ; init: MSTORE8(0, 0x42); RETURN(0, 1)
         PUSH1 10 PUSH1 0 PUSH1 0 CREATE POP STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     assert [c.data.hex() for c in res.created] == ["42"]
 
 
@@ -158,7 +158,7 @@ def test_create_leaves_no_return_data():
         RETURNDATASIZE PUSH1 1 SSTORE
         PUSH1 0 PUSH1 0 PUSH1 0 CREATE POP
         RETURNDATASIZE PUSH1 0 SSTORE STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     (block,) = res.completed
     victim = block.world.accounts["c0"]
     assert victim.read_storage(tm.const(1)) == tm.const(32)
@@ -187,7 +187,7 @@ def test_returndatacopy_past_the_return_data_halts(call, src, size, completes):
         {RETURNING_CALLS[call]}
         PUSH1 {size} PUSH1 {src} PUSH1 0 RETURNDATACOPY
         PUSH1 1 PUSH1 0 SSTORE STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     if completes:
         (end,) = res.completed
         assert end.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(1)
@@ -203,7 +203,7 @@ def test_exceptional_halt_in_init_code_never_resumes_creator(init):
         PUSH1 1 PUSH1 0 PUSH1 0 CREATE    ; CREATE(value=0, offset 0, len 1)
         PUSH1 0 SSTORE                    ; store created address at slot 0
         STOP
-    """)), ConcreteCalldata(b""))
+    """)), concrete())
     for block in res.completed:
         assert block.world.accounts["c0"].read_storage(tm.const(0)) == tm.const(0)
     assert any(b.end_state is EndState.INVALID for b in res.sealed)
@@ -276,7 +276,7 @@ HUGE = "PUSH32 0x" + "80" + "00" * 31
 def test_huge_constant_range_finishes(access, msize):
     # a range nothing reads grows memory by its last byte, not byte by byte
     res = SymVM().run_entry(Bytecode(assemble(f"{access} MSIZE STOP")),
-                            ConcreteCalldata(b""))
+                            concrete())
     (end,) = res.completed
     assert end.machine.stack[-1].value == msize
 
@@ -292,7 +292,7 @@ def test_unsupported_opcode_raises(op):
     pops = OPCODES[OPCODE_BY_NAME[op]][1]
     code = Bytecode(assemble("PUSH1 0 " * pops + f"{op} STOP"))
     with pytest.raises(UnsupportedOpcode, match=op):
-        SymVM().run_entry(code, ConcreteCalldata(b""))
+        SymVM().run_entry(code, concrete())
 
 
 # -- bounds -------------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_call_depth_bound_halts_self_recursion():
     """
     vm = SymVM(config=AnalyzerConfig(call_depth_bound=4))
     with pytest.raises(BoundReached, match=r"^depth bound reached at c0@12$"):
-        vm.run_entry(Bytecode(assemble(src)), ConcreteCalldata(b""))
+        vm.run_entry(Bytecode(assemble(src)), concrete())
 
 
 def test_loop_bound_seals_endless_loop():
@@ -313,7 +313,7 @@ def test_loop_bound_seals_endless_loop():
     with pytest.raises(BoundReached, match=r"^loop bound reached at c0@4$"):
         vm.run_entry(Bytecode(assemble("""
             top: JUMPDEST PUSHL top JUMP
-        """)), ConcreteCalldata(b""))
+        """)), concrete())
 
 
 # -- re-entrant scenario ------------------------------------------------------

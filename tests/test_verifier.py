@@ -92,8 +92,10 @@ def test_path_explosion_is_inconclusive():
     assert result.note and "path" in result.note.lower()
 
 
-def fund_probe(before_read: str = "", after_payout: str = "") -> Bytecode:
-    """fund, with extra code before the balance read or after the payout."""
+def fund_probe(before_read: str = "", after_payout: str = "",
+               gas: str = "GAS", value: str = "DUP5") -> Bytecode:
+    """fund, with extra code before the balance read or after the payout,
+    and the payout's gas and value operands as given."""
     sel = selector_of("withdraw()")
     return Bytecode(assemble(f"""
         PUSH1 0 CALLDATALOAD PUSH1 0xe0 SHR
@@ -102,7 +104,7 @@ def fund_probe(before_read: str = "", after_payout: str = "") -> Bytecode:
         {before_read}
         CALLER SLOAD
         DUP1 ISZERO PUSHL done JUMPI
-        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 DUP5 CALLER GAS CALL POP
+        PUSH1 0 PUSH1 0 PUSH1 0 PUSH1 0 {value} CALLER {gas} CALL POP
         {after_payout}
         POP
         PUSH1 0 CALLER SSTORE
@@ -333,6 +335,28 @@ def test_attacker_may_re_enter_at_a_later_call_to_unknown_code():
     (pair,) = contract.pairs
     assert pair.status is Status.VULNERABLE
     assert (pair.paths_I, pair.paths_C) == (2, 3)
+
+
+@pytest.mark.parametrize("gas, value, status, reentered", [
+    ("GAS", "DUP5", Status.VULNERABLE, True),
+    # the payout forwards the 2300 stipend alone
+    ("PUSH1 0", "DUP5", Status.BENIGN, False),
+    ("PUSH2 2300", "DUP5", Status.VULNERABLE, True),
+    ("PUSH1 4 CALLDATALOAD", "DUP5", Status.VULNERABLE, True),
+    # a call with no value gets no stipend: 2300 is the most that is harmless
+    ("PUSH2 2300", "PUSH1 0", Status.BENIGN, False),
+    ("PUSH2 2301", "PUSH1 0", Status.BENIGN, True),  # re-entered, pays 0
+])
+def test_a_call_that_forwards_only_the_stipend_is_no_re_entry_point(
+        gas, value, status, reentered):
+    # since Istanbul a callee left with 2300 gas or less can neither write
+    # storage nor call with value, so the attacker cannot re-enter there;
+    # the call still reaches unknown code, so withdraw keeps its pair
+    (contract,) = analyze([("probe", fund_probe(gas=gas, value=value),
+                            "test")]).contracts
+    (pair,) = contract.pairs
+    assert (pair.paths_C > 0) is reentered
+    assert pair.status is status
 
 
 @pytest.mark.parametrize("C, status", [
@@ -613,9 +637,9 @@ class _UnknownSolver(Solver):
     """Answers every query that reaches the SAT engine with Unknown, but the
     empty one, which a real solver always decides."""
 
-    def _solve(self, flat, start):
-        if not flat:
-            return super()._solve(flat, start)
+    def _search(self, key, start):
+        if key is tm.TRUE:
+            return super()._search(key, start)
         return SolverVerdict(SolverStatus.UNKNOWN, None)
 
 
