@@ -312,8 +312,6 @@ class BitBlaster:
         if op == "xor":
             a, b = map(self.blast_bv, term.args)
             return [self.g_xor(x, y) for x, y in zip(a, b)]
-        if op == "not":
-            return [-x for x in self.blast_bv(term.args[0])]
         if op in ("shl", "shr"):
             a = self.blast_bv(term.args[0])
             amount = term.args[1]
@@ -339,8 +337,6 @@ class BitBlaster:
             return -self.blast_bool(term.args[0])
         if op == "band":
             return self.g_and_many([self.blast_bool(a) for a in term.args])
-        if op == "bor":
-            return self.g_or_many([self.blast_bool(a) for a in term.args])
         raise UnsupportedTermError(f"boolean op {op!r}")
 
     # -- queries --------------------------------------------------------------

@@ -47,10 +47,10 @@ RECENT_MODELS = 64  # models of the last queries the memo and ring missed
 
 # boolean ops that give the truth wanted by the choice of one operand,
 # whatever the others are, by the truths for which they do
-_ONTO_BOOL = {"bnot": (True, False), "eq": (True, False), "bor": (True,),
-              "band": (False,), "ult": (False,)}
+_ONTO_BOOL = {"bnot": (True, False), "eq": (True, False), "band": (False,),
+              "ult": (False,)}
 # bitvector ops that give any value wanted by the choice of one operand
-_ONTO = frozenset({"add", "sub", "xor", "not"})
+_ONTO = frozenset({"add", "sub", "xor"})
 
 
 def _free_paths(root: Term) -> dict[Term, tuple[Term, int]]:
@@ -58,10 +58,11 @@ def _free_paths(root: Term) -> dict[Term, tuple[Term, int]]:
     can always give the value the path needs, each mapped to its parent
     and its index among the parent's arguments.
 
-    From the root down, that is: ``bnot``; ``bor`` where it must be true
-    and ``band`` where it must be false, through any operand; ``eq`` either
-    way and ``ult`` where it must be false, through either side; and below
-    those ``add``, ``sub``, ``xor`` and ``not``. A variable among the nodes
+    From the root down, that is: ``bnot``; ``band`` where it must be
+    false, through any operand, so a disjunction (a negated ``band``) where
+    it must be true; ``eq`` either way and ``ult`` where it must be false,
+    through either side; and below those ``add``, ``sub`` and ``xor``, so
+    a bitwise not (an ``xor`` with all ones). A variable among the nodes
     that occurs in no other conjunct can make ``root`` true whatever the
     values of the others.
     """
@@ -106,13 +107,11 @@ def _preimage(t: Term, i: int, need: int, model: Mapping[str, int],
     op = t.op
     if op == "bnot":
         return 1 - need
-    if op in ("bor", "band"):
+    if op == "band":
         return need
     m = mask(t.args[i].width)
     if op == "ult":  # false: the left side all ones, or the right side 0
         return m if i == 0 else 0
-    if op == "not":
-        return ~need & m
     other = evaluate(t.args[1 - i], model, values)
     if op == "eq":
         return other if need else (other + 1) & m
@@ -129,7 +128,9 @@ class Solver:
     Every query takes one path through :meth:`check_sat`. Its constraints
     are joined into their interned conjunction by
     :func:`~reentscan.smt.terms.band`, which folds the query to ``FALSE``
-    as soon as one conjunct is false or the negation of another. Then:
+    as soon as one conjunct is false or the negation of another. A negated
+    disjunction is a conjunction (``bor`` is a negated ``band``), so its
+    disjuncts' negations join the query as conjuncts of their own. Then:
 
     1. the query is answered from the memo, else from a recent model;
     2. else its conjuncts that a variable can always make true are left

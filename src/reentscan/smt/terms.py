@@ -15,6 +15,12 @@ when every operand folds so, which never makes the term larger; ``bv_and``
 merges nested constant masks. So an ABI dispatcher's ``calldata[0] >> 224``
 (``udiv`` by ``2**224`` is that ``shr``) is the selector constant when the
 selector is fixed, and ``function_id & 0xffffffff`` when it is open.
+
+A disjunction and a bitwise complement have no node kind of their own:
+``bor`` builds the negated conjunction of the negated disjuncts, and
+``bv_not`` an ``xor`` with all ones, as the bit-blaster's And-Inverter
+gates do. So each module that reads terms handles neither, and ``band``'s
+folds cover disjunctions too: ``a or not a`` is ``TRUE``.
 """
 
 from __future__ import annotations
@@ -259,9 +265,7 @@ _BITWISE = {"and": bv_and, "or": bv_or, "xor": bv_xor}
 
 
 def bv_not(a: Term) -> Term:
-    if a.is_const:
-        return const(~a.value, a.width)
-    return Term("not", a.width, (a,))
+    return bv_xor(a, const(mask(a.width), a.width))
 
 
 def shl(a: Term, amount: Term) -> Term:
@@ -457,25 +461,7 @@ def conjuncts(t: Term) -> tuple[Term, ...]:
 
 
 def bor(terms: Iterable[Term]) -> Term:
-    flat: list[Term] = []
-    seen: set[Term] = set()
-    for t in terms:
-        if not t.is_bool:
-            raise ValueError("bor expects booleans")
-        items = t.args if t.op == "bor" else (t,)
-        for item in items:
-            if item.is_const:
-                if item.value:
-                    return TRUE
-                continue
-            if item not in seen:
-                seen.add(item)
-                flat.append(item)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Term("bor", BOOL, tuple(flat))
+    return bnot(band(bnot(t) for t in terms))
 
 
 def truthy(a: Term) -> Term:
@@ -534,8 +520,6 @@ def evaluate(term: Term, env: Mapping[str, int] | None = None,
             r = a[0] | a[1]
         elif op == "xor":
             r = a[0] ^ a[1]
-        elif op == "not":
-            r = ~a[0] & m
         elif op == "shl":
             r = (a[0] << a[1]) & m if a[1] < w else 0
         elif op == "shr":
@@ -550,8 +534,6 @@ def evaluate(term: Term, env: Mapping[str, int] | None = None,
             r = int(not a[0])
         elif op == "band":
             r = int(all(a))
-        elif op == "bor":
-            r = int(any(a))
         else:
             raise ValueError(f"cannot evaluate op {op!r}")
         memo[t] = r

@@ -106,7 +106,7 @@ class SymVM:
 
     # -- entry points ---------------------------------------------------------
 
-    def run_entry(self, code: Bytecode | None, calldata: Calldata, *,
+    def run_entry(self, code: Bytecode, calldata: Calldata, *,
                   world: LocalWorldState | None = None,
                   caller: Term | None = None,
                   callvalue: Term | None = None,
@@ -115,11 +115,13 @@ class SymVM:
         depth-first walk.
 
         With ``reentry``, the calldata of each g the attacker may pick, the
-        walk covers both schedules of every pair (f, g): a path forks at its
-        first call to unknown code, where the attacker dummy either
-        re-enters the victim with one of the g's or returns at once, and a
-        path whose f completes after the dummy returned goes on with one of
-        them as the next transaction (see :meth:`_pick_g`).
+        walk covers both schedules of every pair (f, g): a path forks at
+        each call to unknown code until the attacker has re-entered on it,
+        but for a call that forwards no more than the 2300 gas stipend.
+        There the attacker dummy either re-enters the victim with one of
+        the g's or returns at once, and a path whose f completes after the
+        dummy returned goes on with one of them as the next transaction
+        (see :meth:`_pick_g`).
 
         A :class:`~reentscan.cfg_manager.CannotFinish` raised on a path
         after the pick fails that g alone: it is recorded in
@@ -132,8 +134,6 @@ class SymVM:
         if world is None:
             world = LocalWorldState()
         if VICTIM not in world.accounts:
-            if code is None:
-                raise ValueError("fresh world needs the victim bytecode")
             world.add_account(VICTIM, tm.var(f"address_{VICTIM}"), code=code)
         machine = self._transaction(
             world, caller if caller is not None else tm.var("caller"),

@@ -2,10 +2,11 @@
 
 For each function f that reaches a call to unknown code, one walk of f with
 every dispatchable g as the attacker's choice (see
-:meth:`~reentscan.symvm.SymVM.run_entry`) forks each path at f's first
-external call to unknown code, and again over g. The completed ends of the
-paths on which the attacker picked g form the two scenario sets of the pair
-(f, g), over one symbol environment:
+:meth:`~reentscan.symvm.SymVM.run_entry`) forks each path at every external
+call to unknown code that may forward more than the 2300 gas stipend, until
+the attacker has re-entered on it, and again over g. The completed ends of
+the paths on which the attacker picked g form the two scenario sets of the
+pair (f, g), over one symbol environment:
 
 * I: f runs to completion, then g runs as a fresh transaction from the
   account f called (sequential baseline): the ends where the attacker

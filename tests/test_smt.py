@@ -300,6 +300,26 @@ def test_boolean_simplifications():
     assert bv_not(bv_not(const(7))).value == 7
 
 
+def test_a_disjunction_is_a_negated_conjunction():
+    a, b = ult(var("x"), const(3)), eq(var("y"), const(1))
+    assert bor([a, bnot(a)]) is TRUE  # band's contradiction fold
+    assert bnot(bor([a, b])) is band([bnot(a), bnot(b)])
+    assert bor([a, b]).op == "bnot" and bor([a]) is a and bor([]) is FALSE
+
+
+def test_bitwise_not_is_xor_with_all_ones():
+    x = var("x", 8)
+    t = bv_not(x)
+    assert t is bv_xor(x, const(0xFF, 8))
+    solver = Solver()
+    for v in range(256):
+        assert evaluate(t, {"x": v}) == ~v & 0xFF
+        verdict = solver.check_sat([eq(x, const(v, 8)), eq(t, const(~v, 8))])
+        assert verdict == SolverVerdict(SolverStatus.SAT, {"x": v})
+        assert solver.check_sat([eq(x, const(v, 8)),
+                                 eq(t, const(v, 8))]).status is SolverStatus.UNSAT
+
+
 # -- conjunctions -------------------------------------------------------------
 
 @given(st.lists(st.integers(0, 50), max_size=8))
@@ -1697,6 +1717,8 @@ ONCE_USED = {
     "ult false, x left": bnot(ult(X8, Y8)),
     "ult false, x right": bnot(ult(Y8, X8)),
     "bor true": bor([eq(X8, Y8), ult(Y8, const(3, 8))]),
+    # a negated disjunction is a conjunction: ¬(x = y) joins the query
+    "bor false": bnot(bor([eq(X8, Y8), ult(Y8, const(3, 8))])),
     "band false": bnot(band([eq(X8, Y8), ult(const(3, 8), Y8)])),
     "add, x left": eq(bv_add(X8, Y8), const(7, 8)),
     "add, x right": eq(bv_add(Y8, X8), const(7, 8)),
@@ -1731,7 +1753,6 @@ NOT_DROPPED = {
     "under shr": [eq(shr(X8, const(1, 8)), Y8), ult(Y8, const(9, 8))],
     "under mul": [eq(bv_mul(X8, const(3, 8)), Y8), ABOVE_200],
     "ult true": [ult(X8, Y8), ABOVE_200],
-    "bor false": [bnot(bor([eq(X8, Y8), ult(Y8, const(3, 8))])), ABOVE_200],
     "band true": [bor([band([eq(X8, Y8), ult(Y8, const(3, 8))]),
                        ult(const(250, 8), Y8)]), ABOVE_200],
 }
@@ -1802,13 +1823,11 @@ _ORACLE_OPS = {
     "add": lambda a, b: (a + b) & _W3, "sub": lambda a, b: (a - b) & _W3,
     "mul": lambda a, b: (a * b) & _W3, "and": lambda a, b: a & b,
     "or": lambda a, b: a | b, "xor": lambda a, b: a ^ b,
-    "not": lambda a: ~a & _W3,
     "shl": lambda a, b: (a << b) & _W3 if b < 3 else 0,
     "shr": lambda a, b: a >> b if b < 3 else 0,
     "ite": lambda c, a, b: a if c else b,
     "eq": lambda a, b: int(a == b), "ult": lambda a, b: int(a < b),
     "bnot": lambda a: 1 - a, "band": lambda *a: int(all(a)),
-    "bor": lambda *a: int(any(a)),
 }
 
 
